@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import formats
@@ -42,9 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="dataset file")
         p.add_argument("--utility-table", required=True, help="unit utility file")
         p.add_argument("--mtable", help="per-item threshold file")
-        p.add_argument("--beta", type=float,
+        # exact decimals: 0.009 is 9/1000, not the nearest binary fraction
+        p.add_argument("--beta", type=Fraction,
                        help="threshold factor against each item's total utility")
-        p.add_argument("--lmu", type=float,
+        p.add_argument("--lmu", type=Fraction,
                        help="least threshold as a fraction of the database utility")
 
     p_mine = sub.add_parser("mine", help="run the pattern search")
@@ -56,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_mine.add_argument("--stats", action="store_true",
                         help="print run statistics to stderr")
-    p_mine.add_argument("--threads", type=int, default=1)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive reference miner")
     add_data_flags(p_oracle)
@@ -86,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated variant list")
     p_bench.add_argument("--node-bound", choices=NODE_BOUNDS, default=BOUND_PEU)
     p_bench.add_argument("--out", help="output file (default stdout)")
-    p_bench.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -136,7 +136,6 @@ def _cmd_mine(args, parser) -> int:
         node_bound=args.node_bound,
         max_pattern_length=args.max_len,
         collect_stats=args.stats,
-        threads=args.threads,
     )
     husps, stats = mine(db, utable, mtable, config)
     _emit(formats.write_results(husps, stats, args.format, db.symbols), args.out)
@@ -215,11 +214,11 @@ def _cmd_bench(args, parser) -> int:
         if args.lmu_sweep is not None:
             if args.beta is None:
                 parser.error("--beta is required with --lmu-sweep")
-            points = [("lmu", float(x)) for x in args.lmu_sweep.split(",")]
+            points = [("lmu", Fraction(x)) for x in args.lmu_sweep.split(",")]
         else:
             if args.lmu is None:
                 parser.error("--lmu is required with --beta-sweep")
-            points = [("beta", float(x)) for x in args.beta_sweep.split(",")]
+            points = [("beta", Fraction(x)) for x in args.beta_sweep.split(",")]
     except ValueError as exc:
         parser.error(f"bad sweep value: {exc}")
     lines = ["variant\tbeta\tlmu\truntime_s\tcandidates\thusps\tpeak_mem_bytes"]
@@ -235,11 +234,10 @@ def _cmd_bench(args, parser) -> int:
                 variant=variant,
                 node_bound=args.node_bound,
                 collect_stats=True,
-                threads=args.threads,
             )
             husps, stats = mine(db, utable, mtable, config)
             lines.append(
-                f"{variant}\t{beta}\t{lmu}\t{stats.wall_time:.3f}"
+                f"{variant}\t{float(beta)}\t{float(lmu)}\t{stats.wall_time:.3f}"
                 f"\t{stats.candidates_visited}\t{len(husps)}"
                 f"\t{stats.peak_memory_estimate}"
             )

@@ -22,6 +22,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -232,20 +233,44 @@ def bind_thresholds(values: dict, symbols: SymbolTable) -> MTable:
     return MTable(tuple(values[n] for n in symbols.names))
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+_HALF = Fraction(1, 2)
+
+Ratio = Union[int, float, str, Fraction]
+
+
+def round_half_up(x) -> int:
+    """Nearest integer with halves rounded up; exact when ``x`` is a
+    ``Fraction``, float arithmetic when it is a float."""
+    return int(math.floor(x + _HALF))
+
+
+def exact_ratio(x: Ratio) -> Fraction:
+    """Exact value of a threshold factor.
+
+    Strings are read as decimals (``"0.009"`` is exactly 9/1000) and a float
+    as the shortest decimal that prints it, so ``0.009`` means 9/1000 rather
+    than the nearest binary fraction.  Raises ValueError for NaN, infinities
+    and malformed text.
+    """
+    if isinstance(x, float):
+        x = repr(x)
+    return Fraction(x)
 
 
 def generate_mtable(
-    db: QSDatabase, utable: UtilityTable, beta: float, lmu_fraction: float
+    db: QSDatabase, utable: UtilityTable, beta: Ratio, lmu_fraction: Ratio
 ) -> MTable:
     """Threshold table mu(i) = max(round(beta * total utility of i), LMU),
     where LMU = round(lmu_fraction * total database utility).
 
     An item's utility here is the sum over all its occurrences, so beta
     scales against how much the item actually contributes to the data.
-    With beta = 0 every threshold collapses to the uniform LMU.
+    With beta = 0 every threshold collapses to the uniform LMU.  Both
+    factors are taken exactly (see :func:`exact_ratio`) and both products
+    are rounded half up in exact rational arithmetic.
     """
+    beta = exact_ratio(beta)
+    lmu_fraction = exact_ratio(lmu_fraction)
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if not 0 <= lmu_fraction <= 1:

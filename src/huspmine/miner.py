@@ -11,13 +11,19 @@ layers cut the tree:
 * a node is expanded only while its extension bound (PEU by default, the
   looser SEU selectable for ablation) stays at or above the least threshold
   reachable in its subtree (PMIU);
-* the PUK strategy drops extension items before their child projections are
-  built, when both the item's standalone extension bound and the would-be
-  child's bound fall below the prefix's PMIU.
+* the PUK strategy drops extension items before they are visited as
+  children, when both the item's standalone extension bound and the
+  would-be child's bound fall below the prefix's PMIU.
 
 Variant ``uspt1`` disables the first and third layers, ``uspt2`` disables
 only the third, ``uspt`` enables all three.  All variants produce the same
 pattern set; only the visited-candidate counts differ.
+
+Children are evaluated without being projected: one scan over an expanded
+node's projection yields every child's utility, PEU, SEU, SWU and threshold
+pool, which decide whether the child is a result and whether it is
+expanded.  Only an expanded child gets its own projection, from which its
+children are scanned in turn.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .uarray import (
     build_database_arrays,
     initial_projection,
     project,
+    projection_bounds,
     rest_pool_min_mu,
 )
 
@@ -72,7 +79,6 @@ class MiningConfig:
     node_bound: str = BOUND_PEU
     max_pattern_length: Optional[int] = None
     collect_stats: bool = False
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class Bounds:
     utility: Money
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Husp:
     pattern: Pattern
     utility: Money
@@ -102,15 +108,10 @@ class MiningStats:
     peak_memory_estimate: Optional[int] = None
     depth_histogram: dict = field(default_factory=dict)
 
-    def count_node(self, depth: int) -> None:
-        self.candidates_visited += 1
-        self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
-
-    def merge(self, other: "MiningStats") -> None:
-        self.candidates_visited += other.candidates_visited
-        self.husps_found += other.husps_found
-        for d, c in other.depth_histogram.items():
-            self.depth_histogram[d] = self.depth_histogram.get(d, 0) + c
+    def count_node(self, depth: int, n: int = 1) -> None:
+        if n:
+            self.candidates_visited += n
+            self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + n
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,7 @@ class OneSeqInfo:
 
 
 class MiningObserver:
-    """Instrumentation hooks for tracing a run; every hook is a no-op here.
-
-    Only meaningful single-threaded.
-    """
+    """Instrumentation hooks for tracing a run; every hook is a no-op here."""
 
     def on_one_sequence_stats(self, info: dict) -> None:
         pass
@@ -209,29 +207,54 @@ def pmiu(
 
 
 class _ItemAccumulator:
-    """Per-item sum over sequences of a per-sequence maximum, using tag
-    arrays so no per-node clearing of the full item range is needed."""
+    """Per-item bounds of every would-be child of one node, gathered during
+    the candidate scan.
+
+    Each feed is one (match utility, remaining utility) pair of a child item
+    at flat position ``q`` of the current sequence.  Within a sequence the
+    accumulator keeps, per item, the best match utility, the best extension
+    term (match + remaining), the remaining utility at the anchor (the
+    earliest ``q`` reaching the best term, which has the largest remaining
+    utility among the ties) and the threshold pool after the first ``q``
+    fed.  ``end_sequence`` folds those into per-node sums of utility, PEU,
+    capped SEU and SWU, and the node's pool minimum.  Tag arrays avoid any
+    per-node clearing of the full item range.
+    """
 
     __slots__ = (
-        "sums",
-        "seq_best",
-        "node_tag",
         "seq_tag",
-        "node_mark",
+        "seq_u",
+        "seq_peu",
+        "seq_aru",
+        "seq_pool",
         "seq_mark",
-        "touched",
         "seq_touched",
+        "node_tag",
+        "utility",
+        "peu",
+        "seu",
+        "swu",
+        "pool",
+        "node_mark",
+        "touched",
     )
 
     def __init__(self, n_items: int):
-        self.sums = [0] * n_items
-        self.seq_best = [0] * n_items
-        self.node_tag = [0] * n_items
         self.seq_tag = [0] * n_items
-        self.node_mark = 0
+        self.seq_u = [0] * n_items
+        self.seq_peu = [0] * n_items
+        self.seq_aru = [0] * n_items
+        self.seq_pool = [0] * n_items
         self.seq_mark = 0
-        self.touched: list[int] = []
         self.seq_touched: list[int] = []
+        self.node_tag = [0] * n_items
+        self.utility = [0] * n_items
+        self.peu = [0] * n_items
+        self.seu = [0] * n_items
+        self.swu = [0] * n_items
+        self.pool = [0] * n_items
+        self.node_mark = 0
+        self.touched: list[int] = []
 
     def reset_node(self) -> None:
         self.node_mark += 1
@@ -241,34 +264,49 @@ class _ItemAccumulator:
         self.seq_mark += 1
         self.seq_touched = []
 
-    def feed(self, item: int, value: int) -> None:
+    def feed(self, item: int, match: int, rest: int, pool: int) -> None:
+        term = match + rest
         if self.seq_tag[item] != self.seq_mark:
             self.seq_tag[item] = self.seq_mark
-            self.seq_best[item] = value
+            self.seq_u[item] = match
+            self.seq_peu[item] = term
+            self.seq_aru[item] = rest
+            self.seq_pool[item] = pool
             self.seq_touched.append(item)
-        elif value > self.seq_best[item]:
-            self.seq_best[item] = value
+            return
+        if match > self.seq_u[item]:
+            self.seq_u[item] = match
+        best = self.seq_peu[item]
+        if term > best or (term == best and rest > self.seq_aru[item]):
+            self.seq_peu[item] = term
+            self.seq_aru[item] = rest
 
-    def end_sequence(self) -> None:
+    def end_sequence(self, useq: int) -> None:
         mark = self.node_mark
         for item in self.seq_touched:
+            u_s = self.seq_u[item]
+            seu_s = u_s + self.seq_aru[item]
+            if seu_s > useq:
+                seu_s = useq
             if self.node_tag[item] != mark:
                 self.node_tag[item] = mark
-                self.sums[item] = 0
                 self.touched.append(item)
-            self.sums[item] += self.seq_best[item]
+                self.utility[item] = u_s
+                self.peu[item] = self.seq_peu[item]
+                self.seu[item] = seu_s
+                self.swu[item] = useq
+                self.pool[item] = self.seq_pool[item]
+            else:
+                self.utility[item] += u_s
+                self.peu[item] += self.seq_peu[item]
+                self.seu[item] += seu_s
+                self.swu[item] += useq
+                if self.seq_pool[item] < self.pool[item]:
+                    self.pool[item] = self.seq_pool[item]
 
     def collect(self) -> dict:
-        return {item: self.sums[item] for item in sorted(self.touched)}
-
-
-@dataclass
-class _ChildStats:
-    utility: Money
-    peu: Money
-    seu_raw: Money
-    swu: Money
-    pool_min: Money
+        """PEU of every child item fed since ``reset_node``, by item."""
+        return {item: self.peu[item] for item in sorted(self.touched)}
 
 
 class _Engine:
@@ -297,6 +335,9 @@ class _Engine:
                 self.item_seqs.setdefault(item, []).append(si)
         self.global_item_peu: dict[int, int] = {}
         self.one_seq_info: dict[int, OneSeqInfo] = {}
+        # scratch state of the candidate scan, one per concatenation kind
+        self.acc_i = _ItemAccumulator(self.n_items)
+        self.acc_s = _ItemAccumulator(self.n_items)
 
     # -- setup phases -------------------------------------------------
 
@@ -421,61 +462,24 @@ class _Engine:
             for item in sorted(self.one_seq_info)
             if item in self.global_item_peu
         ]
-        if self.config.threads > 1 and len(roots) > 1:
-            self._run_parallel(roots)
-        else:
-            task = _Task(self)
-            for item in roots:
-                task.explore_root(item)
-            self.husps.extend(task.husps)
-            self.stats.merge(task.stats)
+        for item in roots:
+            self._explore_root(item)
         self.husps.sort(key=lambda h: pattern_sort_key(h.pattern))
         self.stats.husps_found = len(self.husps)
         return self.husps
 
-    def _run_parallel(self, roots: list) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(chunk):
-            task = _Task(self)
-            for item in chunk:
-                task.explore_root(item)
-            return task
-
-        chunks = [roots[i :: self.config.threads] for i in range(self.config.threads)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for task in pool.map(work, chunks):
-                self.husps.extend(task.husps)
-                self.stats.merge(task.stats)
-
-
-class _Task:
-    """One depth-first traversal worker with its own scratch state."""
-
-    def __init__(self, engine: _Engine):
-        self.e = engine
-        self.arrays = engine.arrays
-        self.mtable = engine.mtable
-        self.config = engine.config
-        self.observer = engine.observer
-        self.husps: list[Husp] = []
-        self.stats = MiningStats()
-        self.acc_i = _ItemAccumulator(engine.n_items)
-        self.acc_s = _ItemAccumulator(engine.n_items)
-
     # one full root subtree
-    def explore_root(self, item: int) -> None:
-        info = self.e.one_seq_info[item]
-        proj = initial_projection(self.arrays, item, self.e.item_seqs.get(item))
+    def _explore_root(self, item: int) -> None:
+        info = self.one_seq_info[item]
+        proj = initial_projection(self.arrays, item, self.item_seqs.get(item))
         if not proj:
             return
         self.stats.count_node(1)
         pattern = Pattern.single(item)
-        pstats = self._projection_stats(proj)
+        pstats = projection_bounds(proj, self.arrays)
         bounds = Bounds(
             swu=pstats.swu,
-            seu=pstats.seu_raw,
+            seu=pstats.seu,
             peu=pstats.peu,
             pmiu=int(min(info.miu, pstats.pool_min)),
             miu=info.miu,
@@ -494,44 +498,21 @@ class _Task:
         cap = self.config.max_pattern_length
         return cap is None or child_size <= cap
 
-    def _projection_stats(self, proj: Projection) -> _ChildStats:
-        """Utility, bounds, and threshold pool of one projected pattern."""
-        utility = 0
-        peu = 0
-        seu = 0
-        swu_v = 0
-        pool = float("inf")
-        for entry in proj.entries:
-            seq = self.arrays[entry.seq_index]
-            ru = seq.ru
-            u_max = None
-            best_term = None
-            anchor_ru = 0
-            for p, b in zip(entry.pivots, entry.best):
-                if u_max is None or b > u_max:
-                    u_max = b
-                term = b + ru[p]
-                if best_term is None or term > best_term:
-                    best_term = term
-                    anchor_ru = ru[p]
-            utility += u_max
-            peu += best_term
-            seu += min(seq.useq, u_max + anchor_ru)
-            swu_v += seq.useq
-            cand = seq.suffix_min_mu[entry.pivots[0] + 1]
-            if cand < pool:
-                pool = cand
-        return _ChildStats(utility, peu, seu, swu_v, pool)
-
     def _scan_candidates(self, proj: Projection):
-        """One pass over the projected arrays collecting extension items of
-        both kinds with the bound of each would-be child."""
+        """One pass over the projected arrays that evaluates every would-be
+        child of both kinds: its utility, PEU, SEU, SWU and threshold pool.
+
+        Returns the PEU of each child by item for the I- and S-children; the
+        full bounds stay in ``acc_i``/``acc_s`` until the next scan.
+        """
         acc_i, acc_s = self.acc_i, self.acc_s
         acc_i.reset_node()
         acc_s.reset_node()
+        feed_i, feed_s = acc_i.feed, acc_s.feed
         for entry in proj.entries:
             seq = self.arrays[entry.seq_index]
             item_, eid_, u_, ru_, active_ = seq.item, seq.eid, seq.u, seq.ru, seq.active
+            pool_ = seq.suffix_min_mu
             n = seq.n
             pivots, best = entry.pivots, entry.best
             acc_i.begin_sequence()
@@ -541,7 +522,7 @@ class _Task:
                 q = p + 1
                 while q < n and eid_[q] == e:
                     if active_[q]:
-                        acc_i.feed(item_[q], b + u_[q] + ru_[q])
+                        feed_i(item_[q], b + u_[q], ru_[q], pool_[q + 1])
                     q += 1
             start_e = eid_[pivots[0]]
             if start_e < len(seq.elem_first):
@@ -557,9 +538,9 @@ class _Task:
                             run_max = best[ptr]
                         ptr += 1
                     if active_[q]:
-                        acc_s.feed(item_[q], run_max + u_[q] + ru_[q])
-            acc_i.end_sequence()
-            acc_s.end_sequence()
+                        feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
+            acc_i.end_sequence(seq.useq)
+            acc_s.end_sequence(seq.useq)
         return acc_i.collect(), acc_s.collect()
 
     def _span(
@@ -570,11 +551,22 @@ class _Task:
         prefix_seu: int,
         prefix_min_mu: int,
     ) -> None:
+        """Evaluate every child of an expanded node, then visit the ones that
+        matter.
+
+        A single scan of the prefix's projection yields each child's bounds,
+        which decide whether the child is a result and whether it is
+        expanded; a child's own projection is built only when it is expanded.
+        Every child is counted as a candidate, but a child that is neither a
+        result nor expanded is only materialised for an observer.  All
+        decisions are taken before any child is visited, because the
+        recursion reuses the scan's accumulators.
+        """
         i_items, s_items = self._scan_candidates(proj)
         last = prefix.itemsets[-1][-1]
         i_items = {i: v for i, v in i_items.items() if i > last}
         if self.config.variant == USPT:
-            global_peu = self.e.global_item_peu
+            global_peu = self.global_item_peu
             kept_i = {
                 i: v
                 for i, v in i_items.items()
@@ -587,11 +579,35 @@ class _Task:
             }
         else:
             kept_i, kept_s = i_items, s_items
-        if self.observer:
-            self.observer.on_candidates(prefix, i_items, s_items, kept_i, kept_s)
-        for kind, kept in ((I_STEP, kept_i), (S_STEP, kept_s)):
+        observer = self.observer
+        if observer:
+            observer.on_candidates(prefix, i_items, s_items, kept_i, kept_s)
+        size = prefix.size + 1
+        self.stats.count_node(size, len(kept_i) + len(kept_s))
+        deeper = self._depth_ok(size + 1)
+        peu_gate = self.config.node_bound == BOUND_PEU
+        mu = self.mtable.mu
+        visits = []
+        for kind, kept, acc in ((I_STEP, kept_i, self.acc_i), (S_STEP, kept_s, self.acc_s)):
             for item in sorted(kept):
-                self._visit_child(prefix, proj, kind, item, prefix_seu, prefix_min_mu)
+                utility = acc.utility[item]
+                child_min_mu = min(prefix_min_mu, mu[item])
+                seu_star = min(acc.seu[item], prefix_seu)
+                child_pmiu = min(child_min_mu, acc.pool[item])
+                bound = acc.peu[item] if peu_gate else seu_star
+                expand = deeper and bound >= child_pmiu
+                if expand or observer or utility >= child_min_mu:
+                    bounds = Bounds(
+                        swu=acc.swu[item],
+                        seu=seu_star,
+                        peu=acc.peu[item],
+                        pmiu=child_pmiu,
+                        miu=child_min_mu,
+                        utility=utility,
+                    )
+                    visits.append((kind, item, bounds, expand))
+        for kind, item, bounds, expand in visits:
+            self._visit_child(prefix, proj, kind, item, bounds, expand)
 
     def _visit_child(
         self,
@@ -599,37 +615,20 @@ class _Task:
         proj: Projection,
         kind: str,
         item: int,
-        prefix_seu: int,
-        prefix_min_mu: int,
+        bounds: Bounds,
+        expand: bool,
     ) -> None:
-        child_proj = project(proj, self.arrays, item, kind)
-        if not child_proj:
-            return
         if kind == I_STEP:
             child = Pattern(prefix.itemsets[:-1] + (prefix.itemsets[-1] + (item,),))
         else:
             child = Pattern(prefix.itemsets + ((item,),))
-        self.stats.count_node(child.size)
-        child_min_mu = min(prefix_min_mu, self.mtable.of(item))
-        pstats = self._projection_stats(child_proj)
-        seu_star = min(pstats.seu_raw, prefix_seu)
-        child_pmiu = int(min(child_min_mu, pstats.pool_min))
-        bounds = Bounds(
-            swu=pstats.swu,
-            seu=seu_star,
-            peu=pstats.peu,
-            pmiu=child_pmiu,
-            miu=child_min_mu,
-            utility=pstats.utility,
-        )
-        if pstats.utility >= child_min_mu:
-            self.husps.append(Husp(child, pstats.utility, child_min_mu))
-        bound = pstats.peu if self.config.node_bound == BOUND_PEU else seu_star
-        expand = bound >= child_pmiu and self._depth_ok(child.size + 1)
+        if bounds.utility >= bounds.miu:
+            self.husps.append(Husp(child, bounds.utility, bounds.miu))
         if self.observer:
             self.observer.on_node(child, bounds, expand)
         if expand:
-            self._span(child, child_proj, child_pmiu, seu_star, child_min_mu)
+            child_proj = project(proj, self.arrays, item, kind)
+            self._span(child, child_proj, bounds.pmiu, bounds.seu, bounds.miu)
 
 
 def _validate(db, utable, mtable, config) -> None:
@@ -642,8 +641,6 @@ def _validate(db, utable, mtable, config) -> None:
         raise ConfigError(f"unknown variant {config.variant!r}")
     if config.node_bound not in NODE_BOUNDS:
         raise ConfigError(f"unknown node bound {config.node_bound!r}")
-    if config.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if config.max_pattern_length is not None and config.max_pattern_length < 1:
         raise ConfigError("max_pattern_length must be >= 1")
 
@@ -658,7 +655,7 @@ def mine(
     """Discover every pattern whose utility reaches its own MIU threshold.
 
     Returns the patterns sorted by :func:`pattern_sort_key` together with run
-    statistics.  Output is identical across variants and thread counts.
+    statistics.  Output is identical across variants.
     """
     _validate(db, utable, mtable, config)
     tracing = config.collect_stats

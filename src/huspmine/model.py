@@ -192,7 +192,7 @@ class QSDatabase:
         return frozenset(out)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Pattern:
     """A sequence of itemsets without quantities; the mined object.
 

@@ -308,6 +308,67 @@ def project(
     return proj
 
 
+@dataclass(frozen=True)
+class ProjectionBounds:
+    """Utility, extension bounds and threshold pool of one projected pattern.
+
+    ``seu`` is capped per sequence at the sequence utility but not yet at the
+    parent's SEU; ``pool_min`` is infinite when every start point ends its
+    sequence.
+    """
+
+    utility: Money
+    peu: Money
+    seu: Money
+    swu: Money
+    pool_min: Money
+
+
+def _entry_bounds(entry: ProjEntry, ru: list) -> tuple:
+    """Utility, PEU and uncapped SEU of a pattern within one sequence.
+
+    The utility is the best pivot utility; PEU is the largest best +
+    remaining over pivots; SEU adds to the utility the remaining utility at
+    the pivot that maximises best + remaining (the earliest such pivot on
+    ties).
+    """
+    u_max = best_term = None
+    anchor_ru = 0
+    for p, b in zip(entry.pivots, entry.best):
+        if u_max is None or b > u_max:
+            u_max = b
+        term = b + ru[p]
+        if best_term is None or term > best_term:
+            best_term = term
+            anchor_ru = ru[p]
+    return u_max, best_term, u_max + anchor_ru
+
+
+def projection_bounds(pdb: Projection, arrays: list[SequenceArrays]) -> ProjectionBounds:
+    """Every bound of a projected pattern in one pass over its pivots.
+
+    Per containing sequence the SEU term is capped at the sequence utility so
+    the bound never exceeds the sequence-weighted one.  The threshold pool is
+    the least threshold among items occurring strictly after a start point
+    (the earliest pivot); it stays infinite unless the arrays were rebuilt
+    with an M-table.
+    """
+    utility = peu = seu = swu_v = 0
+    pool = _INF
+    for entry in pdb.entries:
+        seq = arrays[entry.seq_index]
+        u_s, peu_s, seu_s = _entry_bounds(entry, seq.ru)
+        utility += u_s
+        peu += peu_s
+        seu += min(seq.useq, seu_s)
+        swu_v += seq.useq
+        if seq.suffix_min_mu:
+            cand = seq.suffix_min_mu[entry.pivots[0] + 1]
+            if cand < pool:
+                pool = cand
+    return ProjectionBounds(utility, peu, seu, swu_v, pool)
+
+
 def pattern_utility_from_projection(pdb: Projection) -> Money:
     """Exact pattern utility: sum over sequences of the best pivot utility."""
     return sum(max(entry.best) for entry in pdb.entries)
@@ -315,60 +376,23 @@ def pattern_utility_from_projection(pdb: Projection) -> Money:
 
 def peu_by_sequence(pdb: Projection, arrays: list[SequenceArrays]) -> dict:
     """Per-sequence extension bound: max over pivots of best + remaining."""
-    out = {}
-    for entry in pdb.entries:
-        ru = arrays[entry.seq_index].ru
-        out[entry.seq_index] = max(
-            b + ru[p] for p, b in zip(entry.pivots, entry.best)
-        )
-    return out
+    return {e.seq_index: _entry_bounds(e, arrays[e.seq_index].ru)[1] for e in pdb.entries}
 
 
 def peu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    total = 0
-    for entry in pdb.entries:
-        ru = arrays[entry.seq_index].ru
-        total += max(b + ru[p] for p, b in zip(entry.pivots, entry.best))
-    return total
+    return projection_bounds(pdb, arrays).peu
 
 
 def seu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    """Sequence-extension bound.
-
-    Per containing sequence: the pattern's utility there plus the remaining
-    utility at the pivot that maximises best + remaining (earliest such pivot
-    on ties), capped at the sequence utility so the bound never exceeds the
-    sequence-weighted one.
-    """
-    total = 0
-    for entry in pdb.entries:
-        seq = arrays[entry.seq_index]
-        ru = seq.ru
-        u_max = max(entry.best)
-        best_term = None
-        anchor_ru = 0
-        for p, b in zip(entry.pivots, entry.best):
-            term = b + ru[p]
-            if best_term is None or term > best_term:
-                best_term = term
-                anchor_ru = ru[p]
-        total += min(seq.useq, u_max + anchor_ru)
-    return total
+    """Sequence-extension bound, each sequence capped at its utility."""
+    return projection_bounds(pdb, arrays).seu
 
 
 def swu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    return sum(arrays[entry.seq_index].useq for entry in pdb.entries)
+    return projection_bounds(pdb, arrays).swu
 
 
 def rest_pool_min_mu(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    """Minimum threshold among items occurring strictly after a start point
-    (the earliest pivot) in any containing sequence.  Requires the arrays to
-    have been rebuilt with an M-table.  Infinite when every start point ends
-    its sequence."""
-    out = _INF
-    for entry in pdb.entries:
-        seq = arrays[entry.seq_index]
-        cand = seq.suffix_min_mu[entry.pivots[0] + 1]
-        if cand < out:
-            out = cand
-    return out
+    """Minimum threshold among items occurring strictly after a start point;
+    infinite when every start point ends its sequence."""
+    return projection_bounds(pdb, arrays).pool_min

@@ -66,20 +66,6 @@ def test_mine_variants_same_rows_more_candidates(fixture_files, capsys):
     assert candidates["uspt"] < candidates["uspt1"]
 
 
-def test_mine_threads_flag(fixture_files, capsys):
-    data, utility, mtable = fixture_files
-    outputs = set()
-    for threads in ("1", "3"):
-        code, out, _ = run_main(
-            ["mine", "--data", str(data), "--utility-table", str(utility),
-             "--mtable", str(mtable), "--threads", threads],
-            capsys,
-        )
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
-
-
 def test_missing_data_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["mine", "--utility-table", "x.ut", "--mtable", "x.mt"])

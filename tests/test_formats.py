@@ -140,6 +140,21 @@ def test_generate_mtable_monotone(example_db, example_utable):
     assert all(x <= y for x, y in zip(base.mu, more_lmu.mu))
 
 
+def test_generate_mtable_rounds_exact_products_half_up():
+    # 0.009 * 1500 is exactly 13.5; in binary floats it lands just below
+    db = parse_dataset(io.StringIO("a[1500] -2\n"))
+    ut = bind_unit_utilities({"a": 1}, db.symbols)
+    for factor in (0.009, "0.009"):
+        assert generate_mtable(db, ut, factor, 0).mu == (14,)
+        assert generate_mtable(db, ut, 0, factor).mu == (14,)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.2.3", "x"])
+def test_generate_mtable_rejects_non_numbers(example_db, example_utable, bad):
+    with pytest.raises(ValueError):
+        generate_mtable(example_db, example_utable, bad, 0.1)
+
+
 def test_generate_synthetic_deterministic():
     params = GenParams(n_sequences=50, n_items=10, seed=42)
     assert generate_synthetic(params) == generate_synthetic(params)

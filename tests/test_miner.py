@@ -27,8 +27,12 @@ from huspmine import (
     swu,
     write_results,
 )
-from huspmine.miner import BOUND_SEU, USPT, USPT1, USPT2
+from huspmine.oracle import brute_force_bounds
+import huspmine.miner as miner_module
+from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
 from huspmine.uarray import S_STEP
+
+from support import mixed_instances
 
 
 def test_i_concatenate(ids):
@@ -153,14 +157,6 @@ def test_byte_identical_output(example_db, example_utable, example_mtable):
     assert len(outputs) == 1
 
 
-def test_threads_produce_same_set(example_db, example_utable, example_mtable):
-    seq, _ = mine(example_db, example_utable, example_mtable,
-                  MiningConfig(threads=1))
-    par, _ = mine(example_db, example_utable, example_mtable,
-                  MiningConfig(threads=3))
-    assert seq == par
-
-
 def test_max_pattern_length(example_db, example_utable, example_mtable):
     husps, _ = mine(example_db, example_utable, example_mtable,
                     MiningConfig(max_pattern_length=3))
@@ -183,8 +179,6 @@ def test_config_errors(example_db, example_utable, example_mtable):
     with pytest.raises(ConfigError):
         mine(example_db, example_utable, example_mtable,
              MiningConfig(node_bound="swu"))
-    with pytest.raises(ConfigError):
-        mine(example_db, example_utable, example_mtable, MiningConfig(threads=0))
 
 
 def test_one_sequence_gate_blocks_hopeless_subtrees():
@@ -234,3 +228,60 @@ def test_bounds_invariants_on_visited_nodes(example_db, example_utable,
     for b in obs.bounds:
         assert b.utility <= b.peu <= b.seu <= b.swu
         assert b.pmiu <= b.miu
+
+
+@pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
+@pytest.mark.parametrize("variant", [USPT1, USPT])
+def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
+                                              example_mtable, variant, node_bound):
+    calls = []
+    real_project = miner_module.project
+
+    def counting_project(*args, **kwargs):
+        calls.append(args[2:])
+        return real_project(*args, **kwargs)
+
+    class Expanded(MiningObserver):
+        def __init__(self):
+            self.count = 0
+
+        def on_node(self, pattern, bounds, expanded):
+            if expanded and pattern.size >= 2:
+                self.count += 1
+
+    monkeypatch.setattr(miner_module, "project", counting_project)
+    config = MiningConfig(variant=variant, node_bound=node_bound)
+    instances = [(example_db, example_utable, example_mtable)] + mixed_instances(10)
+    total = 0
+    for db, utable, mtable in instances:
+        calls.clear()
+        obs = Expanded()
+        mine(db, utable, mtable, config, observer=obs)
+        assert len(calls) == obs.count
+        total += obs.count
+    assert total > 0
+
+
+def test_seu_anchor_is_the_earliest_pivot_on_ties():
+    # <a><c> ends at positions 6 and 8 (1-based) with equal best + remaining
+    # (4 + 1 and 5 + 0); the SEU takes the remaining utility at the earlier
+    # one: utility 5 + 1
+    db = parse_dataset(io.StringIO(
+        "a[1] b[1] -1 a[1] b[1] -1 a[2] c[2] -1 b[1] c[1] -2\n"))
+    ut = bind_unit_utilities({"a": 2, "b": 0, "c": 1}, db.symbols)
+    mt = MTable((1, 1, 1))
+
+    class Collect(MiningObserver):
+        def __init__(self):
+            self.nodes = {}
+
+        def on_node(self, pattern, bounds, expanded):
+            self.nodes[pattern] = bounds
+
+    obs = Collect()
+    mine(db, ut, mt, MiningConfig(variant=USPT1), observer=obs)
+    a, c = db.symbols.id_of("a"), db.symbols.id_of("c")
+    b = obs.nodes[Pattern(((a,), (c,)))]
+    assert (b.utility, b.peu, b.seu) == (5, 5, 6)
+    for pattern, bounds in obs.nodes.items():
+        assert bounds == brute_force_bounds(pattern, db, ut, mt)

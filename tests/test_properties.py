@@ -1,11 +1,14 @@
 """Property suites: randomized cross-validation of the two computation paths."""
 
 import io
+from decimal import Decimal
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from huspmine import (
     MiningConfig,
+    bind_unit_utilities,
     Pattern,
     QItemset,
     QSDatabase,
@@ -130,6 +133,48 @@ def test_mtable_generation_monotone(beta1, beta2, f1, f2):
     assert all(x <= y for x, y in zip(small.mu, big_f.mu))
 
 
+def _half_up(x: Fraction) -> int:
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+@st.composite
+def _threshold_cases(draw):
+    """Decimal factors with ``k`` places, and item totals that are often
+    multiples of 10**k / 2, where a product can land exactly on a half."""
+    k = draw(st.integers(0, 6))
+    step = 5 * 10 ** (k - 1) if k else 1
+    totals = draw(st.lists(
+        st.one_of(st.integers(1, 10**5), st.integers(1, 200).map(lambda r: r * step)),
+        min_size=1, max_size=4,
+    ))
+    return totals, draw(st.integers(0, 10**6)), draw(st.integers(0, 10**k)), k
+
+
+@given(_threshold_cases())
+@settings(max_examples=300, deadline=None)
+def test_mtable_generation_matches_exact_rational_rounding(case):
+    """Thresholds equal half-up rounding of the exact rational products,
+    with both factors passed as decimal text."""
+    totals, beta_units, lmu_units, k = case
+    beta, lmu = Fraction(beta_units, 10**k), Fraction(lmu_units, 10**k)
+    names = [chr(ord("a") + i) for i in range(len(totals))]
+    text = "".join(f"{n}[{q}] -2\n" for n, q in zip(names, totals))
+    db = parse_dataset(io.StringIO(text))
+    ut = bind_unit_utilities({n: 1 for n in names}, db.symbols)
+    floor = _half_up(lmu * sum(totals))
+    want = tuple(max(_half_up(beta * t), floor) for t in totals)
+    as_text = [str(Decimal(n).scaleb(-k)) for n in (beta_units, lmu_units)]
+    assert generate_mtable(db, ut, *as_text).mu == want
+
+
+@given(st.floats(0, 3), st.floats(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_mtable_generation_reads_floats_as_their_decimal_form(beta, f):
+    assert generate_mtable(_MONO_DB, _MONO_UT, beta, f) == generate_mtable(
+        _MONO_DB, _MONO_UT, repr(beta), repr(f)
+    )
+
+
 def test_projection_utilities_match_model_on_random_instances():
     checked = 0
     for db, utable, mtable in mixed_instances(20):
@@ -247,6 +292,35 @@ def test_engine_node_bounds_match_the_match_list_oracle():
     for db, utable, mtable in mixed_instances(10):
         col = Collect()
         mine(db, utable, mtable, MiningConfig(variant=USPT1), observer=col)
+        reduced = _drop_globally_hopeless_items(db, utable, mtable)
+        for pattern, b in col.nodes.items():
+            ob = brute_force_bounds(pattern, reduced, utable, mtable)
+            assert (b.utility, b.peu, b.seu, b.swu, b.pmiu, b.miu) == (
+                ob.utility, ob.peu, ob.seu, ob.swu, ob.pmiu, ob.miu
+            )
+            compared += 1
+    assert compared > 300
+
+
+def test_seu_gated_node_bounds_match_the_match_list_oracle():
+    """Under the SEU gate the search expands nodes the PEU gate never
+    reaches; the bounds of every visited node, scan-computed for all but
+    the roots, still equal the match-list values."""
+    from huspmine import MiningObserver
+    from huspmine.miner import BOUND_SEU
+
+    class Collect(MiningObserver):
+        def __init__(self):
+            self.nodes = {}
+
+        def on_node(self, pattern, bounds, expanded):
+            self.nodes[pattern] = bounds
+
+    compared = 0
+    for db, utable, mtable in mixed_instances(10):
+        col = Collect()
+        mine(db, utable, mtable, MiningConfig(variant=USPT1, node_bound=BOUND_SEU),
+             observer=col)
         reduced = _drop_globally_hopeless_items(db, utable, mtable)
         for pattern, b in col.nodes.items():
             ob = brute_force_bounds(pattern, reduced, utable, mtable)
