@@ -23,7 +23,11 @@ Children are evaluated without being projected: one scan over an expanded
 node's projection yields every child's utility, PEU, SEU, SWU and threshold
 pool, which decide whether the child is a result and whether it is
 expanded.  Only an expanded child gets its own projection, from which its
-children are scanned in turn.
+children are scanned in turn.  The 1-patterns are the children of the empty
+pattern, whose projection is the whole database: the same scan over every
+active position gives the set-up statistics, the item removals and the root
+bounds.  The search walks the tree from an explicit stack, so pattern length
+is not limited by the interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .uarray import (
     build_database_arrays,
     initial_projection,
     project,
-    projection_bounds,
     rest_pool_min_mu,
 )
 
@@ -339,164 +342,125 @@ class _Engine:
         self.acc_i = _ItemAccumulator(self.n_items)
         self.acc_s = _ItemAccumulator(self.n_items)
 
-    # -- setup phases -------------------------------------------------
+    # -- set-up -------------------------------------------------------
 
-    def _swu_of_item(self, item: int) -> int:
-        total = 0
-        for si in self.item_seqs.get(item, ()):
-            seq = self.arrays[si]
-            if any(seq.active[p] for p in seq.positions_of[item]):
-                total += seq.useq
-        return total
-
-    def _prefilter(self) -> None:
-        """Delete items whose SWU falls below the least threshold of any item
-        in the database; no pattern containing them can be a result."""
-        present = sorted(self.item_seqs)
-        if not present:
-            return
-        global_min_mu = min(self.mtable.of(i) for i in present)
-        doomed = {i for i in present if self._swu_of_item(i) < global_min_mu}
-        self._remove_items(doomed)
+    def _scan_root(self) -> None:
+        """Candidate scan of the empty pattern into ``acc_s``: every active
+        position is a match of its item's 1-pattern, worth its own utility."""
+        acc = self.acc_s
+        acc.reset_node()
+        feed = acc.feed
+        for seq in self.arrays:
+            item_, u_, ru_, active_ = seq.item, seq.u, seq.ru, seq.active
+            pool_ = seq.suffix_min_mu
+            acc.begin_sequence()
+            for q in range(seq.n):
+                if active_[q]:
+                    feed(item_[q], u_[q], ru_[q], pool_[q + 1])
+            acc.end_sequence(seq.useq)
 
     def _remove_items(self, items: set) -> None:
+        """Delete ``items`` from every sequence, then rescan the 1-patterns."""
         if not items:
             return
         for seq in self.arrays:
             if seq.deactivate(items):
                 seq.rebuild(self.mtable)
-
-    def _first_pass(self) -> None:
-        """Single-item statistics (SWU, utility, PMIU, MIU) for reporting and
-        for the recursion gate."""
-        mtable = self.mtable
-        info = {}
-        for item in sorted(self.item_seqs):
-            swu_i = 0
-            u_i = 0
-            pool = float("inf")
-            seen = False
-            for si in self.item_seqs[item]:
-                seq = self.arrays[si]
-                positions = seq.active_positions_of(item)
-                if not positions:
-                    continue
-                seen = True
-                swu_i += seq.useq
-                u_i += max(seq.u[p] for p in positions)
-                cand = seq.suffix_min_mu[positions[0] + 1]
-                if cand < pool:
-                    pool = cand
-            if not seen:
-                continue
-            mu_i = mtable.of(item)
-            info[item] = OneSeqInfo(
-                swu=swu_i,
-                utility=u_i,
-                pmiu=int(min(mu_i, pool)),
-                miu=mu_i,
-            )
-        self.one_seq_info = info
-        if self.observer:
-            self.observer.on_one_sequence_stats(dict(info))
+        self._scan_root()
 
     def _swu_strategy(self) -> None:
         """Remove items that cannot appear in any result pattern: the item's
         SWU upper-bounds the utility of every pattern containing it, while
         the least threshold of any item co-occurring with it lower-bounds
         those patterns' MIU values."""
-        seq_min_mu = []
-        for seq in self.arrays:
-            mus = [
-                self.mtable.of(i)
-                for i, ps in seq.positions_of.items()
-                if any(seq.active[p] for p in ps)
-            ]
-            seq_min_mu.append(min(mus) if mus else None)
-        doomed = set()
-        for item, info in self.one_seq_info.items():
-            guard = min(
-                seq_min_mu[si]
-                for si in self.item_seqs[item]
-                if seq_min_mu[si] is not None
-            )
-            if info.swu < guard:
-                doomed.add(item)
-        self._remove_items(doomed)
-
-    def _global_extension_bounds(self) -> None:
-        """Standalone extension bound of every surviving item: sum over its
-        sequences of the best occurrence utility plus remaining utility."""
-        out = {}
-        for item in sorted(self.item_seqs):
-            total = 0
-            seen = False
-            for si in self.item_seqs[item]:
-                seq = self.arrays[si]
-                best = None
-                for p in seq.positions_of[item]:
-                    if seq.active[p]:
-                        term = seq.u[p] + seq.ru[p]
-                        if best is None or term > best:
-                            best = term
-                if best is not None:
-                    seen = True
-                    total += best
-            if seen:
-                out[item] = total
-        self.global_item_peu = out
-        if self.observer:
-            self.observer.on_item_extension_bounds(dict(out))
+        arrays = self.arrays
+        self._remove_items({
+            item
+            for item, info in self.one_seq_info.items()
+            if info.swu < min(arrays[si].suffix_min_mu[0] for si in self.item_seqs[item])
+        })
 
     # -- search -------------------------------------------------------
 
     def run(self) -> list[Husp]:
-        self._prefilter()
-        self._first_pass()
+        """Set-up statistics and root bounds all come from the scan of the
+        empty pattern, redone after every removal phase that removed items."""
+        mu = self.mtable.mu
+        observer = self.observer
+        acc = self.acc_s
+        self._scan_root()
+        if acc.touched:
+            # prefilter: an item whose SWU falls below the least threshold
+            # of any item belongs to no result
+            floor = min(mu[i] for i in acc.touched)
+            self._remove_items({i for i in acc.touched if acc.swu[i] < floor})
+        self.one_seq_info = {
+            i: OneSeqInfo(
+                swu=acc.swu[i],
+                utility=acc.utility[i],
+                pmiu=int(min(mu[i], acc.pool[i])),
+                miu=mu[i],
+            )
+            for i in sorted(acc.touched)
+        }
+        if observer:
+            observer.on_one_sequence_stats(dict(self.one_seq_info))
         if self.config.variant != USPT1:
-            # all statistics below first-pass level come from rebuilt arrays
             self._swu_strategy()
-        self._global_extension_bounds()
-        roots = [
-            item
-            for item in sorted(self.one_seq_info)
-            if item in self.global_item_peu
-        ]
-        for item in roots:
-            self._explore_root(item)
+        self.global_item_peu = acc.collect()
+        if observer:
+            observer.on_item_extension_bounds(dict(self.global_item_peu))
+        # every root is decided before the search reuses the accumulators;
+        # a root's expansion gate is its first-pass whole-sequence weight
+        deeper = self._depth_ok(2)
+        roots = []
+        for item in self.global_item_peu:
+            first = self.one_seq_info[item]
+            bounds = Bounds(
+                swu=acc.swu[item],
+                seu=acc.seu[item],
+                peu=acc.peu[item],
+                pmiu=int(min(first.miu, acc.pool[item])),
+                miu=first.miu,
+                utility=acc.utility[item],
+            )
+            roots.append((None, None, None, item, bounds, deeper and first.swu >= first.pmiu))
+        self.stats.count_node(1, len(roots))
+        self._search(roots)
         self.husps.sort(key=lambda h: pattern_sort_key(h.pattern))
         self.stats.husps_found = len(self.husps)
         return self.husps
 
-    # one full root subtree
-    def _explore_root(self, item: int) -> None:
-        info = self.one_seq_info[item]
-        proj = initial_projection(self.arrays, item, self.item_seqs.get(item))
-        if not proj:
-            return
-        self.stats.count_node(1)
-        pattern = Pattern.single(item)
-        pstats = projection_bounds(proj, self.arrays)
-        bounds = Bounds(
-            swu=pstats.swu,
-            seu=pstats.seu,
-            peu=pstats.peu,
-            pmiu=int(min(info.miu, pstats.pool_min)),
-            miu=info.miu,
-            utility=pstats.utility,
-        )
-        if pstats.utility >= info.miu:
-            self.husps.append(Husp(pattern, pstats.utility, info.miu))
-        # recursion gate on the first-pass whole-sequence weight
-        expand = info.swu >= info.pmiu and self._depth_ok(2)
-        if self.observer:
-            self.observer.on_node(pattern, bounds, expand)
-        if expand:
-            self._span(pattern, proj, bounds.pmiu, bounds.seu, info.miu)
-
     def _depth_ok(self, child_size: int) -> bool:
         cap = self.config.max_pattern_length
         return cap is None or child_size <= cap
+
+    def _search(self, roots: list) -> None:
+        """Visit the tree in pre-order from an explicit stack of decided
+        nodes ``(parent, parent projection, kind, item, bounds, expand)``;
+        a root has no parent and no kind.  A node is projected only when it
+        is expanded, and its children are pushed in reverse so they are
+        visited in sorted order, I-children first."""
+        stack = roots[::-1]
+        husps, observer, arrays = self.husps, self.observer, self.arrays
+        while stack:
+            prefix, proj, kind, item, bounds, expand = stack.pop()
+            if kind is None:
+                pattern = Pattern.single(item)
+            elif kind == I_STEP:
+                pattern = i_concatenate(prefix, item)
+            else:
+                pattern = s_concatenate(prefix, item)
+            if bounds.utility >= bounds.miu:
+                husps.append(Husp(pattern, bounds.utility, bounds.miu))
+            if observer:
+                observer.on_node(pattern, bounds, expand)
+            if expand:
+                if kind is None:
+                    proj = initial_projection(arrays, item, self.item_seqs[item])
+                else:
+                    proj = project(proj, arrays, item, kind)
+                stack.extend(reversed(self._span(pattern, proj, bounds)))
 
     def _scan_candidates(self, proj: Projection):
         """One pass over the projected arrays that evaluates every would-be
@@ -543,25 +507,21 @@ class _Engine:
             acc_s.end_sequence(seq.useq)
         return acc_i.collect(), acc_s.collect()
 
-    def _span(
-        self,
-        prefix: Pattern,
-        proj: Projection,
-        prefix_pmiu: int,
-        prefix_seu: int,
-        prefix_min_mu: int,
-    ) -> None:
-        """Evaluate every child of an expanded node, then visit the ones that
-        matter.
+    def _span(self, prefix: Pattern, proj: Projection, prefix_bounds: Bounds) -> list:
+        """Evaluate every child of an expanded node and return, in visiting
+        order, the stack entries of the ones that matter.
 
         A single scan of the prefix's projection yields each child's bounds,
         which decide whether the child is a result and whether it is
         expanded; a child's own projection is built only when it is expanded.
         Every child is counted as a candidate, but a child that is neither a
         result nor expanded is only materialised for an observer.  All
-        decisions are taken before any child is visited, because the
-        recursion reuses the scan's accumulators.
+        decisions are taken here, because the next scan reuses the
+        accumulators.
         """
+        prefix_pmiu = prefix_bounds.pmiu
+        prefix_seu = prefix_bounds.seu
+        prefix_min_mu = prefix_bounds.miu
         i_items, s_items = self._scan_candidates(proj)
         last = prefix.itemsets[-1][-1]
         i_items = {i: v for i, v in i_items.items() if i > last}
@@ -605,30 +565,8 @@ class _Engine:
                         miu=child_min_mu,
                         utility=utility,
                     )
-                    visits.append((kind, item, bounds, expand))
-        for kind, item, bounds, expand in visits:
-            self._visit_child(prefix, proj, kind, item, bounds, expand)
-
-    def _visit_child(
-        self,
-        prefix: Pattern,
-        proj: Projection,
-        kind: str,
-        item: int,
-        bounds: Bounds,
-        expand: bool,
-    ) -> None:
-        if kind == I_STEP:
-            child = Pattern(prefix.itemsets[:-1] + (prefix.itemsets[-1] + (item,),))
-        else:
-            child = Pattern(prefix.itemsets + ((item,),))
-        if bounds.utility >= bounds.miu:
-            self.husps.append(Husp(child, bounds.utility, bounds.miu))
-        if self.observer:
-            self.observer.on_node(child, bounds, expand)
-        if expand:
-            child_proj = project(proj, self.arrays, item, kind)
-            self._span(child, child_proj, bounds.pmiu, bounds.seu, bounds.miu)
+                    visits.append((prefix, proj, kind, item, bounds, expand))
+        return visits
 
 
 def _validate(db, utable, mtable, config) -> None:

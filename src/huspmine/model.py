@@ -227,9 +227,6 @@ class Pattern:
     def distinct_items(self) -> frozenset:
         return frozenset(i for w in self.itemsets for i in w)
 
-    def last_item(self) -> Item:
-        return self.itemsets[-1][-1]
-
     def parent(self) -> Optional["Pattern"]:
         """The unique enumeration-tree parent: drop the last item added.
 

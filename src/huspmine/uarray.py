@@ -211,9 +211,6 @@ class Projection:
     def __bool__(self) -> bool:
         return bool(self.entries)
 
-    def sequence_count(self) -> int:
-        return len(self.entries)
-
 
 def initial_projection(
     arrays: list[SequenceArrays],

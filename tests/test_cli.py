@@ -66,6 +66,23 @@ def test_mine_variants_same_rows_more_candidates(fixture_files, capsys):
     assert candidates["uspt"] < candidates["uspt1"]
 
 
+def test_mine_deep_patterns_exits_0(tmp_path, capsys):
+    n = 700
+    data = tmp_path / "deep.qsd"
+    data.write_text(" -1 ".join(["a[1]"] * n) + " -2\n")
+    values = tmp_path / "one.tsv"
+    values.write_text("a 1\n")
+    code, out, err = run_main(
+        ["mine", "--data", str(data), "--utility-table", str(values),
+         "--mtable", str(values)],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        ",".join(["[a]"] * k) + f"\t{k}\t1" for k in range(1, n + 1)
+    ]
+
+
 def test_missing_data_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["mine", "--utility-table", "x.ut", "--mtable", "x.mt"])

@@ -285,3 +285,17 @@ def test_seu_anchor_is_the_earliest_pivot_on_ties():
     assert (b.utility, b.peu, b.seu) == (5, 5, 6)
     for pattern, bounds in obs.nodes.items():
         assert bounds == brute_force_bounds(pattern, db, ut, mt)
+
+
+def test_deep_patterns_do_not_exhaust_the_stack():
+    # one sequence of 700 single-item elements: the search goes 700 levels
+    # deep, and <a> repeated k times is a result of utility k for every k
+    n = 700
+    db = parse_dataset(io.StringIO(" -1 ".join(["a[1]"] * n) + " -2\n"))
+    ut = bind_unit_utilities({"a": 1}, db.symbols)
+    got, stats = mine(db, ut, MTable((1,)))
+    a = db.symbols.id_of("a")
+    assert [(h.pattern, h.utility, h.miu) for h in got] == [
+        (Pattern(((a,),) * k), k, 1) for k in range(1, n + 1)
+    ]
+    assert stats.depth_histogram == {k: 1 for k in range(1, n + 1)}

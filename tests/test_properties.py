@@ -251,16 +251,8 @@ def test_output_sorted_by_pattern_order():
         assert keys == sorted(keys)
 
 
-def _drop_globally_hopeless_items(db, utable, mtable):
-    """Model-level replica of the engine's pre-filter: delete items whose
-    whole-sequence weight sits below the least threshold of any item."""
-    from huspmine import swu as swu_op
-
-    present = sorted({i for s in db.sequences for i in s.distinct_items()})
-    if not present:
-        return db
-    floor = min(mtable.of(i) for i in present)
-    doomed = {i for i in present if swu_op(i, db, utable) < floor}
+def _without_items(db, doomed):
+    """The database with every occurrence of the ``doomed`` items deleted."""
     if not doomed:
         return db
     sequences = []
@@ -275,31 +267,77 @@ def _drop_globally_hopeless_items(db, utable, mtable):
     return QSDatabase(tuple(sequences), db.symbols)
 
 
+def _drop_globally_hopeless_items(db, utable, mtable):
+    """Model-level replica of the engine's pre-filter: delete items whose
+    whole-sequence weight sits below the least threshold of any item."""
+    from huspmine import swu as swu_op
+
+    present = sorted(db.distinct_items())
+    if not present:
+        return db
+    floor = min(mtable.of(i) for i in present)
+    return _without_items(db, {i for i in present if swu_op(i, db, utable) < floor})
+
+
+def _drop_swu_hopeless_items(db, utable, mtable):
+    """Model-level replica of the SWU strategy: delete items whose
+    whole-sequence weight sits below the least threshold found in any
+    sequence containing them."""
+    from huspmine import swu as swu_op
+
+    doomed = set()
+    for item in db.distinct_items():
+        guard = min(
+            min(mtable.of(i) for i in qseq.distinct_items())
+            for qseq in db.sequences
+            if item in qseq.distinct_items()
+        )
+        if swu_op(item, db, utable) < guard:
+            doomed.add(item)
+    return _without_items(db, doomed)
+
+
 def test_engine_node_bounds_match_the_match_list_oracle():
-    """Every bound the search computes from projections must equal the value
-    recomputed from explicit match lists over the pre-filtered database
-    (uspt1 applies no other array rewrites)."""
+    """Every bound the search computes, and every standalone extension
+    bound, must equal the value recomputed from explicit match lists over
+    the database the variant leaves: pre-filtered under uspt1, and further
+    cut by the SWU strategy under uspt2 and uspt."""
     from huspmine import MiningObserver
 
     class Collect(MiningObserver):
         def __init__(self):
             self.nodes = {}
+            self.item_peu = None
+
+        def on_item_extension_bounds(self, peu_by_item):
+            self.item_peu = peu_by_item
 
         def on_node(self, pattern, bounds, expanded):
             self.nodes[pattern] = bounds
 
     compared = 0
+    swu_removals = 0
     for db, utable, mtable in mixed_instances(10):
-        col = Collect()
-        mine(db, utable, mtable, MiningConfig(variant=USPT1), observer=col)
-        reduced = _drop_globally_hopeless_items(db, utable, mtable)
-        for pattern, b in col.nodes.items():
-            ob = brute_force_bounds(pattern, reduced, utable, mtable)
-            assert (b.utility, b.peu, b.seu, b.swu, b.pmiu, b.miu) == (
-                ob.utility, ob.peu, ob.seu, ob.swu, ob.pmiu, ob.miu
-            )
-            compared += 1
-    assert compared > 300
+        prefiltered = _drop_globally_hopeless_items(db, utable, mtable)
+        after_swu = _drop_swu_hopeless_items(prefiltered, utable, mtable)
+        swu_removals += len(prefiltered.distinct_items() - after_swu.distinct_items())
+        for variant in (USPT1, USPT2, USPT):
+            reduced = prefiltered if variant == USPT1 else after_swu
+            col = Collect()
+            mine(db, utable, mtable, MiningConfig(variant=variant), observer=col)
+            assert sorted(col.item_peu) == sorted(reduced.distinct_items())
+            for item, peu in col.item_peu.items():
+                assert peu == brute_force_bounds(
+                    Pattern.single(item), reduced, utable, mtable
+                ).peu
+            for pattern, b in col.nodes.items():
+                ob = brute_force_bounds(pattern, reduced, utable, mtable)
+                assert (b.utility, b.peu, b.seu, b.swu, b.pmiu, b.miu) == (
+                    ob.utility, ob.peu, ob.seu, ob.swu, ob.pmiu, ob.miu
+                )
+                compared += 1
+    assert compared > 900
+    assert swu_removals >= 1
 
 
 def test_seu_gated_node_bounds_match_the_match_list_oracle():
