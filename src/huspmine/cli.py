@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 oracle-check mismatch, 2 bad flags, 3 parse
-errors, 4 inconsistent configuration, 5 enumeration too large.
+Exit codes: 0 success, 1 oracle-check mismatch, 2 bad flags, 3 parse or
+file errors, 4 inconsistent configuration, 5 enumeration too large, 6 out of
+memory.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_CONFIG = 4
 EXIT_TOO_LARGE = 5
+EXIT_MEMORY = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,9 +267,12 @@ def main(argv=None) -> int:
     except EnumerationTooLarge as exc:
         print(f"enumeration too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -59,7 +59,16 @@ class SUtilityMismatch(ParseError):
 
 def _read_text(source: Source) -> str:
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
+        data = Path(source).read_bytes()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_start = data.rfind(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"{source} is not UTF-8 text ({exc.reason})",
+                data.count(b"\n", 0, exc.start) + 1,
+                exc.start - line_start + 1,
+            ) from None
     return source.read()
 
 

@@ -7,7 +7,8 @@ or by appending a new singleton itemset (S-concatenation).  Three pruning
 layers cut the tree:
 
 * the SWU strategy removes items whose whole-sequence weight cannot reach
-  any threshold they could be mined under, rebuilding remaining utilities;
+  any threshold they could be mined under, deleting them from the utility
+  arrays;
 * a node is expanded only while its extension bound (PEU by default, the
   looser SEU selectable for ablation) stays at or above the least threshold
   reachable in its subtree (PMIU);
@@ -25,7 +26,7 @@ pool, which decide whether the child is a result and whether it is
 expanded.  Only an expanded child gets its own projection, from which its
 children are scanned in turn.  The 1-patterns are the children of the empty
 pattern, whose projection is the whole database: the same scan over every
-active position gives the set-up statistics, the item removals and the root
+position gives the set-up statistics, the item removals and the root
 bounds.  The search walks the tree from an explicit stack, so pattern length
 is not limited by the interpreter's recursion depth.
 """
@@ -52,6 +53,7 @@ from .uarray import (
     S_STEP,
     Projection,
     SequenceArrays,
+    _ItemAccumulator,
     build_database_arrays,
     initial_projection,
     project,
@@ -209,109 +211,6 @@ def pmiu(
 # engine
 
 
-class _ItemAccumulator:
-    """Per-item bounds of every would-be child of one node, gathered during
-    the candidate scan.
-
-    Each feed is one (match utility, remaining utility) pair of a child item
-    at flat position ``q`` of the current sequence.  Within a sequence the
-    accumulator keeps, per item, the best match utility, the best extension
-    term (match + remaining), the remaining utility at the anchor (the
-    earliest ``q`` reaching the best term, which has the largest remaining
-    utility among the ties) and the threshold pool after the first ``q``
-    fed.  ``end_sequence`` folds those into per-node sums of utility, PEU,
-    capped SEU and SWU, and the node's pool minimum.  Tag arrays avoid any
-    per-node clearing of the full item range.
-    """
-
-    __slots__ = (
-        "seq_tag",
-        "seq_u",
-        "seq_peu",
-        "seq_aru",
-        "seq_pool",
-        "seq_mark",
-        "seq_touched",
-        "node_tag",
-        "utility",
-        "peu",
-        "seu",
-        "swu",
-        "pool",
-        "node_mark",
-        "touched",
-    )
-
-    def __init__(self, n_items: int):
-        self.seq_tag = [0] * n_items
-        self.seq_u = [0] * n_items
-        self.seq_peu = [0] * n_items
-        self.seq_aru = [0] * n_items
-        self.seq_pool = [0] * n_items
-        self.seq_mark = 0
-        self.seq_touched: list[int] = []
-        self.node_tag = [0] * n_items
-        self.utility = [0] * n_items
-        self.peu = [0] * n_items
-        self.seu = [0] * n_items
-        self.swu = [0] * n_items
-        self.pool = [0] * n_items
-        self.node_mark = 0
-        self.touched: list[int] = []
-
-    def reset_node(self) -> None:
-        self.node_mark += 1
-        self.touched = []
-
-    def begin_sequence(self) -> None:
-        self.seq_mark += 1
-        self.seq_touched = []
-
-    def feed(self, item: int, match: int, rest: int, pool: int) -> None:
-        term = match + rest
-        if self.seq_tag[item] != self.seq_mark:
-            self.seq_tag[item] = self.seq_mark
-            self.seq_u[item] = match
-            self.seq_peu[item] = term
-            self.seq_aru[item] = rest
-            self.seq_pool[item] = pool
-            self.seq_touched.append(item)
-            return
-        if match > self.seq_u[item]:
-            self.seq_u[item] = match
-        best = self.seq_peu[item]
-        if term > best or (term == best and rest > self.seq_aru[item]):
-            self.seq_peu[item] = term
-            self.seq_aru[item] = rest
-
-    def end_sequence(self, useq: int) -> None:
-        mark = self.node_mark
-        for item in self.seq_touched:
-            u_s = self.seq_u[item]
-            seu_s = u_s + self.seq_aru[item]
-            if seu_s > useq:
-                seu_s = useq
-            if self.node_tag[item] != mark:
-                self.node_tag[item] = mark
-                self.touched.append(item)
-                self.utility[item] = u_s
-                self.peu[item] = self.seq_peu[item]
-                self.seu[item] = seu_s
-                self.swu[item] = useq
-                self.pool[item] = self.seq_pool[item]
-            else:
-                self.utility[item] += u_s
-                self.peu[item] += self.seq_peu[item]
-                self.seu[item] += seu_s
-                self.swu[item] += useq
-                if self.seq_pool[item] < self.pool[item]:
-                    self.pool[item] = self.seq_pool[item]
-
-    def collect(self) -> dict:
-        """PEU of every child item fed since ``reset_node``, by item."""
-        return {item: self.peu[item] for item in sorted(self.touched)}
-
-
 class _Engine:
     def __init__(
         self,
@@ -327,9 +226,7 @@ class _Engine:
         self.config = config
         self.observer = observer
         self.n_items = len(db.symbols)
-        self.arrays: list[SequenceArrays] = build_database_arrays(db, utable)
-        for seq in self.arrays:
-            seq.rebuild(mtable)
+        self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
         self.husps: list[Husp] = []
         self.stats = MiningStats()
         self.item_seqs: dict[int, list[int]] = {}
@@ -345,18 +242,16 @@ class _Engine:
     # -- set-up -------------------------------------------------------
 
     def _scan_root(self) -> None:
-        """Candidate scan of the empty pattern into ``acc_s``: every active
+        """Candidate scan of the empty pattern into ``acc_s``: every
         position is a match of its item's 1-pattern, worth its own utility."""
         acc = self.acc_s
         acc.reset_node()
         feed = acc.feed
         for seq in self.arrays:
-            item_, u_, ru_, active_ = seq.item, seq.u, seq.ru, seq.active
-            pool_ = seq.suffix_min_mu
+            item_, u_, ru_, pool_ = seq.item, seq.u, seq.ru, seq.suffix_min_mu
             acc.begin_sequence()
             for q in range(seq.n):
-                if active_[q]:
-                    feed(item_[q], u_[q], ru_[q], pool_[q + 1])
+                feed(item_[q], u_[q], ru_[q], pool_[q + 1])
             acc.end_sequence(seq.useq)
 
     def _remove_items(self, items: set) -> None:
@@ -364,8 +259,7 @@ class _Engine:
         if not items:
             return
         for seq in self.arrays:
-            if seq.deactivate(items):
-                seq.rebuild(self.mtable)
+            seq.drop(items, self.mtable)
         self._scan_root()
 
     def _swu_strategy(self) -> None:
@@ -475,7 +369,7 @@ class _Engine:
         feed_i, feed_s = acc_i.feed, acc_s.feed
         for entry in proj.entries:
             seq = self.arrays[entry.seq_index]
-            item_, eid_, u_, ru_, active_ = seq.item, seq.eid, seq.u, seq.ru, seq.active
+            item_, eid_, u_, ru_ = seq.item, seq.eid, seq.u, seq.ru
             pool_ = seq.suffix_min_mu
             n = seq.n
             pivots, best = entry.pivots, entry.best
@@ -485,8 +379,7 @@ class _Engine:
                 e = eid_[p]
                 q = p + 1
                 while q < n and eid_[q] == e:
-                    if active_[q]:
-                        feed_i(item_[q], b + u_[q], ru_[q], pool_[q + 1])
+                    feed_i(item_[q], b + u_[q], ru_[q], pool_[q + 1])
                     q += 1
             start_e = eid_[pivots[0]]
             if start_e < len(seq.elem_first):
@@ -501,8 +394,7 @@ class _Engine:
                         if best[ptr] > run_max:
                             run_max = best[ptr]
                         ptr += 1
-                    if active_[q]:
-                        feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
+                    feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
             acc_i.end_sequence(seq.useq)
             acc_s.end_sequence(seq.useq)
         return acc_i.collect(), acc_s.collect()

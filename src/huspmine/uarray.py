@@ -64,9 +64,12 @@ class UtilityArray:
 class SequenceArrays:
     """Engine-internal flattened arrays for one sequence.
 
-    Mutable only during the item-removal phase that precedes the search
-    (``deactivate`` plus ``rebuild``); frozen by convention afterwards, at
-    which point sharing across threads is safe.
+    Every position holds an item of the sequence.  Removing items (``drop``)
+    rebuilds the arrays without them, field for field as if the sequence had
+    been built without those items, so no reader needs to know that items
+    were ever removed.  ``suffix_min_mu[p]`` is the least threshold among
+    the items at position ``p`` and after; it is infinite throughout when no
+    M-table is given.
 
     Flat positions here are 0-based; the public ``UtilityArray`` view and all
     rendered output convert to 1-based.
@@ -79,74 +82,80 @@ class SequenceArrays:
         "eid",
         "u",
         "ru",
-        "active",
         "elem_first",
         "positions_of",
         "useq",
         "suffix_min_mu",
     )
 
-    def __init__(self, qseq: QSequence, utable: UtilityTable):
+    def __init__(
+        self, qseq: QSequence, utable: UtilityTable, mtable: Optional[MTable] = None
+    ):
         self.sid = qseq.sid
         item: list[int] = []
         eid: list[int] = []
         u: list[int] = []
-        elem_first: list[int] = []
-        pos = 0
         for element_id, element in enumerate(qseq.elements, start=1):
-            elem_first.append(pos)
             for it, qty in element.entries():
                 item.append(it)
                 eid.append(element_id)
                 u.append(qty * utable.of(it))
-                pos += 1
-        self.n = pos
+        self._derive(item, eid, u, mtable)
+
+    def _derive(self, item: list, eid: list, u: list, mtable: Optional[MTable]) -> None:
+        """Set every field from the flat item, element-id and utility lists;
+        element ids must run densely from 1."""
+        n = len(item)
+        self.n = n
         self.item = item
         self.eid = eid
         self.u = u
-        self.elem_first = elem_first
-        self.active = [True] * pos
+        elem_first: list[int] = []
         positions_of: dict[int, list[int]] = {}
-        for p, it in enumerate(item):
-            positions_of.setdefault(it, []).append(p)
+        for p in range(n):
+            if eid[p] > len(elem_first):
+                elem_first.append(p)
+            positions_of.setdefault(item[p], []).append(p)
+        self.elem_first = elem_first
         self.positions_of = positions_of
-        self.ru: list[int] = [0] * pos
-        self.useq = 0
-        self.suffix_min_mu: list[int] = []
-        self.rebuild(None)
+        mu = None if mtable is None else mtable.mu
+        ru = [0] * n
+        suffix_min_mu = [_INF] * (n + 1)
+        rest = 0
+        least = _INF
+        for p in range(n - 1, -1, -1):
+            ru[p] = rest
+            rest += u[p]
+            if mu is not None and mu[item[p]] < least:
+                least = mu[item[p]]
+            suffix_min_mu[p] = least
+        self.ru = ru
+        self.useq = rest
+        self.suffix_min_mu = suffix_min_mu
 
-    def rebuild(self, mtable: Optional[MTable]) -> None:
-        """Recompute remaining utilities (and threshold suffix minima) over
-        the active positions.  Called once at construction and once after
-        each batch of item removals."""
-        acc = 0
-        for p in range(self.n - 1, -1, -1):
-            self.ru[p] = acc
-            if self.active[p]:
-                acc += self.u[p]
-        self.useq = acc
-        if mtable is not None:
-            self.suffix_min_mu = [0] * (self.n + 1)
-            cur = _INF
-            self.suffix_min_mu[self.n] = cur
-            for p in range(self.n - 1, -1, -1):
-                if self.active[p]:
-                    mu = mtable.of(self.item[p])
-                    if mu < cur:
-                        cur = mu
-                self.suffix_min_mu[p] = cur
+    def drop(self, items: set, mtable: Optional[MTable]) -> bool:
+        """Remove every occurrence of ``items`` and re-derive all fields.
 
-    def deactivate(self, items: set) -> bool:
-        changed = False
-        for it in items:
-            for p in self.positions_of.get(it, ()):
-                if self.active[p]:
-                    self.active[p] = False
-                    changed = True
-        return changed
-
-    def active_positions_of(self, item: Item) -> list[int]:
-        return [p for p in self.positions_of.get(item, ()) if self.active[p]]
+        Element ids are renumbered densely and elements left empty vanish.
+        Returns False, changing nothing, when none of ``items`` occurs.
+        """
+        if self.positions_of.keys().isdisjoint(items):
+            return False
+        item: list[int] = []
+        eid: list[int] = []
+        u: list[int] = []
+        old_e = new_e = 0
+        for it, e, v in zip(self.item, self.eid, self.u):
+            if it in items:
+                continue
+            if e != old_e:
+                old_e = e
+                new_e += 1
+            item.append(it)
+            eid.append(new_e)
+            u.append(v)
+        self._derive(item, eid, u, mtable)
+        return True
 
     def to_utility_array(self) -> UtilityArray:
         """Frozen 1-based record view of the array as built."""
@@ -188,8 +197,10 @@ def build_utility_array(qseq: QSequence, utable: UtilityTable) -> UtilityArray:
     return SequenceArrays(qseq, utable).to_utility_array()
 
 
-def build_database_arrays(db: QSDatabase, utable: UtilityTable) -> list[SequenceArrays]:
-    return [SequenceArrays(s, utable) for s in db.sequences]
+def build_database_arrays(
+    db: QSDatabase, utable: UtilityTable, mtable: Optional[MTable] = None
+) -> list[SequenceArrays]:
+    return [SequenceArrays(s, utable, mtable) for s in db.sequences]
 
 
 @dataclass
@@ -217,14 +228,14 @@ def initial_projection(
     item: Item,
     seq_indices: Optional[list] = None,
 ) -> Projection:
-    """Projection of the 1-pattern of ``item``: every active occurrence is a
-    pivot and its own best prefix.  ``seq_indices`` restricts the scan to the
+    """Projection of the 1-pattern of ``item``: every occurrence is a pivot
+    and its own best prefix.  ``seq_indices`` restricts the scan to the
     sequences known to contain the item."""
     proj = Projection()
     indices = range(len(arrays)) if seq_indices is None else seq_indices
     for si in indices:
         seq = arrays[si]
-        pivots = seq.active_positions_of(item)
+        pivots = seq.positions_of.get(item)
         if pivots:
             proj.entries.append(
                 ProjEntry(si, pivots, [seq.u[p] for p in pivots])
@@ -258,7 +269,6 @@ def project(
             continue
         eid = seq.eid
         u = seq.u
-        active = seq.active
         pivots = entry.pivots
         best = entry.best
         new_pivots: list[int] = []
@@ -268,8 +278,6 @@ def project(
             for p, b in zip(pivots, best):
                 by_elem.setdefault(eid[p], []).append((p, b))
             for q in positions:
-                if not active[q]:
-                    continue
                 group = by_elem.get(eid[q])
                 if not group:
                     continue
@@ -291,8 +299,6 @@ def project(
                     elem_max.append((eid[p], cur))
             keys = [e for e, _ in elem_max]
             for q in positions:
-                if not active[q]:
-                    continue
                 idx = bisect.bisect_left(keys, eid[q])
                 if idx == 0:
                     continue
@@ -303,6 +309,109 @@ def project(
         if new_pivots:
             proj.entries.append(ProjEntry(entry.seq_index, new_pivots, new_best))
     return proj
+
+
+class _ItemAccumulator:
+    """Per-item bounds of every would-be child of one node, gathered during
+    the candidate scan.
+
+    Each feed is one (match utility, remaining utility) pair of a child item
+    at flat position ``q`` of the current sequence.  Within a sequence the
+    accumulator keeps, per item, the best match utility, the best extension
+    term (match + remaining), the remaining utility at the anchor (the
+    earliest ``q`` reaching the best term, which has the largest remaining
+    utility among the ties) and the threshold pool after the first ``q``
+    fed.  ``end_sequence`` folds those into per-node sums of utility, PEU,
+    capped SEU and SWU, and the node's pool minimum.  Tag arrays avoid any
+    per-node clearing of the full item range.
+    """
+
+    __slots__ = (
+        "seq_tag",
+        "seq_u",
+        "seq_peu",
+        "seq_aru",
+        "seq_pool",
+        "seq_mark",
+        "seq_touched",
+        "node_tag",
+        "utility",
+        "peu",
+        "seu",
+        "swu",
+        "pool",
+        "node_mark",
+        "touched",
+    )
+
+    def __init__(self, n_items: int):
+        self.seq_tag = [0] * n_items
+        self.seq_u = [0] * n_items
+        self.seq_peu = [0] * n_items
+        self.seq_aru = [0] * n_items
+        self.seq_pool = [0] * n_items
+        self.seq_mark = 0
+        self.seq_touched: list[int] = []
+        self.node_tag = [0] * n_items
+        self.utility = [0] * n_items
+        self.peu = [0] * n_items
+        self.seu = [0] * n_items
+        self.swu = [0] * n_items
+        self.pool = [0] * n_items
+        self.node_mark = 0
+        self.touched: list[int] = []
+
+    def reset_node(self) -> None:
+        self.node_mark += 1
+        self.touched = []
+
+    def begin_sequence(self) -> None:
+        self.seq_mark += 1
+        self.seq_touched = []
+
+    def feed(self, item: int, match: int, rest: int, pool: int) -> None:
+        term = match + rest
+        if self.seq_tag[item] != self.seq_mark:
+            self.seq_tag[item] = self.seq_mark
+            self.seq_u[item] = match
+            self.seq_peu[item] = term
+            self.seq_aru[item] = rest
+            self.seq_pool[item] = pool
+            self.seq_touched.append(item)
+            return
+        if match > self.seq_u[item]:
+            self.seq_u[item] = match
+        best = self.seq_peu[item]
+        if term > best or (term == best and rest > self.seq_aru[item]):
+            self.seq_peu[item] = term
+            self.seq_aru[item] = rest
+
+    def end_sequence(self, useq: int) -> None:
+        mark = self.node_mark
+        for item in self.seq_touched:
+            u_s = self.seq_u[item]
+            seu_s = u_s + self.seq_aru[item]
+            if seu_s > useq:
+                seu_s = useq
+            if self.node_tag[item] != mark:
+                self.node_tag[item] = mark
+                self.touched.append(item)
+                self.utility[item] = u_s
+                self.peu[item] = self.seq_peu[item]
+                self.seu[item] = seu_s
+                self.swu[item] = useq
+                self.pool[item] = self.seq_pool[item]
+            else:
+                self.utility[item] += u_s
+                self.peu[item] += self.seq_peu[item]
+                self.seu[item] += seu_s
+                self.swu[item] += useq
+                if self.seq_pool[item] < self.pool[item]:
+                    self.pool[item] = self.seq_pool[item]
+
+    def collect(self) -> dict:
+        """PEU of every child item fed since ``reset_node``, by item."""
+        return {item: self.peu[item] for item in sorted(self.touched)}
 
 
 @dataclass(frozen=True)
@@ -321,49 +430,28 @@ class ProjectionBounds:
     pool_min: Money
 
 
-def _entry_bounds(entry: ProjEntry, ru: list) -> tuple:
-    """Utility, PEU and uncapped SEU of a pattern within one sequence.
-
-    The utility is the best pivot utility; PEU is the largest best +
-    remaining over pivots; SEU adds to the utility the remaining utility at
-    the pivot that maximises best + remaining (the earliest such pivot on
-    ties).
-    """
-    u_max = best_term = None
-    anchor_ru = 0
-    for p, b in zip(entry.pivots, entry.best):
-        if u_max is None or b > u_max:
-            u_max = b
-        term = b + ru[p]
-        if best_term is None or term > best_term:
-            best_term = term
-            anchor_ru = ru[p]
-    return u_max, best_term, u_max + anchor_ru
-
-
 def projection_bounds(pdb: Projection, arrays: list[SequenceArrays]) -> ProjectionBounds:
-    """Every bound of a projected pattern in one pass over its pivots.
+    """Every bound of a projected pattern, from the candidate scan's own
+    accumulator: each pivot is one match of a single child item.
 
     Per containing sequence the SEU term is capped at the sequence utility so
     the bound never exceeds the sequence-weighted one.  The threshold pool is
     the least threshold among items occurring strictly after a start point
-    (the earliest pivot); it stays infinite unless the arrays were rebuilt
+    (the earliest pivot); it stays infinite unless the arrays were built
     with an M-table.
     """
-    utility = peu = seu = swu_v = 0
-    pool = _INF
+    acc = _ItemAccumulator(1)
+    acc.reset_node()
     for entry in pdb.entries:
         seq = arrays[entry.seq_index]
-        u_s, peu_s, seu_s = _entry_bounds(entry, seq.ru)
-        utility += u_s
-        peu += peu_s
-        seu += min(seq.useq, seu_s)
-        swu_v += seq.useq
-        if seq.suffix_min_mu:
-            cand = seq.suffix_min_mu[entry.pivots[0] + 1]
-            if cand < pool:
-                pool = cand
-    return ProjectionBounds(utility, peu, seu, swu_v, pool)
+        ru, pool = seq.ru, seq.suffix_min_mu
+        acc.begin_sequence()
+        for p, b in zip(entry.pivots, entry.best):
+            acc.feed(0, b, ru[p], pool[p + 1])
+        acc.end_sequence(seq.useq)
+    if not acc.touched:
+        return ProjectionBounds(0, 0, 0, 0, _INF)
+    return ProjectionBounds(acc.utility[0], acc.peu[0], acc.seu[0], acc.swu[0], acc.pool[0])
 
 
 def pattern_utility_from_projection(pdb: Projection) -> Money:
@@ -373,7 +461,7 @@ def pattern_utility_from_projection(pdb: Projection) -> Money:
 
 def peu_by_sequence(pdb: Projection, arrays: list[SequenceArrays]) -> dict:
     """Per-sequence extension bound: max over pivots of best + remaining."""
-    return {e.seq_index: _entry_bounds(e, arrays[e.seq_index].ru)[1] for e in pdb.entries}
+    return {e.seq_index: projection_bounds(Projection([e]), arrays).peu for e in pdb.entries}
 
 
 def peu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:

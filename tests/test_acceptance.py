@@ -175,9 +175,7 @@ def test_c04_bound_values(example_db, example_utable, example_mtable, ids):
     bounds = brute_force_bounds(t, example_db, example_utable, example_mtable)
     assert (bounds.swu, bounds.seu, bounds.peu, bounds.pmiu) == (360, 249, 232, 200)
     # same numbers through the projected-array path
-    arrays = build_database_arrays(example_db, example_utable)
-    for seq in arrays:
-        seq.rebuild(example_mtable)
+    arrays = build_database_arrays(example_db, example_utable, example_mtable)
     proj = project(
         initial_projection(arrays, ids["b"]), arrays, ids["c"], S_STEP
     )

@@ -1,10 +1,13 @@
 """Command-line behavior and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import huspmine
 from huspmine.cli import main
 
 from conftest import DATASET_TEXT, MTABLE_TEXT, UTILITY_TEXT
@@ -120,6 +123,40 @@ def test_parse_error_exits_3(tmp_path, fixture_files, capsys):
     )
     assert code == 3
     assert "duplicate" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_data_exits_3(kind, tmp_path, fixture_files, capsys):
+    _, utility, mtable = fixture_files
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin.qsd"
+        path.write_bytes("caf\xe9[1] -2\n".encode("latin-1"))
+    code, _, err = run_main(
+        ["mine", "--data", str(path), "--utility-table", str(utility),
+         "--mtable", str(mtable)],
+        capsys,
+    )
+    assert code == 3
+    assert str(path) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_of_memory_exits_6(fixture_files, capsys, monkeypatch):
+    data, utility, mtable = fixture_files
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("huspmine.cli.mine", exhausted)
+    code, _, err = run_main(
+        ["mine", "--data", str(data), "--utility-table", str(utility),
+         "--mtable", str(mtable)],
+        capsys,
+    )
+    assert code == 6
+    assert err == "out of memory\n"
 
 
 def test_sutility_tamper_exits_3(tmp_path, fixture_files, capsys):
@@ -369,10 +406,14 @@ def test_bench_requires_exactly_one_sweep(tmp_path, capsys):
 
 def test_console_entry_point(fixture_files):
     data, utility, mtable = fixture_files
+    # the child imports the same package as the suite, installed or not
+    package_root = str(Path(huspmine.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
     proc = subprocess.run(
         [sys.executable, "-m", "huspmine.cli", "mine", "--data", str(data),
          "--utility-table", str(utility), "--mtable", str(mtable)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == EXPECTED_ROWS

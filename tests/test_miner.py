@@ -27,7 +27,7 @@ from huspmine import (
     swu,
     write_results,
 )
-from huspmine.oracle import brute_force_bounds
+from huspmine.oracle import brute_force_bounds, brute_force_mine
 import huspmine.miner as miner_module
 from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
 from huspmine.uarray import S_STEP
@@ -83,9 +83,7 @@ def test_swu_values(example_db, example_utable, ids):
 
 
 def test_pmiu_values(example_db, example_utable, example_mtable, ids):
-    arrays = build_database_arrays(example_db, example_utable)
-    for seq in arrays:
-        seq.rebuild(example_mtable)
+    arrays = build_database_arrays(example_db, example_utable, example_mtable)
     pb = initial_projection(arrays, ids["b"])
     pbc = project(pb, arrays, ids["c"], S_STEP)
     assert pmiu(Pattern(((ids["b"],), (ids["c"],))), pbc, arrays, example_mtable) == 200
@@ -97,9 +95,7 @@ def test_pmiu_reduces_to_miu_with_empty_rest():
     db = parse_dataset(io.StringIO("d[3] -2\n"))
     ut = bind_unit_utilities({"d": 1}, db.symbols)
     mt = bind_thresholds({"d": 7}, db.symbols)
-    arrays = build_database_arrays(db, ut)
-    for seq in arrays:
-        seq.rebuild(mt)
+    arrays = build_database_arrays(db, ut, mt)
     proj = initial_projection(arrays, db.symbols.id_of("d"))
     assert pmiu(Pattern(((db.symbols.id_of("d"),),)), proj, arrays, mt) == 7
 
@@ -285,6 +281,22 @@ def test_seu_anchor_is_the_earliest_pivot_on_ties():
     assert (b.utility, b.peu, b.seu) == (5, 5, 6)
     for pattern, bounds in obs.nodes.items():
         assert bounds == brute_force_bounds(pattern, db, ut, mt)
+
+
+def test_removals_that_empty_elements_keep_later_extensions():
+    """The prefilter removes ``a`` and ``x``, which empties three of the
+    first sequence's five elements; ``[b],[c]`` still matches there."""
+    text = "a[1] -1 x[1] -1 b[1] -1 x[1] -1 c[1] -2\n" + "b[5] -1 c[5] -2\n" * 3
+    db = parse_dataset(io.StringIO(text))
+    names = db.symbols.names
+    ut = bind_unit_utilities({n: 1 for n in names}, db.symbols)
+    mt = bind_thresholds({n: 6 for n in names}, db.symbols)
+    want = [(h.pattern, h.utility, h.miu) for h in brute_force_mine(db, ut, mt, 5)]
+    bc = Pattern(((db.symbols.id_of("b"),), (db.symbols.id_of("c"),)))
+    assert (bc, 32, 6) in want
+    for variant in (USPT1, USPT2, USPT):
+        got, _ = mine(db, ut, mt, MiningConfig(variant=variant))
+        assert [(h.pattern, h.utility, h.miu) for h in got] == want
 
 
 def test_deep_patterns_do_not_exhaust_the_stack():

@@ -1,6 +1,7 @@
 """Property suites: randomized cross-validation of the two computation paths."""
 
 import io
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from huspmine import (
     serialize_dataset,
 )
 from huspmine.model import match_utility
+from huspmine.uarray import SequenceArrays
 from huspmine.miner import USPT, USPT1, USPT2, pattern_sort_key
 from huspmine.oracle import brute_force_bounds, enumerate_occurring
 
@@ -178,9 +180,7 @@ def test_mtable_generation_reads_floats_as_their_decimal_form(beta, f):
 def test_projection_utilities_match_model_on_random_instances():
     checked = 0
     for db, utable, mtable in mixed_instances(20):
-        arrays = build_database_arrays(db, utable)
-        for seq in arrays:
-            seq.rebuild(mtable)
+        arrays = build_database_arrays(db, utable, mtable)
         cap = min(5, max_sequence_length(db))
         for pattern, utility in enumerate_occurring(db, utable, cap):
             assert utility == pattern_utility(pattern, db, utable)
@@ -265,6 +265,33 @@ def _without_items(db, doomed):
         if elements:
             sequences.append(QSequence(qseq.sid, tuple(elements)))
     return QSDatabase(tuple(sequences), db.symbols)
+
+
+def test_dropping_items_equals_building_without_them():
+    """``drop`` leaves arrays field-for-field equal to arrays built from the
+    sequence without the dropped items, also when whole elements or the
+    whole sequence lose every item."""
+    rng = random.Random(41)
+    fields = SequenceArrays.__slots__
+    emptied_elements = emptied_sequences = 0
+    for db, utable, mtable in mixed_instances(30):
+        present = sorted(db.distinct_items())
+        for _ in range(4):
+            doomed = set(rng.sample(present, rng.randint(1, len(present))))
+            for qseq in db.sequences:
+                seq = SequenceArrays(qseq, utable, mtable)
+                assert seq.drop(doomed, mtable) == bool(qseq.distinct_items() & doomed)
+                rest = _without_items(QSDatabase((qseq,), db.symbols), doomed).sequences
+                if not rest:
+                    emptied_sequences += 1
+                    assert (seq.n, seq.useq) == (0, 0)
+                    continue
+                fresh = SequenceArrays(rest[0], utable, mtable)
+                assert {f: getattr(seq, f) for f in fields} == {
+                    f: getattr(fresh, f) for f in fields
+                }
+                emptied_elements += len(rest[0].elements) < len(qseq.elements)
+    assert emptied_elements > 100 and emptied_sequences > 100
 
 
 def _drop_globally_hopeless_items(db, utable, mtable):

@@ -20,10 +20,7 @@ from huspmine.uarray import I_STEP, S_STEP, Projection, peu_by_sequence
 
 @pytest.fixture()
 def arrays(example_db, example_utable, example_mtable):
-    arrays = build_database_arrays(example_db, example_utable)
-    for seq in arrays:
-        seq.rebuild(example_mtable)
-    return arrays
+    return build_database_arrays(example_db, example_utable, example_mtable)
 
 
 def test_third_sequence_records_match_reference(example_db, example_utable, ids):
@@ -160,14 +157,12 @@ def test_projection_utility_matches_model(arrays, example_db, example_utable, id
 
 def test_tombstoned_items_leave_positions_valid(example_db, example_utable,
                                                 example_mtable, ids):
-    arrays = build_database_arrays(example_db, example_utable)
+    arrays = build_database_arrays(example_db, example_utable, example_mtable)
     seq = arrays[2]
-    seq.rebuild(example_mtable)
     before = seq.useq
-    assert seq.deactivate({ids["e"]})
-    seq.rebuild(example_mtable)
+    assert seq.drop({ids["e"]}, example_mtable)
     assert seq.useq == before - 8  # one e occurrence worth 8
-    assert seq.n == 9  # positions keep their indices
-    assert seq.active_positions_of(ids["e"]) == []
+    assert seq.n == 8  # the removed occurrence leaves the arrays
+    assert ids["e"] not in seq.positions_of
     # remaining utilities skip the removed occurrence
     assert seq.ru[4] == 46 - 8
