@@ -29,6 +29,14 @@ pattern, whose projection is the whole database: the same scan over every
 position gives the set-up statistics, the item removals and the root
 bounds.  The search walks the tree from an explicit stack, so pattern length
 is not limited by the interpreter's recursion depth.
+
+A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
+its size as an int, and its bounds as a tuple of ints.  The validated
+:class:`Pattern` is built only for a result and for an observer call, and
+:class:`Bounds` only for ``on_node``.  The walk is a pre-order with sorted
+children, I-children first, which meets the patterns of one size in
+:func:`pattern_sort_key` order, so results are emitted sorted by keeping one
+list per size.
 """
 
 from __future__ import annotations
@@ -227,7 +235,6 @@ class _Engine:
         self.observer = observer
         self.n_items = len(db.symbols)
         self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
-        self.husps: list[Husp] = []
         self.stats = MiningStats()
         self.item_seqs: dict[int, list[int]] = {}
         for si, seq in enumerate(self.arrays):
@@ -310,58 +317,65 @@ class _Engine:
         roots = []
         for item in self.global_item_peu:
             first = self.one_seq_info[item]
-            bounds = Bounds(
-                swu=acc.swu[item],
-                seu=acc.seu[item],
-                peu=acc.peu[item],
-                pmiu=int(min(first.miu, acc.pool[item])),
-                miu=first.miu,
-                utility=acc.utility[item],
+            node = (
+                acc.utility[item],
+                first.miu,
+                int(min(first.miu, acc.pool[item])),
+                acc.seu[item],
+                acc.peu[item],
+                acc.swu[item],
             )
-            roots.append((None, None, None, item, bounds, deeper and first.swu >= first.pmiu))
+            expand = deeper and first.swu >= first.pmiu
+            roots.append((((item,),), 1, None, None, item, node, expand))
         self.stats.count_node(1, len(roots))
-        self._search(roots)
-        self.husps.sort(key=lambda h: pattern_sort_key(h.pattern))
-        self.stats.husps_found = len(self.husps)
-        return self.husps
+        husps = self._search(roots)
+        self.stats.husps_found = len(husps)
+        return husps
 
     def _depth_ok(self, child_size: int) -> bool:
         cap = self.config.max_pattern_length
         return cap is None or child_size <= cap
 
-    def _search(self, roots: list) -> None:
+    def _search(self, roots: list) -> list[Husp]:
         """Visit the tree in pre-order from an explicit stack of decided
-        nodes ``(parent, parent projection, kind, item, bounds, expand)``;
-        a root has no parent and no kind.  A node is projected only when it
-        is expanded, and its children are pushed in reverse so they are
-        visited in sorted order, I-children first."""
+        nodes ``(itemsets, size, parent projection, kind, item, node,
+        expand)``, where ``node`` is ``(utility, miu, pmiu, seu, peu, swu)``;
+        a root has no parent projection and no kind.  A node is projected
+        only when it is expanded, and its children are pushed in reverse so
+        they are visited in sorted order, I-children first.
+
+        Pre-order meets the patterns of one size in ``pattern_sort_key``
+        order, so the results, kept in one list per size and joined
+        shortest first, come out sorted.
+        """
         stack = roots[::-1]
-        husps, observer, arrays = self.husps, self.observer, self.arrays
+        by_size: list[list[Husp]] = []
+        observer, arrays = self.observer, self.arrays
         while stack:
-            prefix, proj, kind, item, bounds, expand = stack.pop()
-            if kind is None:
-                pattern = Pattern.single(item)
-            elif kind == I_STEP:
-                pattern = i_concatenate(prefix, item)
-            else:
-                pattern = s_concatenate(prefix, item)
-            if bounds.utility >= bounds.miu:
-                husps.append(Husp(pattern, bounds.utility, bounds.miu))
+            itemsets, size, proj, kind, item, node, expand = stack.pop()
+            utility, miu = node[0], node[1]
+            if utility >= miu:
+                while len(by_size) < size:
+                    by_size.append([])
+                by_size[size - 1].append(Husp(Pattern(itemsets), utility, miu))
             if observer:
-                observer.on_node(pattern, bounds, expand)
+                _, _, pmiu_, seu, peu, swu_ = node
+                bounds = Bounds(swu_, seu, peu, pmiu_, miu, utility)
+                observer.on_node(Pattern(itemsets), bounds, expand)
             if expand:
                 if kind is None:
                     proj = initial_projection(arrays, item, self.item_seqs[item])
                 else:
                     proj = project(proj, arrays, item, kind)
-                stack.extend(reversed(self._span(pattern, proj, bounds)))
+                stack.extend(reversed(self._span(itemsets, size, proj, node)))
+        return [husp for bucket in by_size for husp in bucket]
 
-    def _scan_candidates(self, proj: Projection):
+    def _scan_candidates(self, proj: Projection) -> None:
         """One pass over the projected arrays that evaluates every would-be
         child of both kinds: its utility, PEU, SEU, SWU and threshold pool.
 
-        Returns the PEU of each child by item for the I- and S-children; the
-        full bounds stay in ``acc_i``/``acc_s`` until the next scan.
+        The bounds of the I- and S-children stay in ``acc_i``/``acc_s``
+        until the next scan.
         """
         acc_i, acc_s = self.acc_i, self.acc_s
         acc_i.reset_node()
@@ -397,9 +411,8 @@ class _Engine:
                     feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
             acc_i.end_sequence(seq.useq)
             acc_s.end_sequence(seq.useq)
-        return acc_i.collect(), acc_s.collect()
 
-    def _span(self, prefix: Pattern, proj: Projection, prefix_bounds: Bounds) -> list:
+    def _span(self, itemsets: tuple, size: int, proj: Projection, node: tuple) -> list:
         """Evaluate every child of an expanded node and return, in visiting
         order, the stack entries of the ones that matter.
 
@@ -407,57 +420,63 @@ class _Engine:
         which decide whether the child is a result and whether it is
         expanded; a child's own projection is built only when it is expanded.
         Every child is counted as a candidate, but a child that is neither a
-        result nor expanded is only materialised for an observer.  All
-        decisions are taken here, because the next scan reuses the
-        accumulators.
+        result nor expanded is only pushed for an observer.  All decisions
+        are taken here, because the next scan reuses the accumulators.
         """
-        prefix_pmiu = prefix_bounds.pmiu
-        prefix_seu = prefix_bounds.seu
-        prefix_min_mu = prefix_bounds.miu
-        i_items, s_items = self._scan_candidates(proj)
-        last = prefix.itemsets[-1][-1]
-        i_items = {i: v for i, v in i_items.items() if i > last}
+        _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
+        self._scan_candidates(proj)
+        acc_i, acc_s = self.acc_i, self.acc_s
+        last = itemsets[-1][-1]
+        i_items = [i for i in sorted(acc_i.touched) if i > last]
+        s_items = sorted(acc_s.touched)
         if self.config.variant == USPT:
             global_peu = self.global_item_peu
-            kept_i = {
-                i: v
-                for i, v in i_items.items()
-                if not (global_peu[i] < prefix_pmiu and v < prefix_pmiu)
-            }
-            kept_s = {
-                i: v
-                for i, v in s_items.items()
-                if not (global_peu[i] < prefix_pmiu and v < prefix_pmiu)
-            }
+            peu_i, peu_s = acc_i.peu, acc_s.peu
+            kept_i = [
+                i for i in i_items
+                if not (global_peu[i] < prefix_pmiu and peu_i[i] < prefix_pmiu)
+            ]
+            kept_s = [
+                i for i in s_items
+                if not (global_peu[i] < prefix_pmiu and peu_s[i] < prefix_pmiu)
+            ]
         else:
             kept_i, kept_s = i_items, s_items
         observer = self.observer
         if observer:
-            observer.on_candidates(prefix, i_items, s_items, kept_i, kept_s)
-        size = prefix.size + 1
+            observer.on_candidates(
+                Pattern(itemsets),
+                {i: acc_i.peu[i] for i in i_items},
+                {i: acc_s.peu[i] for i in s_items},
+                {i: acc_i.peu[i] for i in kept_i},
+                {i: acc_s.peu[i] for i in kept_s},
+            )
+        size += 1
         self.stats.count_node(size, len(kept_i) + len(kept_s))
         deeper = self._depth_ok(size + 1)
         peu_gate = self.config.node_bound == BOUND_PEU
         mu = self.mtable.mu
         visits = []
-        for kind, kept, acc in ((I_STEP, kept_i, self.acc_i), (S_STEP, kept_s, self.acc_s)):
-            for item in sorted(kept):
-                utility = acc.utility[item]
-                child_min_mu = min(prefix_min_mu, mu[item])
-                seu_star = min(acc.seu[item], prefix_seu)
-                child_pmiu = min(child_min_mu, acc.pool[item])
-                bound = acc.peu[item] if peu_gate else seu_star
-                expand = deeper and bound >= child_pmiu
+        # an I-child extends the last itemset, an S-child opens a new one
+        for kind, kept, acc, head, stem in (
+            (I_STEP, kept_i, acc_i, itemsets[:-1], itemsets[-1]),
+            (S_STEP, kept_s, acc_s, itemsets, ()),
+        ):
+            utility_, peu_, seu_, pool_ = acc.utility, acc.peu, acc.seu, acc.pool
+            for item in kept:
+                utility = utility_[item]
+                m = mu[item]
+                child_min_mu = m if m < prefix_min_mu else prefix_min_mu
+                seu = seu_[item]
+                seu_star = prefix_seu if prefix_seu < seu else seu
+                pool = pool_[item]
+                child_pmiu = pool if pool < child_min_mu else child_min_mu
+                expand = deeper and (peu_[item] if peu_gate else seu_star) >= child_pmiu
                 if expand or observer or utility >= child_min_mu:
-                    bounds = Bounds(
-                        swu=acc.swu[item],
-                        seu=seu_star,
-                        peu=acc.peu[item],
-                        pmiu=child_pmiu,
-                        miu=child_min_mu,
-                        utility=utility,
-                    )
-                    visits.append((prefix, proj, kind, item, bounds, expand))
+                    child = (utility, child_min_mu, child_pmiu, seu_star,
+                             peu_[item], acc.swu[item])
+                    visits.append((head + (stem + (item,),), size, proj, kind,
+                                   item, child, expand))
         return visits
 
 
@@ -485,7 +504,8 @@ def mine(
     """Discover every pattern whose utility reaches its own MIU threshold.
 
     Returns the patterns sorted by :func:`pattern_sort_key` together with run
-    statistics.  Output is identical across variants.
+    statistics.  They are emitted in that order by the search itself, with
+    no final sort.  Output is identical across variants.
     """
     _validate(db, utable, mtable, config)
     tracing = config.collect_stats

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 from typing import Iterator, Optional, Sequence
 
 Money = int
@@ -205,9 +206,10 @@ class Pattern:
         if not self.itemsets:
             raise ModelError("empty pattern")
         for w in self.itemsets:
-            if not w:
-                raise ModelError("pattern contains an empty itemset")
-            if any(a >= b for a, b in zip(w, w[1:])):
+            if len(w) < 2:
+                if not w:
+                    raise ModelError("pattern contains an empty itemset")
+            elif not all(map(lt, w, w[1:])):
                 raise ModelError("pattern itemset not strictly increasing")
 
     @classmethod

@@ -1,5 +1,6 @@
 """Search engine: concatenations, ordering, pruning variants, determinism."""
 
+import hashlib
 import io
 
 import pytest
@@ -311,3 +312,65 @@ def test_deep_patterns_do_not_exhaust_the_stack():
         (Pattern(((a,),) * k), k, 1) for k in range(1, n + 1)
     ]
     assert stats.depth_histogram == {k: 1 for k in range(1, n + 1)}
+
+
+def test_shorter_results_precede_longer_ones_met_earlier():
+    # the search meets [a b] (under the root [a]) before the root [b], yet
+    # every 1-pattern is emitted before any 2-pattern, as the oracle sorts
+    db = parse_dataset(io.StringIO("a[1] b[2] -1 a[1] -2\n"))
+    ut = bind_unit_utilities({"a": 1, "b": 1}, db.symbols)
+    mt = MTable((1, 1))
+    want = brute_force_mine(db, ut, mt, 3)
+    assert [(h.pattern.render(db.symbols), h.utility) for h in want] == [
+        ("[a]", 1), ("[b]", 2), ("[a b]", 3), ("[a],[a]", 2), ("[b],[a]", 3),
+        ("[a b],[a]", 4),
+    ]
+    for variant in (USPT1, USPT2, USPT):
+        for node_bound in (BOUND_PEU, BOUND_SEU):
+            got, _ = mine(db, ut, mt, MiningConfig(variant=variant, node_bound=node_bound))
+            assert got == want
+
+
+class _Recorder(MiningObserver):
+    """Feeds ``repr`` of every observer event into one running hash."""
+
+    def __init__(self, digest):
+        self.digest = digest
+        self.events = 0
+
+    def _record(self, *event):
+        self.digest.update(repr(event).encode())
+        self.events += 1
+
+    def on_one_sequence_stats(self, info):
+        self._record("one_sequence_stats", info)
+
+    def on_item_extension_bounds(self, peu_by_item):
+        self._record("item_extension_bounds", peu_by_item)
+
+    def on_candidates(self, prefix, i_items, s_items, kept_i, kept_s):
+        self._record("candidates", prefix, i_items, s_items, kept_i, kept_s)
+
+    def on_node(self, pattern, bounds, expanded):
+        self._record("node", pattern, bounds, expanded)
+
+
+def test_observer_stream_is_pinned(example_db, example_utable, example_mtable):
+    """Every observer event, the results and the candidate counts on the
+    reference example plus ``mixed_instances(50)``, for each variant and node
+    bound, hashed in order.  A change to the engine that keeps this value
+    visits the same nodes, in the same order, with the same bounds."""
+    digest = hashlib.sha256()
+    obs = _Recorder(digest)
+    instances = [(example_db, example_utable, example_mtable)] + mixed_instances(50)
+    for db, utable, mtable in instances:
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                config = MiningConfig(variant=variant, node_bound=node_bound)
+                husps, stats = mine(db, utable, mtable, config, observer=obs)
+                digest.update(repr((husps, stats.candidates_visited,
+                                    stats.depth_histogram)).encode())
+    assert obs.events == 28076
+    assert digest.hexdigest() == (
+        "038bd894ec2d304a5d641ad681ca609878ca12bc54c072e345e6c8da2fca9db5"
+    )

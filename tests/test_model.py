@@ -148,6 +148,12 @@ def test_pattern_invariants():
         Pattern(((),))
     with pytest.raises(ModelError):
         Pattern(((2, 1),))
+    with pytest.raises(ModelError):
+        Pattern(((1, 1),))  # duplicate item
+    with pytest.raises(ModelError):
+        Pattern(((1,), (3, 2, 4)))  # a later itemset out of order
+    with pytest.raises(ModelError):
+        Pattern(((1,), ()))  # a later itemset empty
 
 
 def test_pattern_parent_chain(ids):

@@ -20,17 +20,27 @@ from huspmine import (
     build_utility_array,
     find_matches,
     generate_mtable,
+    initial_projection,
     mine,
     brute_force_mine,
     parse_dataset,
     pattern_utility,
+    pattern_utility_from_projection,
     pattern_utility_in_sequence,
+    project,
     qsequence_utility,
     serialize_dataset,
 )
 from huspmine.model import match_utility
-from huspmine.uarray import SequenceArrays
-from huspmine.miner import USPT, USPT1, USPT2, pattern_sort_key
+from huspmine.uarray import I_STEP, S_STEP, SequenceArrays
+from huspmine.miner import (
+    BOUND_PEU,
+    BOUND_SEU,
+    USPT,
+    USPT1,
+    USPT2,
+    pattern_sort_key,
+)
 from huspmine.oracle import brute_force_bounds, enumerate_occurring
 
 from support import mixed_instances, max_sequence_length
@@ -178,11 +188,26 @@ def test_mtable_generation_reads_floats_as_their_decimal_form(beta, f):
 
 
 def test_projection_utilities_match_model_on_random_instances():
+    """Every occurring pattern's projection, derived from its parent's by
+    the step that appends its last item, is non-empty and gives the model's
+    utility."""
     checked = 0
     for db, utable, mtable in mixed_instances(20):
         arrays = build_database_arrays(db, utable, mtable)
         cap = min(5, max_sequence_length(db))
+        projection_of = {}
+        # pre-order: every pattern comes after its parent
         for pattern, utility in enumerate_occurring(db, utable, cap):
+            last = pattern.itemsets[-1]
+            parent = pattern.parent()
+            if parent is None:
+                proj = initial_projection(arrays, last[-1])
+            else:
+                kind = I_STEP if len(last) > 1 else S_STEP
+                proj = project(projection_of[parent], arrays, last[-1], kind)
+            projection_of[pattern] = proj
+            assert proj.entries
+            assert pattern_utility_from_projection(proj) == utility
             assert utility == pattern_utility(pattern, db, utable)
             checked += 1
     assert checked > 200
@@ -245,10 +270,18 @@ def test_uniform_threshold_special_case():
 
 
 def test_output_sorted_by_pattern_order():
+    emitted = 0
     for db, utable, mtable in mixed_instances(10):
-        got, _ = mine(db, utable, mtable)
-        keys = [pattern_sort_key(h.pattern) for h in got]
-        assert keys == sorted(keys)
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                for cap in (None, 1, 2, 3):
+                    config = MiningConfig(variant=variant, node_bound=node_bound,
+                                          max_pattern_length=cap)
+                    got, _ = mine(db, utable, mtable, config)
+                    keys = [pattern_sort_key(h.pattern) for h in got]
+                    assert keys == sorted(keys)
+                    emitted += len(keys)
+    assert emitted > 0
 
 
 def _without_items(db, doomed):
