@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,16 +233,15 @@ def _cmd_bench(args, parser) -> int:
                 mtable = formats.generate_mtable(db, utable, beta, lmu)
             except ValueError as exc:
                 parser.error(str(exc))
-            config = MiningConfig(
-                variant=variant,
-                node_bound=args.node_bound,
-                collect_stats=True,
-            )
+            # tracemalloc slows mining about sixfold, so the runtime comes
+            # from an untraced run and the peak memory from a traced one
+            config = MiningConfig(variant=variant, node_bound=args.node_bound)
             husps, stats = mine(db, utable, mtable, config)
+            _, traced = mine(db, utable, mtable, replace(config, collect_stats=True))
             lines.append(
                 f"{variant}\t{float(beta)}\t{float(lmu)}\t{stats.wall_time:.3f}"
                 f"\t{stats.candidates_visited}\t{len(husps)}"
-                f"\t{stats.peak_memory_estimate}"
+                f"\t{traced.peak_memory_estimate}"
             )
     _emit("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK

@@ -30,6 +30,19 @@ position gives the set-up statistics, the item removals and the root
 bounds.  The search walks the tree from an explicit stack, so pattern length
 is not limited by the interpreter's recursion depth.
 
+Most expanded nodes of a dense run have a projection that is one pivot ``p``
+of one sequence ``s``, worth its best utility ``b``.  Such a node's children
+are fixed by ``(s, p)`` up to that offset: each child's utility, PEU and SEU
+are ``b`` plus a value of ``(s, p)`` (the SEU capped at the sequence
+utility), its SWU is the sequence utility, and its pivots are its positions
+after ``p``.  The engine keeps those values as one sorted row list per
+concatenation kind, filled by one candidate scan of ``p`` the first time
+``(s, p)`` is met and kept for the rest of the run; the node's children are
+then decided from the rows without a scan, and an expanded child's
+projection is built straight from its row.  Which path a node takes depends
+only on its projection, and both give the same children with the same
+bounds.
+
 A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
 its size as an int, and its bounds as a tuple of ints.  The validated
 :class:`Pattern` is built only for a result and for an observer call, and
@@ -43,11 +56,11 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import (
-    Item,
     Money,
     MTable,
     Pattern,
@@ -59,11 +72,13 @@ from .model import (
 from .uarray import (
     I_STEP,
     S_STEP,
+    ProjEntry,
     Projection,
     SequenceArrays,
     _ItemAccumulator,
     build_database_arrays,
     initial_projection,
+    pivot_projection,
     project,
     rest_pool_min_mu,
 )
@@ -76,10 +91,6 @@ VARIANTS = (USPT1, USPT2, USPT)
 BOUND_PEU = "peu"
 BOUND_SEU = "seu"
 NODE_BOUNDS = (BOUND_PEU, BOUND_SEU)
-
-
-class InvalidConcatenation(ValueError):
-    """The extension item cannot legally extend the pattern."""
 
 
 class ConfigError(ValueError):
@@ -154,22 +165,7 @@ class MiningObserver:
 
 
 # ---------------------------------------------------------------------------
-# concatenations and pattern order
-
-
-def i_concatenate(pattern: Pattern, item: Item) -> Pattern:
-    """Append ``item`` to the last itemset; its id must exceed the current
-    last item so every pattern keeps a unique derivation."""
-    if item <= pattern.itemsets[-1][-1]:
-        raise InvalidConcatenation(
-            f"item {item} does not extend itemset {pattern.itemsets[-1]}"
-        )
-    return Pattern(pattern.itemsets[:-1] + (pattern.itemsets[-1] + (item,),))
-
-
-def s_concatenate(pattern: Pattern, item: Item) -> Pattern:
-    """Append a new singleton itemset holding ``item``."""
-    return Pattern(pattern.itemsets + ((item,),))
+# pattern order
 
 
 def pattern_sort_key(pattern: Pattern) -> tuple:
@@ -183,11 +179,6 @@ def pattern_sort_key(pattern: Pattern) -> tuple:
         for item in itemset[1:]:
             chain.append((0, item))
     return (pattern.size, tuple(chain))
-
-
-def pattern_order(ta: Pattern, tb: Pattern) -> int:
-    ka, kb = pattern_sort_key(ta), pattern_sort_key(tb)
-    return -1 if ka < kb else (1 if ka > kb else 0)
 
 
 def swu(pattern, db: QSDatabase, utable: UtilityTable) -> Money:
@@ -245,6 +236,8 @@ class _Engine:
         # scratch state of the candidate scan, one per concatenation kind
         self.acc_i = _ItemAccumulator(self.n_items)
         self.acc_s = _ItemAccumulator(self.n_items)
+        # (sequence, pivot) -> the child rows of that lone pivot
+        self.pivot_rows: dict[tuple[int, int], tuple[list, list, int]] = {}
 
     # -- set-up -------------------------------------------------------
 
@@ -340,9 +333,11 @@ class _Engine:
         """Visit the tree in pre-order from an explicit stack of decided
         nodes ``(itemsets, size, parent projection, kind, item, node,
         expand)``, where ``node`` is ``(utility, miu, pmiu, seu, peu, swu)``;
-        a root has no parent projection and no kind.  A node is projected
-        only when it is expanded, and its children are pushed in reverse so
-        they are visited in sorted order, I-children first.
+        a root has no parent projection and no kind.  A child of a
+        single-pivot node has no kind either: it carries its own projection,
+        ready when it is expanded.  A node is projected only when it is
+        expanded, and its children are pushed in reverse so they are visited
+        in sorted order, I-children first.
 
         Pre-order meets the patterns of one size in ``pattern_sort_key``
         order, so the results, kept in one list per size and joined
@@ -363,11 +358,16 @@ class _Engine:
                 bounds = Bounds(swu_, seu, peu, pmiu_, miu, utility)
                 observer.on_node(Pattern(itemsets), bounds, expand)
             if expand:
-                if kind is None:
-                    proj = initial_projection(arrays, item, self.item_seqs[item])
-                else:
+                if kind is not None:
                     proj = project(proj, arrays, item, kind)
-                stack.extend(reversed(self._span(itemsets, size, proj, node)))
+                elif proj is None:
+                    proj = initial_projection(arrays, item, self.item_seqs[item])
+                entries = proj.entries
+                if len(entries) == 1 and len(entries[0].pivots) == 1:
+                    children = self._span_pivot(itemsets, size, entries[0], node)
+                else:
+                    children = self._span(itemsets, size, proj, node)
+                stack.extend(reversed(children))
         return [husp for bucket in by_size for husp in bucket]
 
     def _scan_candidates(self, proj: Projection) -> None:
@@ -476,6 +476,98 @@ class _Engine:
                     child = (utility, child_min_mu, child_pmiu, seu_star,
                              peu_[item], acc.swu[item])
                     visits.append((head + (stem + (item,),), size, proj, kind,
+                                   item, child, expand))
+        return visits
+
+    def _pivot_rows(self, si: int, p: int) -> tuple[list, list, int]:
+        """The I- and S-child rows of pivot ``p`` of sequence ``si`` taken
+        alone and worth zero, each sorted by item, and the sequence utility.
+        One candidate scan fills them the first time ``(si, p)`` is met.
+
+        A row is ``(item, utility, peu, seu, pool, pivots, utilities)``: the
+        child's bounds from the scan, with the SEU capped at the sequence
+        utility, and its positions that extend ``p`` with the item's utility
+        at each.  An I-child has one such position, in ``p``'s element; an
+        S-child has every occurrence in a later element.
+        """
+        self._scan_candidates(Projection([ProjEntry(si, [p], [0])]))
+        seq = self.arrays[si]
+        u_, positions_of = seq.u, seq.positions_of
+        e = seq.eid[p]
+        later = seq.elem_first[e] if e < len(seq.elem_first) else seq.n
+
+        def row(acc, item, pivots):
+            return (item, acc.utility[item], acc.peu[item], acc.seu[item],
+                    acc.pool[item], pivots, [u_[q] for q in pivots])
+
+        acc_i, acc_s = self.acc_i, self.acc_s
+        rows = self.pivot_rows[(si, p)] = (
+            [row(acc_i, i, [positions_of[i][bisect_right(positions_of[i], p)]])
+             for i in sorted(acc_i.touched)],
+            [row(acc_s, i, positions_of[i][bisect_left(positions_of[i], later):])
+             for i in sorted(acc_s.touched)],
+            seq.useq,
+        )
+        return rows
+
+    def _span_pivot(self, itemsets: tuple, size: int, entry: ProjEntry, node: tuple) -> list:
+        """:meth:`_span` of a node whose projection is the one pivot of
+        ``entry``, decided from the cached rows of that pivot.
+
+        Every child's utility and PEU are the pivot's best utility ``b`` plus
+        the row's, its SEU is ``b`` plus the row's capped at the sequence
+        utility, and its SWU is the sequence utility: the values the scan of
+        the node's own projection would give.  An I-row's item always
+        follows the last item, which is the item at the pivot, in its
+        element.
+        """
+        si, p, b = entry.seq_index, entry.pivots[0], entry.best[0]
+        i_rows, s_rows, useq = self.pivot_rows.get((si, p)) or self._pivot_rows(si, p)
+        _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
+        if self.config.variant == USPT:
+            global_peu = self.global_item_peu
+            floor = prefix_pmiu - b
+            kept_i = [r for r in i_rows
+                      if not (r[2] < floor and global_peu[r[0]] < prefix_pmiu)]
+            kept_s = [r for r in s_rows
+                      if not (r[2] < floor and global_peu[r[0]] < prefix_pmiu)]
+        else:
+            kept_i, kept_s = i_rows, s_rows
+        observer = self.observer
+        if observer:
+            observer.on_candidates(
+                Pattern(itemsets),
+                {r[0]: b + r[2] for r in i_rows},
+                {r[0]: b + r[2] for r in s_rows},
+                {r[0]: b + r[2] for r in kept_i},
+                {r[0]: b + r[2] for r in kept_s},
+            )
+        size += 1
+        self.stats.count_node(size, len(kept_i) + len(kept_s))
+        deeper = self._depth_ok(size + 1)
+        peu_gate = self.config.node_bound == BOUND_PEU
+        mu = self.mtable.mu
+        visits = []
+        for kept, head, stem in (
+            (kept_i, itemsets[:-1], itemsets[-1]),
+            (kept_s, itemsets, ()),
+        ):
+            for item, utility, peu, seu, pool, pivots, utilities in kept:
+                utility += b
+                peu += b
+                m = mu[item]
+                child_min_mu = m if m < prefix_min_mu else prefix_min_mu
+                seu += b
+                if seu > useq:
+                    seu = useq
+                seu_star = prefix_seu if prefix_seu < seu else seu
+                child_pmiu = pool if pool < child_min_mu else child_min_mu
+                expand = deeper and (peu if peu_gate else seu_star) >= child_pmiu
+                if expand or observer or utility >= child_min_mu:
+                    child = (utility, child_min_mu, child_pmiu, seu_star, peu, useq)
+                    child_proj = (pivot_projection(si, pivots, utilities, b)
+                                  if expand else None)
+                    visits.append((head + (stem + (item,),), size, child_proj, None,
                                    item, child, expand))
         return visits
 

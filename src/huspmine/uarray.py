@@ -203,7 +203,7 @@ def build_database_arrays(
     return [SequenceArrays(s, utable, mtable) for s in db.sequences]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProjEntry:
     """Pivots of one sequence: positions of the pattern's last item across
     matches (ascending, 0-based) and the best match utility ending at each."""
@@ -213,7 +213,7 @@ class ProjEntry:
     best: list[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Projection:
     """Projected database of one pattern: per-sequence pivot sets."""
 
@@ -274,18 +274,14 @@ def project(
         new_pivots: list[int] = []
         new_best: list[int] = []
         if kind == I_STEP:
-            by_elem: dict[int, list[tuple[int, int]]] = {}
-            for p, b in zip(pivots, best):
-                by_elem.setdefault(eid[p], []).append((p, b))
+            # a pivot is an occurrence of the pattern's last item, which an
+            # element holds at most once: one pivot per element
+            at_elem = {eid[p]: (p, b) for p, b in zip(pivots, best)}
             for q in positions:
-                group = by_elem.get(eid[q])
-                if not group:
-                    continue
-                prefix = max((b for p, b in group if p < q), default=None)
-                if prefix is None:
-                    continue
-                new_pivots.append(q)
-                new_best.append(prefix + u[q])
+                hit = at_elem.get(eid[q])
+                if hit is not None and hit[0] < q:
+                    new_pivots.append(q)
+                    new_best.append(hit[1] + u[q])
         elif kind == S_STEP:
             # running max of parent best over elements strictly before eid[q]
             elem_max: list[tuple[int, int]] = []
@@ -309,6 +305,19 @@ def project(
         if new_pivots:
             proj.entries.append(ProjEntry(entry.seq_index, new_pivots, new_best))
     return proj
+
+
+def pivot_projection(
+    seq_index: int, pivots: list[int], utilities: list[int], prefix: Money
+) -> Projection:
+    """Projection of a child of a pattern whose projection is one pivot.
+
+    ``pivots`` are the child item's positions that extend that pivot in
+    sequence ``seq_index`` and ``utilities`` the item's utility at each; every
+    new pivot's best utility is the parent pivot's best ``prefix`` plus the
+    item's utility there, exactly as :func:`project` would derive it.
+    """
+    return Projection([ProjEntry(seq_index, pivots, [prefix + x for x in utilities])])
 
 
 class _ItemAccumulator:

@@ -398,6 +398,36 @@ def test_bench_single_point_matches_mine_stats(tmp_path, capsys):
     assert int(row[5]) == int(stats_fields["husps"])
 
 
+def test_bench_times_an_untraced_run(monkeypatch, fixture_files, capsys):
+    """tracemalloc slows mining down, so ``runtime_s`` must come from a
+    ``collect_stats=False`` run and ``peak_mem_bytes`` from a traced one."""
+    import huspmine.cli as cli_module
+
+    real_mine = cli_module.mine
+    calls = []
+
+    def fake_mine(db, utable, mtable, config):
+        husps, stats = real_mine(db, utable, mtable, config)
+        calls.append(config.collect_stats)
+        stats.wall_time = 7.0 if config.collect_stats else 1.0
+        if config.collect_stats:
+            stats.peak_memory_estimate = 4242
+        return husps, stats
+
+    monkeypatch.setattr(cli_module, "mine", fake_mine)
+    data, utility, _ = fixture_files
+    code, out, _ = run_main(
+        ["bench", "--data", str(data), "--utility-table", str(utility),
+         "--beta", "1.0", "--lmu-sweep", "0.05", "--variants", "uspt"],
+        capsys,
+    )
+    assert code == 0
+    assert sorted(calls) == [False, True]
+    row = out.splitlines()[1].split("\t")
+    assert row[3] == "1.000"
+    assert row[6] == "4242"
+
+
 def test_bench_requires_exactly_one_sweep(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--data", "x", "--utility-table", "y", "--beta", "1"])

@@ -1,4 +1,4 @@
-"""Search engine: concatenations, ordering, pruning variants, determinism."""
+"""Search engine: ordering, pruning variants, determinism."""
 
 import hashlib
 import io
@@ -7,7 +7,6 @@ import pytest
 
 from huspmine import (
     ConfigError,
-    InvalidConcatenation,
     MiningConfig,
     MiningObserver,
     MTable,
@@ -16,15 +15,12 @@ from huspmine import (
     bind_thresholds,
     bind_unit_utilities,
     build_database_arrays,
-    i_concatenate,
     initial_projection,
     mine,
     parse_dataset,
-    pattern_order,
     pattern_sort_key,
     pmiu,
     project,
-    s_concatenate,
     swu,
     write_results,
 )
@@ -36,43 +32,18 @@ from huspmine.uarray import S_STEP
 from support import mixed_instances
 
 
-def test_i_concatenate(ids):
-    t = Pattern(((ids["b"],), (ids["c"],)))
-    assert i_concatenate(t, ids["d"]).itemsets == ((ids["b"],), (ids["c"], ids["d"]))
-    assert i_concatenate(Pattern(((ids["a"],),)), ids["b"]).itemsets == (
-        (ids["a"], ids["b"]),
-    )
-    with pytest.raises(InvalidConcatenation):
-        i_concatenate(t, ids["a"])
-    with pytest.raises(InvalidConcatenation):
-        i_concatenate(t, ids["c"])
-
-
-def test_s_concatenate(ids):
-    t = Pattern(((ids["b"],), (ids["c"],)))
-    assert s_concatenate(t, ids["a"]).itemsets == (
-        (ids["b"],),
-        (ids["c"],),
-        (ids["a"],),
-    )
-    assert s_concatenate(Pattern(((ids["a"],),)), ids["a"]).k == 2
-    assert s_concatenate(Pattern(((ids["f"],),)), ids["b"]).itemsets == (
-        (ids["f"],),
-        (ids["b"],),
-    )
-
-
 def test_pattern_order_examples(ids):
     a, b, c = ids["a"], ids["b"], ids["c"]
     pa = Pattern(((a,),))
     pab = Pattern(((a, b),))
     paa = Pattern(((a,), (a,)))
     pac = Pattern(((a,), (c,)))
-    assert pattern_order(pa, pab) == -1
-    assert pattern_order(pab, paa) == -1
-    assert pattern_order(paa, pac) == -1
-    assert pattern_order(pa, pa) == 0
-    assert pattern_order(pac, paa) == 1
+    key = pattern_sort_key
+    assert key(pa) < key(pab)
+    assert key(pab) < key(paa)
+    assert key(paa) < key(pac)
+    assert key(pa) == key(pa)
+    assert key(pac) > key(paa)
     ordered = sorted([pac, pab, pa, paa], key=pattern_sort_key)
     assert ordered == [pa, pab, paa, pac]
 
@@ -231,12 +202,22 @@ def test_bounds_invariants_on_visited_nodes(example_db, example_utable,
 @pytest.mark.parametrize("variant", [USPT1, USPT])
 def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
                                               example_mtable, variant, node_bound):
+    """A child's projection comes from ``project``, or from
+    ``pivot_projection`` when its parent's projection is a single pivot; the
+    two together build exactly one per expanded non-root node."""
     calls = []
+    from_pivot = []
     real_project = miner_module.project
+    real_pivot_projection = miner_module.pivot_projection
 
     def counting_project(*args, **kwargs):
         calls.append(args[2:])
         return real_project(*args, **kwargs)
+
+    def counting_pivot_projection(*args, **kwargs):
+        calls.append(args[:2])
+        from_pivot.append(args[:2])
+        return real_pivot_projection(*args, **kwargs)
 
     class Expanded(MiningObserver):
         def __init__(self):
@@ -247,6 +228,7 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
                 self.count += 1
 
     monkeypatch.setattr(miner_module, "project", counting_project)
+    monkeypatch.setattr(miner_module, "pivot_projection", counting_pivot_projection)
     config = MiningConfig(variant=variant, node_bound=node_bound)
     instances = [(example_db, example_utable, example_mtable)] + mixed_instances(10)
     total = 0
@@ -257,6 +239,7 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
         assert len(calls) == obs.count
         total += obs.count
     assert total > 0
+    assert from_pivot and len(from_pivot) < total
 
 
 def test_seu_anchor_is_the_earliest_pivot_on_ties():
@@ -282,6 +265,64 @@ def test_seu_anchor_is_the_earliest_pivot_on_ties():
     assert (b.utility, b.peu, b.seu) == (5, 5, 6)
     for pattern, bounds in obs.nodes.items():
         assert bounds == brute_force_bounds(pattern, db, ut, mt)
+
+
+# Databases where the 1-pattern [a] has one pivot, so its children are
+# decided from the cached rows of that pivot: the text, the unit utilities,
+# children of [a] that must be visited, and the most pivots that a child
+# projection built from the rows holds.
+SINGLE_PIVOT_CASES = [
+    # the S-child b recurs in two later elements: [a],[b] gets two pivots,
+    # and its SEU anchors at the first one, whose u + ru is largest
+    ("a[1] -1 b[2] c[1] -1 c[4] -1 b[1] -2\nb[1] c[2] -2\n",
+     {"a": 1, "b": 3, "c": 1}, ["[a],[b]", "[a],[c]"], 2),
+    # z is worth nothing, so its two occurrences after a tie on u + ru; with
+    # one pivot such a tie leaves their ru equal as well
+    ("a[2] -1 z[1] -1 z[3] -1 c[1] -2\nz[1] c[1] -2\n",
+     {"a": 1, "z": 0, "c": 2}, ["[a],[z]"], 2),
+    # b extends a both inside a's element and in the next one
+    ("a[1] b[1] -1 b[2] -2\nb[1] -2\n", {"a": 2, "b": 1}, ["[a b]", "[a],[b]"], 1),
+]
+
+
+@pytest.mark.parametrize("text,units,children,most_pivots", SINGLE_PIVOT_CASES)
+def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, children,
+                                                most_pivots):
+    db = parse_dataset(io.StringIO(text))
+    ut = bind_unit_utilities(units, db.symbols)
+    longest = sum(len(e.items) for s in db.sequences for e in s.elements)
+    built = []
+    real_pivot_projection = miner_module.pivot_projection
+
+    def recording_pivot_projection(seq_index, pivots, utilities, prefix):
+        built.append(len(pivots))
+        return real_pivot_projection(seq_index, pivots, utilities, prefix)
+
+    class Collect(MiningObserver):
+        def __init__(self):
+            self.nodes = {}
+
+        def on_node(self, pattern, bounds, expanded):
+            self.nodes[pattern.render(db.symbols)] = (pattern, bounds)
+
+    monkeypatch.setattr(miner_module, "pivot_projection", recording_pivot_projection)
+    # every threshold at 1 removes no item and cuts no subtree, so every
+    # node's bounds are the oracle's; at 4 and 12 the gates cut subtrees
+    for mu in (1, 4, 12):
+        mt = bind_thresholds({n: mu for n in units}, db.symbols)
+        want = [(h.pattern, h.utility, h.miu)
+                for h in brute_force_mine(db, ut, mt, longest)]
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                obs = Collect()
+                config = MiningConfig(variant=variant, node_bound=node_bound)
+                got, _ = mine(db, ut, mt, config, observer=obs)
+                assert [(h.pattern, h.utility, h.miu) for h in got] == want
+                if mu == 1:
+                    assert set(children) <= obs.nodes.keys()
+                    for pattern, bounds in obs.nodes.values():
+                        assert bounds == brute_force_bounds(pattern, db, ut, mt)
+    assert max(built) == most_pivots
 
 
 def test_removals_that_empty_elements_keep_later_extensions():

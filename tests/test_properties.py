@@ -284,6 +284,42 @@ def test_output_sorted_by_pattern_order():
     assert emitted > 0
 
 
+def test_projections_hold_at_most_one_pivot_per_element(monkeypatch):
+    """Every projection the engine builds, single-pivot children included,
+    has at most one pivot in any element: a pivot is an occurrence of the
+    pattern's last item, which an element holds once."""
+    import huspmine.miner as miner_module
+
+    arrays = []
+    built = {}
+    real_build = miner_module.build_database_arrays
+
+    def build(*args):
+        arrays[:] = real_build(*args)
+        return arrays
+
+    def checked(fn):
+        def wrapper(*args):
+            proj = fn(*args)
+            for entry in proj.entries:
+                eid = arrays[entry.seq_index].eid
+                elements = [eid[p] for p in entry.pivots]
+                assert len(set(elements)) == len(elements)
+            built[fn.__name__] = built.get(fn.__name__, 0) + 1
+            return proj
+        return wrapper
+
+    monkeypatch.setattr(miner_module, "build_database_arrays", build)
+    for name in ("initial_projection", "project", "pivot_projection"):
+        monkeypatch.setattr(miner_module, name, checked(getattr(miner_module, name)))
+    for db, utable, mtable in mixed_instances(30):
+        for variant in (USPT1, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                mine(db, utable, mtable,
+                     MiningConfig(variant=variant, node_bound=node_bound))
+    assert built.keys() == {"initial_projection", "project", "pivot_projection"}
+
+
 def _without_items(db, doomed):
     """The database with every occurrence of the ``doomed`` items deleted."""
     if not doomed:
