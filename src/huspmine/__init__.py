@@ -29,11 +29,7 @@ from .uarray import (
     build_utility_array,
     build_database_arrays,
     initial_projection,
-    pattern_utility_from_projection,
-    peu_from_projection,
     project,
-    seu_from_projection,
-    swu_from_projection,
 )
 from .miner import (
     Bounds,
@@ -48,8 +44,6 @@ from .miner import (
     USPT2,
     mine,
     pattern_sort_key,
-    pmiu,
-    swu,
 )
 from .oracle import EnumerationTooLarge, brute_force_bounds, brute_force_mine
 from .formats import (

@@ -35,7 +35,6 @@ from .model import (
     SymbolTable,
     UtilityTable,
     qsequence_utility,
-    database_utility,
 )
 from .miner import ConfigError, Husp
 
@@ -288,7 +287,7 @@ def generate_mtable(
     for qseq in db.sequences:
         for _, item, qty in qseq.flat():
             totals[item] += qty * utable.of(item)
-    lmu = round_half_up(lmu_fraction * database_utility(db, utable))
+    lmu = round_half_up(lmu_fraction * sum(totals))
     return MTable(tuple(max(round_half_up(beta * t), lmu) for t in totals))
 
 

@@ -66,8 +66,6 @@ from .model import (
     Pattern,
     QSDatabase,
     UtilityTable,
-    qsequence_utility,
-    pattern_utility_in_sequence,
 )
 from .uarray import (
     I_STEP,
@@ -80,7 +78,6 @@ from .uarray import (
     initial_projection,
     pivot_projection,
     project,
-    rest_pool_min_mu,
 )
 
 USPT = "uspt"
@@ -181,31 +178,6 @@ def pattern_sort_key(pattern: Pattern) -> tuple:
     return (pattern.size, tuple(chain))
 
 
-def swu(pattern, db: QSDatabase, utable: UtilityTable) -> Money:
-    """Whole-sequence weight: sum of u(s) over sequences containing the
-    pattern.  Accepts a Pattern or a bare item id."""
-    if not isinstance(pattern, Pattern):
-        pattern = Pattern.single(pattern)
-    total = 0
-    for qseq in db.sequences:
-        if pattern_utility_in_sequence(pattern, qseq, utable) is not None:
-            total += qsequence_utility(qseq, utable)
-    return total
-
-
-def pmiu(
-    pattern: Pattern,
-    projection: Projection,
-    arrays: list,
-    mtable: MTable,
-) -> Money:
-    """Least threshold reachable from the pattern: the minimum mu over its
-    own items and every item occurring strictly after a start point."""
-    own = min(mtable.of(i) for i in pattern.distinct_items())
-    pool = rest_pool_min_mu(projection, arrays)
-    return own if own <= pool else int(pool)
-
-
 # ---------------------------------------------------------------------------
 # engine
 
@@ -219,8 +191,6 @@ class _Engine:
         config: MiningConfig,
         observer: Optional[MiningObserver],
     ):
-        self.db = db
-        self.utable = utable
         self.mtable = mtable
         self.config = config
         self.observer = observer
@@ -249,7 +219,6 @@ class _Engine:
         feed = acc.feed
         for seq in self.arrays:
             item_, u_, ru_, pool_ = seq.item, seq.u, seq.ru, seq.suffix_min_mu
-            acc.begin_sequence()
             for q in range(seq.n):
                 feed(item_[q], u_[q], ru_[q], pool_[q + 1])
             acc.end_sequence(seq.useq)
@@ -301,7 +270,7 @@ class _Engine:
             observer.on_one_sequence_stats(dict(self.one_seq_info))
         if self.config.variant != USPT1:
             self._swu_strategy()
-        self.global_item_peu = acc.collect()
+        self.global_item_peu = {item: acc.peu[item] for item in sorted(acc.touched)}
         if observer:
             observer.on_item_extension_bounds(dict(self.global_item_peu))
         # every root is decided before the search reuses the accumulators;
@@ -387,8 +356,6 @@ class _Engine:
             pool_ = seq.suffix_min_mu
             n = seq.n
             pivots, best = entry.pivots, entry.best
-            acc_i.begin_sequence()
-            acc_s.begin_sequence()
             for p, b in zip(pivots, best):
                 e = eid_[p]
                 q = p + 1

@@ -32,10 +32,12 @@ def symbol_sort_key(name: str) -> tuple:
     """Sort key for item names: numeric names numerically, then identifiers.
 
     Item ids are assigned in this order, so id order coincides with the
-    conventional "alphabetical" order used when writing itemsets.
+    conventional "alphabetical" order used when writing itemsets.  Numeric
+    names of equal value (``7``, ``07``) fall back to the name itself, so
+    the order is total and never depends on set iteration order.
     """
     if name.isdigit():
-        return (0, int(name), "")
+        return (0, int(name), name)
     return (1, 0, name)
 
 

@@ -322,7 +322,8 @@ def pivot_projection(
 
 class _ItemAccumulator:
     """Per-item bounds of every would-be child of one node, gathered during
-    the candidate scan.
+    the candidate scan; the engine's only implementation of utility, PEU,
+    SEU, SWU and the threshold pool of a pattern.
 
     Each feed is one (match utility, remaining utility) pair of a child item
     at flat position ``q`` of the current sequence.  Within a sequence the
@@ -331,8 +332,9 @@ class _ItemAccumulator:
     earliest ``q`` reaching the best term, which has the largest remaining
     utility among the ties) and the threshold pool after the first ``q``
     fed.  ``end_sequence`` folds those into per-node sums of utility, PEU,
-    capped SEU and SWU, and the node's pool minimum.  Tag arrays avoid any
-    per-node clearing of the full item range.
+    capped SEU and SWU, and the node's pool minimum, and starts the next
+    sequence.  Tag arrays avoid any per-node or per-sequence clearing of the
+    full item range.
     """
 
     __slots__ = (
@@ -359,7 +361,7 @@ class _ItemAccumulator:
         self.seq_peu = [0] * n_items
         self.seq_aru = [0] * n_items
         self.seq_pool = [0] * n_items
-        self.seq_mark = 0
+        self.seq_mark = 1
         self.seq_touched: list[int] = []
         self.node_tag = [0] * n_items
         self.utility = [0] * n_items
@@ -373,10 +375,6 @@ class _ItemAccumulator:
     def reset_node(self) -> None:
         self.node_mark += 1
         self.touched = []
-
-    def begin_sequence(self) -> None:
-        self.seq_mark += 1
-        self.seq_touched = []
 
     def feed(self, item: int, match: int, rest: int, pool: int) -> None:
         term = match + rest
@@ -417,76 +415,6 @@ class _ItemAccumulator:
                 self.swu[item] += useq
                 if self.seq_pool[item] < self.pool[item]:
                     self.pool[item] = self.seq_pool[item]
+        self.seq_mark += 1
+        self.seq_touched = []
 
-    def collect(self) -> dict:
-        """PEU of every child item fed since ``reset_node``, by item."""
-        return {item: self.peu[item] for item in sorted(self.touched)}
-
-
-@dataclass(frozen=True)
-class ProjectionBounds:
-    """Utility, extension bounds and threshold pool of one projected pattern.
-
-    ``seu`` is capped per sequence at the sequence utility but not yet at the
-    parent's SEU; ``pool_min`` is infinite when every start point ends its
-    sequence.
-    """
-
-    utility: Money
-    peu: Money
-    seu: Money
-    swu: Money
-    pool_min: Money
-
-
-def projection_bounds(pdb: Projection, arrays: list[SequenceArrays]) -> ProjectionBounds:
-    """Every bound of a projected pattern, from the candidate scan's own
-    accumulator: each pivot is one match of a single child item.
-
-    Per containing sequence the SEU term is capped at the sequence utility so
-    the bound never exceeds the sequence-weighted one.  The threshold pool is
-    the least threshold among items occurring strictly after a start point
-    (the earliest pivot); it stays infinite unless the arrays were built
-    with an M-table.
-    """
-    acc = _ItemAccumulator(1)
-    acc.reset_node()
-    for entry in pdb.entries:
-        seq = arrays[entry.seq_index]
-        ru, pool = seq.ru, seq.suffix_min_mu
-        acc.begin_sequence()
-        for p, b in zip(entry.pivots, entry.best):
-            acc.feed(0, b, ru[p], pool[p + 1])
-        acc.end_sequence(seq.useq)
-    if not acc.touched:
-        return ProjectionBounds(0, 0, 0, 0, _INF)
-    return ProjectionBounds(acc.utility[0], acc.peu[0], acc.seu[0], acc.swu[0], acc.pool[0])
-
-
-def pattern_utility_from_projection(pdb: Projection) -> Money:
-    """Exact pattern utility: sum over sequences of the best pivot utility."""
-    return sum(max(entry.best) for entry in pdb.entries)
-
-
-def peu_by_sequence(pdb: Projection, arrays: list[SequenceArrays]) -> dict:
-    """Per-sequence extension bound: max over pivots of best + remaining."""
-    return {e.seq_index: projection_bounds(Projection([e]), arrays).peu for e in pdb.entries}
-
-
-def peu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    return projection_bounds(pdb, arrays).peu
-
-
-def seu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    """Sequence-extension bound, each sequence capped at its utility."""
-    return projection_bounds(pdb, arrays).seu
-
-
-def swu_from_projection(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    return projection_bounds(pdb, arrays).swu
-
-
-def rest_pool_min_mu(pdb: Projection, arrays: list[SequenceArrays]) -> Money:
-    """Minimum threshold among items occurring strictly after a start point;
-    infinite when every start point ends its sequence."""
-    return projection_bounds(pdb, arrays).pool_min

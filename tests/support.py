@@ -4,9 +4,12 @@ import io
 import random
 
 from huspmine import (
+    MiningConfig,
+    MiningObserver,
     MTable,
     Pattern,
     bind_unit_utilities,
+    mine,
     parse_dataset,
     parse_item_values,
 )
@@ -100,3 +103,25 @@ def mixed_instances(n):
 
 def max_sequence_length(db):
     return max(s.length for s in db.sequences)
+
+
+class EngineBounds(MiningObserver):
+    """The engine's own statistics of one run: the first-pass table of the
+    1-patterns and the bounds of every visited node, by pattern."""
+
+    def __init__(self):
+        self.one_seq = {}
+        self.nodes = {}
+
+    def on_one_sequence_stats(self, info):
+        self.one_seq = info
+
+    def on_node(self, pattern, bounds, expanded):
+        self.nodes[pattern] = bounds
+
+
+def engine_bounds(db, utable, mtable, config=MiningConfig()):
+    """Mine once and return what the engine reported about each pattern."""
+    observed = EngineBounds()
+    mine(db, utable, mtable, config, observer=observed)
+    return observed

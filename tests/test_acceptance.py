@@ -12,30 +12,33 @@ import pytest
 from huspmine import (
     MiningConfig,
     MiningObserver,
+    MTable,
     Pattern,
+    QSDatabase,
     SUtilityMismatch,
     bind_unit_utilities,
     brute_force_bounds,
     brute_force_mine,
-    build_database_arrays,
     build_utility_array,
     generate_mtable,
     generate_synthetic,
-    initial_projection,
     mine,
     parse_dataset,
     parse_item_values,
     parse_results,
-    project,
     serialize_dataset,
     write_results,
 )
 from huspmine.formats import GenParams
 from huspmine.miner import USPT, USPT1, USPT2
 from huspmine.oracle import enumerate_occurring
-from huspmine.uarray import S_STEP, peu_by_sequence
 
-from support import low_threshold_instance, max_sequence_length, mixed_instances
+from support import (
+    engine_bounds,
+    low_threshold_instance,
+    max_sequence_length,
+    mixed_instances,
+)
 
 
 def ok(criterion, message):
@@ -170,26 +173,21 @@ def test_c03_utility_array_golden(example_db, example_utable, ids):
     ok(3, "nine records field-by-field, ru(1)=82 per the suffix-sum identity")
 
 
-def test_c04_bound_values(example_db, example_utable, example_mtable, ids):
+def test_c04_bound_values(traced_run, example_db, example_utable, example_mtable, ids):
     t = Pattern(((ids["b"],), (ids["c"],)))
     bounds = brute_force_bounds(t, example_db, example_utable, example_mtable)
     assert (bounds.swu, bounds.seu, bounds.peu, bounds.pmiu) == (360, 249, 232, 200)
-    # same numbers through the projected-array path
-    arrays = build_database_arrays(example_db, example_utable, example_mtable)
-    proj = project(
-        initial_projection(arrays, ids["b"]), arrays, ids["c"], S_STEP
+    # same numbers from the search itself, computed over the projected arrays
+    _, _, trace = traced_run
+    node, _ = trace.nodes[t]
+    assert (node.swu, node.seu, node.peu, node.pmiu, node.utility) == (
+        360, 249, 232, 200, 160
     )
-    from huspmine import (
-        peu_from_projection,
-        seu_from_projection,
-        swu_from_projection,
-    )
-
-    assert swu_from_projection(proj, arrays) == 360
-    assert seu_from_projection(proj, arrays) == 249
-    assert peu_from_projection(proj, arrays) == 232
-    assert peu_by_sequence(proj, arrays)[1] == 42
-    ok(4, "SWU=360 SEU=249 PEU=232 PEU(second sequence)=42 PMIU=200, both paths")
+    only_s2 = QSDatabase((example_db.sequences[1],), example_db.symbols)
+    zero = MTable((0,) * len(example_db.symbols))
+    assert engine_bounds(only_s2, example_utable, zero).nodes[t].peu == 42
+    ok(4, "SWU=360 SEU=249 PEU=232 PEU(second sequence)=42 PMIU=200, "
+          "oracle and engine")
 
 
 def test_c05_prefix_trace(traced_run, example_db, ids):

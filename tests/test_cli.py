@@ -447,3 +447,26 @@ def test_console_entry_point(fixture_files):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == EXPECTED_ROWS
+
+
+def test_mine_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # 7, 07 and 007 are equal as numbers; their ids must still come out in
+    # one order whatever order the interpreter iterates a set of names in
+    data = tmp_path / "tie.qsd"
+    data.write_text("7[1] 07[2] -1 07[1] 007[2] -2\n07[3] -1 7[1] 007[1] -2\n")
+    utility = tmp_path / "tie.ut"
+    utility.write_text("7 1\n07 2\n007 3\n")
+    package_root = str(Path(huspmine.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    outputs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "huspmine.cli", "mine", "--data", str(data),
+             "--utility-table", str(utility), "--beta", "0", "--lmu", "0"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

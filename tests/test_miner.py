@@ -14,22 +14,16 @@ from huspmine import (
     UtilityTable,
     bind_thresholds,
     bind_unit_utilities,
-    build_database_arrays,
-    initial_projection,
     mine,
     parse_dataset,
     pattern_sort_key,
-    pmiu,
-    project,
-    swu,
     write_results,
 )
 from huspmine.oracle import brute_force_bounds, brute_force_mine
 import huspmine.miner as miner_module
 from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
-from huspmine.uarray import S_STEP
 
-from support import mixed_instances
+from support import engine_bounds, mixed_instances
 
 
 def test_pattern_order_examples(ids):
@@ -48,28 +42,29 @@ def test_pattern_order_examples(ids):
     assert ordered == [pa, pab, paa, pac]
 
 
-def test_swu_values(example_db, example_utable, ids):
-    assert swu(ids["b"], example_db, example_utable) == 441
-    assert swu(ids["f"], example_db, example_utable) == 81
-    assert swu(Pattern(((ids["b"],), (ids["c"],))), example_db, example_utable) == 360
+def test_swu_values(example_db, example_utable, example_mtable, ids):
+    run = engine_bounds(example_db, example_utable, example_mtable)
+    assert run.one_seq[ids["b"]].swu == 441
+    assert run.one_seq[ids["f"]].swu == 81
+    assert run.nodes[Pattern(((ids["b"],), (ids["c"],)))].swu == 360
 
 
 def test_pmiu_values(example_db, example_utable, example_mtable, ids):
-    arrays = build_database_arrays(example_db, example_utable, example_mtable)
-    pb = initial_projection(arrays, ids["b"])
-    pbc = project(pb, arrays, ids["c"], S_STEP)
-    assert pmiu(Pattern(((ids["b"],), (ids["c"],))), pbc, arrays, example_mtable) == 200
-    pf = initial_projection(arrays, ids["f"])
-    assert pmiu(Pattern(((ids["f"],),)), pf, arrays, example_mtable) == 70
+    run = engine_bounds(example_db, example_utable, example_mtable)
+    assert run.nodes[Pattern(((ids["b"],), (ids["c"],)))].pmiu == 200
+    assert run.one_seq[ids["f"]].pmiu == 70
+    assert run.nodes[Pattern.single(ids["f"])].pmiu == 70
 
 
 def test_pmiu_reduces_to_miu_with_empty_rest():
+    # d is worth 9, so it survives the prefilter at threshold 7
     db = parse_dataset(io.StringIO("d[3] -2\n"))
-    ut = bind_unit_utilities({"d": 1}, db.symbols)
+    ut = bind_unit_utilities({"d": 3}, db.symbols)
     mt = bind_thresholds({"d": 7}, db.symbols)
-    arrays = build_database_arrays(db, ut, mt)
-    proj = initial_projection(arrays, db.symbols.id_of("d"))
-    assert pmiu(Pattern(((db.symbols.id_of("d"),),)), proj, arrays, mt) == 7
+    d = db.symbols.id_of("d")
+    run = engine_bounds(db, ut, mt)
+    assert run.one_seq[d].pmiu == run.one_seq[d].miu == 7
+    assert run.nodes[Pattern.single(d)].pmiu == 7
 
 
 EXPECTED = [("[b],[c e]", 200, 200), ("[f],[b c],[b]", 73, 70),
@@ -182,18 +177,10 @@ def test_one_sequence_gate_blocks_hopeless_subtrees():
 
 def test_bounds_invariants_on_visited_nodes(example_db, example_utable,
                                             example_mtable):
-    class Collect(MiningObserver):
-        def __init__(self):
-            self.bounds = []
-
-        def on_node(self, pattern, bounds, expanded):
-            self.bounds.append(bounds)
-
-    obs = Collect()
-    mine(example_db, example_utable, example_mtable,
-         MiningConfig(variant=USPT1), observer=obs)
-    assert obs.bounds
-    for b in obs.bounds:
+    nodes = engine_bounds(example_db, example_utable, example_mtable,
+                          MiningConfig(variant=USPT1)).nodes
+    assert nodes
+    for b in nodes.values():
         assert b.utility <= b.peu <= b.seu <= b.swu
         assert b.pmiu <= b.miu
 
@@ -250,20 +237,11 @@ def test_seu_anchor_is_the_earliest_pivot_on_ties():
         "a[1] b[1] -1 a[1] b[1] -1 a[2] c[2] -1 b[1] c[1] -2\n"))
     ut = bind_unit_utilities({"a": 2, "b": 0, "c": 1}, db.symbols)
     mt = MTable((1, 1, 1))
-
-    class Collect(MiningObserver):
-        def __init__(self):
-            self.nodes = {}
-
-        def on_node(self, pattern, bounds, expanded):
-            self.nodes[pattern] = bounds
-
-    obs = Collect()
-    mine(db, ut, mt, MiningConfig(variant=USPT1), observer=obs)
+    nodes = engine_bounds(db, ut, mt, MiningConfig(variant=USPT1)).nodes
     a, c = db.symbols.id_of("a"), db.symbols.id_of("c")
-    b = obs.nodes[Pattern(((a,), (c,)))]
+    b = nodes[Pattern(((a,), (c,)))]
     assert (b.utility, b.peu, b.seu) == (5, 5, 6)
-    for pattern, bounds in obs.nodes.items():
+    for pattern, bounds in nodes.items():
         assert bounds == brute_force_bounds(pattern, db, ut, mt)
 
 

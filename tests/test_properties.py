@@ -25,7 +25,6 @@ from huspmine import (
     brute_force_mine,
     parse_dataset,
     pattern_utility,
-    pattern_utility_from_projection,
     pattern_utility_in_sequence,
     project,
     qsequence_utility,
@@ -43,7 +42,7 @@ from huspmine.miner import (
 )
 from huspmine.oracle import brute_force_bounds, enumerate_occurring
 
-from support import mixed_instances, max_sequence_length
+from support import engine_bounds, mixed_instances, max_sequence_length
 
 N_ITEMS = 5
 
@@ -207,7 +206,7 @@ def test_projection_utilities_match_model_on_random_instances():
                 proj = project(projection_of[parent], arrays, last[-1], kind)
             projection_of[pattern] = proj
             assert proj.entries
-            assert pattern_utility_from_projection(proj) == utility
+            assert sum(max(e.best) for e in proj.entries) == utility
             assert utility == pattern_utility(pattern, db, utable)
             checked += 1
     assert checked > 200
@@ -363,24 +362,25 @@ def test_dropping_items_equals_building_without_them():
     assert emptied_elements > 100 and emptied_sequences > 100
 
 
+def _swu(item, db, utable):
+    """Whole-sequence weight of an item, from its match lists."""
+    return brute_force_bounds(Pattern.single(item), db, utable).swu
+
+
 def _drop_globally_hopeless_items(db, utable, mtable):
     """Model-level replica of the engine's pre-filter: delete items whose
     whole-sequence weight sits below the least threshold of any item."""
-    from huspmine import swu as swu_op
-
     present = sorted(db.distinct_items())
     if not present:
         return db
     floor = min(mtable.of(i) for i in present)
-    return _without_items(db, {i for i in present if swu_op(i, db, utable) < floor})
+    return _without_items(db, {i for i in present if _swu(i, db, utable) < floor})
 
 
 def _drop_swu_hopeless_items(db, utable, mtable):
     """Model-level replica of the SWU strategy: delete items whose
     whole-sequence weight sits below the least threshold found in any
     sequence containing them."""
-    from huspmine import swu as swu_op
-
     doomed = set()
     for item in db.distinct_items():
         guard = min(
@@ -388,7 +388,7 @@ def _drop_swu_hopeless_items(db, utable, mtable):
             for qseq in db.sequences
             if item in qseq.distinct_items()
         )
-        if swu_op(item, db, utable) < guard:
+        if _swu(item, db, utable) < guard:
             doomed.add(item)
     return _without_items(db, doomed)
 
@@ -440,23 +440,12 @@ def test_seu_gated_node_bounds_match_the_match_list_oracle():
     """Under the SEU gate the search expands nodes the PEU gate never
     reaches; the bounds of every visited node, scan-computed for all but
     the roots, still equal the match-list values."""
-    from huspmine import MiningObserver
-    from huspmine.miner import BOUND_SEU
-
-    class Collect(MiningObserver):
-        def __init__(self):
-            self.nodes = {}
-
-        def on_node(self, pattern, bounds, expanded):
-            self.nodes[pattern] = bounds
-
     compared = 0
     for db, utable, mtable in mixed_instances(10):
-        col = Collect()
-        mine(db, utable, mtable, MiningConfig(variant=USPT1, node_bound=BOUND_SEU),
-             observer=col)
+        nodes = engine_bounds(db, utable, mtable,
+                              MiningConfig(variant=USPT1, node_bound=BOUND_SEU)).nodes
         reduced = _drop_globally_hopeless_items(db, utable, mtable)
-        for pattern, b in col.nodes.items():
+        for pattern, b in nodes.items():
             ob = brute_force_bounds(pattern, reduced, utable, mtable)
             assert (b.utility, b.peu, b.seu, b.swu, b.pmiu, b.miu) == (
                 ob.utility, ob.peu, ob.seu, ob.swu, ob.pmiu, ob.miu

@@ -1,26 +1,51 @@
-"""Utility-array construction and projection-based bound computations."""
+"""Utility-array construction, projections, and the bounds the engine
+computes from them."""
 
 import pytest
 
 from huspmine import (
+    MTable,
     Pattern,
+    QSDatabase,
     build_database_arrays,
     build_utility_array,
     initial_projection,
     pattern_utility,
-    pattern_utility_from_projection,
-    peu_from_projection,
     project,
     qsequence_utility,
-    seu_from_projection,
-    swu_from_projection,
 )
-from huspmine.uarray import I_STEP, S_STEP, Projection, peu_by_sequence
+from huspmine.uarray import I_STEP, S_STEP, Projection
+
+from support import engine_bounds
 
 
 @pytest.fixture()
 def arrays(example_db, example_utable, example_mtable):
     return build_database_arrays(example_db, example_utable, example_mtable)
+
+
+@pytest.fixture(scope="module")
+def example_nodes(example_db, example_utable, example_mtable):
+    """The engine's bounds of every node it visits on the reference example."""
+    return engine_bounds(example_db, example_utable, example_mtable).nodes
+
+
+@pytest.fixture(scope="module")
+def second_sequence_nodes(example_db, example_utable):
+    """The engine's bounds over the second sequence alone, every threshold
+    zero so that every occurring pattern is visited."""
+    only_s2 = QSDatabase((example_db.sequences[1],), example_db.symbols)
+    zero = MTable((0,) * len(example_db.symbols))
+    return engine_bounds(only_s2, example_utable, zero).nodes
+
+
+def projected_utility(proj):
+    """Pattern utility from a projection: per sequence, the best pivot."""
+    return sum(max(entry.best) for entry in proj.entries)
+
+
+def b_then_c(ids):
+    return Pattern(((ids["b"],), (ids["c"],)))
 
 
 def test_third_sequence_records_match_reference(example_db, example_utable, ids):
@@ -91,21 +116,18 @@ def test_project_repeated_item_across_elements(arrays, ids):
     assert not paa_i  # no element holds the same item twice
 
 
-def test_pattern_utility_from_projection(arrays, example_db, example_utable, ids):
+def test_pattern_utility_from_projection(arrays, example_nodes, ids):
     pb = initial_projection(arrays, ids["b"])
     pbc = project(pb, arrays, ids["c"], S_STEP)
-    assert pattern_utility_from_projection(pbc) == 160
+    assert projected_utility(pbc) == example_nodes[b_then_c(ids)].utility == 160
     pf = initial_projection(arrays, ids["f"])
-    assert pattern_utility_from_projection(pf) == 24
-    assert pattern_utility_from_projection(Projection([])) == 0
+    assert projected_utility(pf) == example_nodes[Pattern.single(ids["f"])].utility == 24
+    assert projected_utility(Projection([])) == 0
 
 
-def test_peu_from_projection(arrays, ids):
-    pb = initial_projection(arrays, ids["b"])
-    pbc = project(pb, arrays, ids["c"], S_STEP)
-    per_seq = peu_by_sequence(pbc, arrays)
-    assert per_seq[1] == 42
-    assert peu_from_projection(pbc, arrays) == 232
+def test_peu_from_projection(example_nodes, second_sequence_nodes, ids):
+    assert second_sequence_nodes[b_then_c(ids)].peu == 42
+    assert example_nodes[b_then_c(ids)].peu == 232
 
 
 def test_peu_equals_utility_when_pattern_ends_sequence():
@@ -115,26 +137,21 @@ def test_peu_equals_utility_when_pattern_ends_sequence():
 
     db = parse_dataset(io.StringIO("d[3] -2\n"))
     ut = bind_unit_utilities({"d": 1}, db.symbols)
-    arr = build_database_arrays(db, ut)
-    proj = initial_projection(arr, db.symbols.id_of("d"))
-    assert peu_from_projection(proj, arr) == pattern_utility_from_projection(proj) == 3
-    assert seu_from_projection(proj, arr) == 3
+    d = engine_bounds(db, ut, MTable((1,))).nodes[Pattern.single(db.symbols.id_of("d"))]
+    assert d.peu == d.utility == 3
+    assert d.seu == 3
 
 
-def test_seu_from_projection(arrays, ids):
-    pb = initial_projection(arrays, ids["b"])
-    pbc = project(pb, arrays, ids["c"], S_STEP)
-    assert seu_from_projection(pbc, arrays) == 249
+def test_seu_from_projection(example_nodes, second_sequence_nodes, ids):
+    assert example_nodes[b_then_c(ids)].seu == 249
     # second sequence: pattern utility 31 plus remaining 11 at the anchor
-    only_s2 = Projection([e for e in pbc.entries if e.seq_index == 1])
-    assert pattern_utility_from_projection(only_s2) == 31
-    assert seu_from_projection(only_s2, arrays) == 42
+    only_s2 = second_sequence_nodes[b_then_c(ids)]
+    assert only_s2.utility == 31
+    assert only_s2.seu == 42
 
 
-def test_swu_from_projection(arrays, ids):
-    pb = initial_projection(arrays, ids["b"])
-    pbc = project(pb, arrays, ids["c"], S_STEP)
-    assert swu_from_projection(pbc, arrays) == 360
+def test_swu_from_projection(example_nodes, ids):
+    assert example_nodes[b_then_c(ids)].swu == 360
 
 
 def test_projection_utility_matches_model(arrays, example_db, example_utable, ids):
@@ -150,7 +167,7 @@ def test_projection_utility_matches_model(arrays, example_db, example_utable, id
         for grp in items[1:]:
             proj = project(proj, arrays, grp[0], S_STEP)
             pattern = Pattern(pattern.itemsets + ((grp[0],),))
-        assert pattern_utility_from_projection(proj) == pattern_utility(
+        assert projected_utility(proj) == pattern_utility(
             pattern, example_db, example_utable
         )
 
