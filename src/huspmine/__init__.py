@@ -24,9 +24,6 @@ from .model import (
 )
 from .uarray import (
     Projection,
-    UARecord,
-    UtilityArray,
-    build_utility_array,
     build_database_arrays,
     initial_projection,
     project,

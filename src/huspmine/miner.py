@@ -24,24 +24,27 @@ Children are evaluated without being projected: one scan over an expanded
 node's projection yields every child's utility, PEU, SEU, SWU and threshold
 pool, which decide whether the child is a result and whether it is
 expanded.  Only an expanded child gets its own projection, from which its
-children are scanned in turn.  The 1-patterns are the children of the empty
-pattern, whose projection is the whole database: the same scan over every
-position gives the set-up statistics, the item removals and the root
+own children are decided in turn.  The 1-patterns are the children of the
+empty pattern, whose projection is the whole database: the same scan over
+every position gives the set-up statistics, the item removals and the root
 bounds.  The search walks the tree from an explicit stack, so pattern length
 is not limited by the interpreter's recursion depth.
 
-Most expanded nodes of a dense run have a projection that is one pivot ``p``
-of one sequence ``s``, worth its best utility ``b``.  Such a node's children
-are fixed by ``(s, p)`` up to that offset: each child's utility, PEU and SEU
-are ``b`` plus a value of ``(s, p)`` (the SEU capped at the sequence
-utility), its SWU is the sequence utility, and its pivots are its positions
-after ``p``.  The engine keeps those values as one sorted row list per
-concatenation kind, filled by one candidate scan of ``p`` the first time
-``(s, p)`` is met and kept for the rest of the run; the node's children are
-then decided from the rows without a scan, and an expanded child's
-projection is built straight from its row.  Which path a node takes depends
-only on its projection, and both give the same children with the same
-bounds.
+One loop decides the children of every expanded node, from child rows
+``(item, utility, peu, seu, swu, pool, ext)``, one list per concatenation
+kind sorted by item, and an offset ``b``: a child's utility and PEU are its
+row's plus ``b``, and its SEU is its row's plus ``b`` capped at its SWU.  The
+rows have two sources, chosen by the shape of the node's projection.  Most
+expanded nodes of a dense run have a projection that is one pivot ``p`` of
+one sequence ``s``, worth its best utility ``b``; their children are fixed
+by ``(s, p)`` up to that offset, so their rows are cached per ``(s, p)``,
+filled by one candidate scan of ``p`` worth zero the first time ``(s, p)``
+is met and kept for the rest of the run.  Every other node's rows come from
+a candidate scan of its own projection, with ``b`` zero.  An expanded
+child's projection is built when the child is decided: by ``project`` from
+the node's projection for a scanned row, by ``pivot_projection`` from the
+positions a cached row keeps in ``ext``.  Both sources give the same
+children with the same bounds.
 
 A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
 its size as an int, and its bounds as a tuple of ints.  The validated
@@ -207,7 +210,7 @@ class _Engine:
         self.acc_i = _ItemAccumulator(self.n_items)
         self.acc_s = _ItemAccumulator(self.n_items)
         # (sequence, pivot) -> the child rows of that lone pivot
-        self.pivot_rows: dict[tuple[int, int], tuple[list, list, int]] = {}
+        self.pivot_rows: dict[tuple[int, int], tuple[list, list]] = {}
 
     # -- set-up -------------------------------------------------------
 
@@ -288,7 +291,7 @@ class _Engine:
                 acc.swu[item],
             )
             expand = deeper and first.swu >= first.pmiu
-            roots.append((((item,),), 1, None, None, item, node, expand))
+            roots.append((((item,),), 1, None, node, expand))
         self.stats.count_node(1, len(roots))
         husps = self._search(roots)
         self.stats.husps_found = len(husps)
@@ -300,13 +303,12 @@ class _Engine:
 
     def _search(self, roots: list) -> list[Husp]:
         """Visit the tree in pre-order from an explicit stack of decided
-        nodes ``(itemsets, size, parent projection, kind, item, node,
-        expand)``, where ``node`` is ``(utility, miu, pmiu, seu, peu, swu)``;
-        a root has no parent projection and no kind.  A child of a
-        single-pivot node has no kind either: it carries its own projection,
-        ready when it is expanded.  A node is projected only when it is
-        expanded, and its children are pushed in reverse so they are visited
-        in sorted order, I-children first.
+        nodes ``(itemsets, size, projection, node, expand)``, where ``node``
+        is ``(utility, miu, pmiu, seu, peu, swu)``.  An expanded child
+        carries its own projection, built when it was decided; a root's is
+        built when the root is popped, and a node that is not expanded has
+        none.  Children are pushed in reverse so they are visited in sorted
+        order, I-children first.
 
         Pre-order meets the patterns of one size in ``pattern_sort_key``
         order, so the results, kept in one list per size and joined
@@ -316,7 +318,7 @@ class _Engine:
         by_size: list[list[Husp]] = []
         observer, arrays = self.observer, self.arrays
         while stack:
-            itemsets, size, proj, kind, item, node, expand = stack.pop()
+            itemsets, size, proj, node, expand = stack.pop()
             utility, miu = node[0], node[1]
             if utility >= miu:
                 while len(by_size) < size:
@@ -327,16 +329,10 @@ class _Engine:
                 bounds = Bounds(swu_, seu, peu, pmiu_, miu, utility)
                 observer.on_node(Pattern(itemsets), bounds, expand)
             if expand:
-                if kind is not None:
-                    proj = project(proj, arrays, item, kind)
-                elif proj is None:
+                if proj is None:
+                    item = itemsets[0][0]
                     proj = initial_projection(arrays, item, self.item_seqs[item])
-                entries = proj.entries
-                if len(entries) == 1 and len(entries[0].pivots) == 1:
-                    children = self._span_pivot(itemsets, size, entries[0], node)
-                else:
-                    children = self._span(itemsets, size, proj, node)
-                stack.extend(reversed(children))
+                stack.extend(reversed(self._span(itemsets, size, proj, node)))
         return [husp for bucket in by_size for husp in bucket]
 
     def _scan_candidates(self, proj: Projection) -> None:
@@ -379,117 +375,72 @@ class _Engine:
             acc_i.end_sequence(seq.useq)
             acc_s.end_sequence(seq.useq)
 
-    def _span(self, itemsets: tuple, size: int, proj: Projection, node: tuple) -> list:
-        """Evaluate every child of an expanded node and return, in visiting
-        order, the stack entries of the ones that matter.
+    def _child_rows(self, proj: Projection) -> tuple[list, list, int]:
+        """The I- and S-child rows of the node whose projection is ``proj``,
+        each sorted by item, and the offset ``b`` to add to every row.
 
-        A single scan of the prefix's projection yields each child's bounds,
-        which decide whether the child is a result and whether it is
-        expanded; a child's own projection is built only when it is expanded.
-        Every child is counted as a candidate, but a child that is neither a
-        result nor expanded is only pushed for an observer.  All decisions
-        are taken here, because the next scan reuses the accumulators.
+        A row is ``(item, utility, peu, seu, swu, pool, ext)``.  A projection
+        that is one pivot of one sequence takes the rows cached for that
+        ``(sequence, pivot)``, worth zero, and ``b`` is the pivot's best
+        utility; any other projection is scanned, and ``b`` is zero.
         """
-        _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
+        entries = proj.entries
+        if len(entries) == 1 and len(entries[0].pivots) == 1:
+            entry = entries[0]
+            key = (entry.seq_index, entry.pivots[0])
+            i_rows, s_rows = self.pivot_rows.get(key) or self._pivot_rows(*key)
+            return i_rows, s_rows, entry.best[0]
+        return *self._scan_rows(proj), 0
+
+    def _scan_rows(self, proj: Projection) -> tuple[list, list]:
+        """The child rows of one candidate scan of ``proj``.  Their ``ext``
+        is None: an expanded child is projected from ``proj``."""
         self._scan_candidates(proj)
-        acc_i, acc_s = self.acc_i, self.acc_s
-        last = itemsets[-1][-1]
-        i_items = [i for i in sorted(acc_i.touched) if i > last]
-        s_items = sorted(acc_s.touched)
-        if self.config.variant == USPT:
-            global_peu = self.global_item_peu
-            peu_i, peu_s = acc_i.peu, acc_s.peu
-            kept_i = [
-                i for i in i_items
-                if not (global_peu[i] < prefix_pmiu and peu_i[i] < prefix_pmiu)
-            ]
-            kept_s = [
-                i for i in s_items
-                if not (global_peu[i] < prefix_pmiu and peu_s[i] < prefix_pmiu)
-            ]
-        else:
-            kept_i, kept_s = i_items, s_items
-        observer = self.observer
-        if observer:
-            observer.on_candidates(
-                Pattern(itemsets),
-                {i: acc_i.peu[i] for i in i_items},
-                {i: acc_s.peu[i] for i in s_items},
-                {i: acc_i.peu[i] for i in kept_i},
-                {i: acc_s.peu[i] for i in kept_s},
-            )
-        size += 1
-        self.stats.count_node(size, len(kept_i) + len(kept_s))
-        deeper = self._depth_ok(size + 1)
-        peu_gate = self.config.node_bound == BOUND_PEU
-        mu = self.mtable.mu
-        visits = []
-        # an I-child extends the last itemset, an S-child opens a new one
-        for kind, kept, acc, head, stem in (
-            (I_STEP, kept_i, acc_i, itemsets[:-1], itemsets[-1]),
-            (S_STEP, kept_s, acc_s, itemsets, ()),
-        ):
-            utility_, peu_, seu_, pool_ = acc.utility, acc.peu, acc.seu, acc.pool
-            for item in kept:
-                utility = utility_[item]
-                m = mu[item]
-                child_min_mu = m if m < prefix_min_mu else prefix_min_mu
-                seu = seu_[item]
-                seu_star = prefix_seu if prefix_seu < seu else seu
-                pool = pool_[item]
-                child_pmiu = pool if pool < child_min_mu else child_min_mu
-                expand = deeper and (peu_[item] if peu_gate else seu_star) >= child_pmiu
-                if expand or observer or utility >= child_min_mu:
-                    child = (utility, child_min_mu, child_pmiu, seu_star,
-                             peu_[item], acc.swu[item])
-                    visits.append((head + (stem + (item,),), size, proj, kind,
-                                   item, child, expand))
-        return visits
+        return _acc_rows(self.acc_i), _acc_rows(self.acc_s)
 
-    def _pivot_rows(self, si: int, p: int) -> tuple[list, list, int]:
-        """The I- and S-child rows of pivot ``p`` of sequence ``si`` taken
-        alone and worth zero, each sorted by item, and the sequence utility.
-        One candidate scan fills them the first time ``(si, p)`` is met.
+    def _pivot_rows(self, si: int, p: int) -> tuple[list, list]:
+        """The child rows of pivot ``p`` of sequence ``si`` taken alone and
+        worth zero, kept for the rest of the run.  One candidate scan fills
+        them the first time ``(si, p)`` is met; every row's SWU is the
+        sequence utility.
 
-        A row is ``(item, utility, peu, seu, pool, pivots, utilities)``: the
-        child's bounds from the scan, with the SEU capped at the sequence
-        utility, and its positions that extend ``p`` with the item's utility
-        at each.  An I-child has one such position, in ``p``'s element; an
+        A cached row's ``ext`` is ``(si, pivots, utilities)``: the child's
+        positions that extend ``p``, with the item's utility at each.  An
+        I-child has one such position, after ``p`` in its element; an
         S-child has every occurrence in a later element.
         """
-        self._scan_candidates(Projection([ProjEntry(si, [p], [0])]))
+        i_rows, s_rows = self._scan_rows(Projection([ProjEntry(si, [p], [0])]))
         seq = self.arrays[si]
         u_, positions_of = seq.u, seq.positions_of
         e = seq.eid[p]
         later = seq.elem_first[e] if e < len(seq.elem_first) else seq.n
 
-        def row(acc, item, pivots):
-            return (item, acc.utility[item], acc.peu[item], acc.seu[item],
-                    acc.pool[item], pivots, [u_[q] for q in pivots])
+        def cached(row, pivots):
+            return row[:6] + ((si, pivots, [u_[q] for q in pivots]),)
 
-        acc_i, acc_s = self.acc_i, self.acc_s
         rows = self.pivot_rows[(si, p)] = (
-            [row(acc_i, i, [positions_of[i][bisect_right(positions_of[i], p)]])
-             for i in sorted(acc_i.touched)],
-            [row(acc_s, i, positions_of[i][bisect_left(positions_of[i], later):])
-             for i in sorted(acc_s.touched)],
-            seq.useq,
+            [cached(r, [positions_of[r[0]][bisect_right(positions_of[r[0]], p)]])
+             for r in i_rows],
+            [cached(r, positions_of[r[0]][bisect_left(positions_of[r[0]], later):])
+             for r in s_rows],
         )
         return rows
 
-    def _span_pivot(self, itemsets: tuple, size: int, entry: ProjEntry, node: tuple) -> list:
-        """:meth:`_span` of a node whose projection is the one pivot of
-        ``entry``, decided from the cached rows of that pivot.
+    def _span(self, itemsets: tuple, size: int, proj: Projection, node: tuple) -> list:
+        """Decide every child of an expanded node from its child rows and
+        return, in visiting order, the stack entries of the ones that matter.
 
-        Every child's utility and PEU are the pivot's best utility ``b`` plus
-        the row's, its SEU is ``b`` plus the row's capped at the sequence
-        utility, and its SWU is the sequence utility: the values the scan of
-        the node's own projection would give.  An I-row's item always
-        follows the last item, which is the item at the pivot, in its
-        element.
+        A child's utility and PEU are its row's plus the offset ``b``, and
+        its SEU is the row's plus ``b`` capped at the child's SWU; this is
+        exact for both row sources, as a scanned SEU never exceeds its SWU.
+        These decide whether the child is a result and whether it is
+        expanded.  An expanded child's projection is built here: by
+        ``project`` from ``proj`` for a scanned row, by ``pivot_projection``
+        from a cached row's ``ext``.  Every child is counted as a candidate,
+        but a child that is neither a result nor expanded is only pushed for
+        an observer.
         """
-        si, p, b = entry.seq_index, entry.pivots[0], entry.best[0]
-        i_rows, s_rows, useq = self.pivot_rows.get((si, p)) or self._pivot_rows(si, p)
+        i_rows, s_rows, b = self._child_rows(proj)
         _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
         if self.config.variant == USPT:
             global_peu = self.global_item_peu
@@ -513,30 +464,41 @@ class _Engine:
         self.stats.count_node(size, len(kept_i) + len(kept_s))
         deeper = self._depth_ok(size + 1)
         peu_gate = self.config.node_bound == BOUND_PEU
-        mu = self.mtable.mu
+        mu, arrays = self.mtable.mu, self.arrays
         visits = []
-        for kept, head, stem in (
-            (kept_i, itemsets[:-1], itemsets[-1]),
-            (kept_s, itemsets, ()),
+        # an I-child extends the last itemset, an S-child opens a new one
+        for kind, kept, head, stem in (
+            (I_STEP, kept_i, itemsets[:-1], itemsets[-1]),
+            (S_STEP, kept_s, itemsets, ()),
         ):
-            for item, utility, peu, seu, pool, pivots, utilities in kept:
+            for item, utility, peu, seu, swu, pool, ext in kept:
                 utility += b
                 peu += b
+                seu += b
+                if seu > swu:
+                    seu = swu
                 m = mu[item]
                 child_min_mu = m if m < prefix_min_mu else prefix_min_mu
-                seu += b
-                if seu > useq:
-                    seu = useq
                 seu_star = prefix_seu if prefix_seu < seu else seu
                 child_pmiu = pool if pool < child_min_mu else child_min_mu
                 expand = deeper and (peu if peu_gate else seu_star) >= child_pmiu
                 if expand or observer or utility >= child_min_mu:
-                    child = (utility, child_min_mu, child_pmiu, seu_star, peu, useq)
-                    child_proj = (pivot_projection(si, pivots, utilities, b)
-                                  if expand else None)
-                    visits.append((head + (stem + (item,),), size, child_proj, None,
-                                   item, child, expand))
+                    child_proj = None
+                    if expand:
+                        child_proj = (project(proj, arrays, item, kind) if ext is None
+                                      else pivot_projection(*ext, b))
+                    child = (utility, child_min_mu, child_pmiu, seu_star, peu, swu)
+                    visits.append((head + (stem + (item,),), size, child_proj, child,
+                                   expand))
         return visits
+
+
+def _acc_rows(acc: _ItemAccumulator) -> list:
+    """``(item, utility, peu, seu, swu, pool, None)`` for every item the
+    accumulator's last scan touched, sorted by item."""
+    utility, peu, seu, swu, pool = acc.utility, acc.peu, acc.seu, acc.swu, acc.pool
+    return [(i, utility[i], peu[i], seu[i], swu[i], pool[i], None)
+            for i in sorted(acc.touched)]
 
 
 def _validate(db, utable, mtable, config) -> None:
@@ -568,8 +530,14 @@ def mine(
     """
     _validate(db, utable, mtable, config)
     tracing = config.collect_stats
-    if tracing:
+    # a trace the caller started is left running, and what it traced before
+    # this call is kept out of the peak
+    own_trace = tracing and not tracemalloc.is_tracing()
+    if own_trace:
         tracemalloc.start()
+    if tracing:
+        tracemalloc.reset_peak()
+        traced_before = tracemalloc.get_traced_memory()[0]
     started = time.perf_counter()
     try:
         engine = _Engine(db, utable, mtable, config, observer)
@@ -577,8 +545,9 @@ def mine(
         stats = engine.stats
         stats.wall_time = time.perf_counter() - started
         if tracing:
-            stats.peak_memory_estimate = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
+            stats.peak_memory_estimate = peak - traced_before
         return husps, stats
     finally:
-        if tracing:
+        if own_trace:
             tracemalloc.stop()

@@ -1,20 +1,18 @@
 """Utility-array representation and pattern projections.
 
-Each sequence is flattened into parallel per-position arrays holding, for
-every item occurrence: the 1-based element id, the item, its exact utility,
-and the remaining utility of everything strictly after the position.  Two
-navigation fields (next occurrence of the same item, first position of the
-next element) complete the record layout.  The arrays let the search compute
-pattern utilities and extension bounds without rescanning the database.
+Each sequence is flattened into parallel arrays, indexed by 0-based flat
+position, holding for every item occurrence: the 1-based element id, the
+item, its exact utility, and the remaining utility of everything strictly
+after the position.  Two navigation fields complete them: ``positions_of``
+lists every item's positions in order, and ``elem_first`` holds the first
+position of every element.  The arrays let the search compute pattern
+utilities and extension bounds without rescanning the database.
 
 A pattern's projection stores, per containing sequence, the pivot positions
 (the flat position of the pattern's last item across matches) together with
 the best achievable match utility ending at each pivot.  Projections share
 the parent arrays read-only; child projections are derived from parent
 projections, never from the raw database.
-
-The public record view is 1-based to match how positions are written out;
-the engine-internal arrays index from 0.
 """
 
 from __future__ import annotations
@@ -33,34 +31,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class UARecord:
-    """One utility-array row: [eid, item, u, ru, next_pos, next_eid]."""
-
-    eid: int
-    item: Item
-    u: Money
-    ru: Money
-    next_pos: Optional[int]
-    next_eid: Optional[int]
-
-
-@dataclass(frozen=True)
-class UtilityArray:
-    """Frozen per-sequence record view plus the first-occurrence index."""
-
-    sid: str
-    records: tuple[UARecord, ...]
-    first_occurrence: dict
-
-    def record(self, position: int) -> UARecord:
-        """Record at 1-based flat position."""
-        return self.records[position - 1]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 class SequenceArrays:
     """Engine-internal flattened arrays for one sequence.
 
@@ -70,9 +40,6 @@ class SequenceArrays:
     were ever removed.  ``suffix_min_mu[p]`` is the least threshold among
     the items at position ``p`` and after; it is infinite throughout when no
     M-table is given.
-
-    Flat positions here are 0-based; the public ``UtilityArray`` view and all
-    rendered output convert to 1-based.
     """
 
     __slots__ = (
@@ -157,44 +124,8 @@ class SequenceArrays:
         self._derive(item, eid, u, mtable)
         return True
 
-    def to_utility_array(self) -> UtilityArray:
-        """Frozen 1-based record view of the array as built."""
-        records = []
-        next_of_item: dict[int, Optional[int]] = {}
-        next_eid_first: list[Optional[int]] = [None] * (len(self.elem_first) + 2)
-        for e, first in enumerate(self.elem_first, start=1):
-            next_eid_first[e] = first + 1
-        for p in range(self.n - 1, -1, -1):
-            it = self.item[p]
-            e = self.eid[p]
-            nxt = next_of_item.get(it)
-            next_eid = next_eid_first[e + 1] if e + 1 <= len(self.elem_first) else None
-            records.append(
-                UARecord(
-                    eid=e,
-                    item=it,
-                    u=self.u[p],
-                    ru=self.ru[p],
-                    next_pos=nxt,
-                    next_eid=next_eid,
-                )
-            )
-            next_of_item[it] = p + 1
-        records.reverse()
-        first_occurrence = {}
-        for it, ps in sorted(self.positions_of.items()):
-            first_occurrence[it] = ps[0] + 1
-        return UtilityArray(
-            sid=self.sid, records=tuple(records), first_occurrence=first_occurrence
-        )
-
 
 _INF = float("inf")
-
-
-def build_utility_array(qseq: QSequence, utable: UtilityTable) -> UtilityArray:
-    """Build the flat record array for one sequence."""
-    return SequenceArrays(qseq, utable).to_utility_array()
 
 
 def build_database_arrays(

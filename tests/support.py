@@ -101,6 +101,23 @@ def mixed_instances(n):
     return [inst for inst in out if inst[0].sequences]
 
 
+def paper_records(seq):
+    """The paper's utility-array records ``(eid, item, u, ru, next_pos,
+    next_eid)`` of the ``SequenceArrays`` ``seq``, one per flat position,
+    with positions 1-based: ``next_pos`` is the item's next entry in
+    ``positions_of`` and ``next_eid`` the first position of the next element,
+    from ``elem_first``."""
+    records = []
+    for p in range(seq.n):
+        item, e = seq.item[p], seq.eid[p]
+        at = seq.positions_of[item]
+        k = at.index(p) + 1
+        next_pos = at[k] + 1 if k < len(at) else None
+        next_eid = seq.elem_first[e] + 1 if e < len(seq.elem_first) else None
+        records.append((e, item, seq.u[p], seq.ru[p], next_pos, next_eid))
+    return records
+
+
 def max_sequence_length(db):
     return max(s.length for s in db.sequences)
 

@@ -19,7 +19,6 @@ from huspmine import (
     bind_unit_utilities,
     brute_force_bounds,
     brute_force_mine,
-    build_utility_array,
     generate_mtable,
     generate_synthetic,
     mine,
@@ -32,12 +31,14 @@ from huspmine import (
 from huspmine.formats import GenParams
 from huspmine.miner import USPT, USPT1, USPT2
 from huspmine.oracle import enumerate_occurring
+from huspmine.uarray import SequenceArrays
 
 from support import (
     engine_bounds,
     low_threshold_instance,
     max_sequence_length,
     mixed_instances,
+    paper_records,
 )
 
 
@@ -153,7 +154,7 @@ def test_c02_one_sequence_statistics(traced_run, example_db):
 
 
 def test_c03_utility_array_golden(example_db, example_utable, ids):
-    ua = build_utility_array(example_db.sequences[2], example_utable)
+    seq = SequenceArrays(example_db.sequences[2], example_utable)
     a, b, c, d, e = (ids[x] for x in "abcde")
     expected = [
         (1, a, 12, 82, 3, 3),  # ru forced to 82 by the suffix-sum identity
@@ -166,10 +167,7 @@ def test_c03_utility_array_golden(example_db, example_utable, ids):
         (3, e, 8, 3, None, 9),
         (4, d, 3, 0, None, None),
     ]
-    got = [
-        (r.eid, r.item, r.u, r.ru, r.next_pos, r.next_eid) for r in ua.records
-    ]
-    assert got == expected
+    assert paper_records(seq) == expected
     ok(3, "nine records field-by-field, ru(1)=82 per the suffix-sum identity")
 
 

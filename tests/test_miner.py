@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
@@ -393,3 +394,55 @@ def test_observer_stream_is_pinned(example_db, example_utable, example_mtable):
     assert digest.hexdigest() == (
         "038bd894ec2d304a5d641ad681ca609878ca12bc54c072e345e6c8da2fca9db5"
     )
+
+
+def test_collect_stats_leaves_the_callers_trace_running(example_db, example_utable,
+                                                       example_mtable):
+    """A caller's own tracemalloc trace keeps running through ``mine``, and
+    what the caller allocated before is not reported as mining's peak."""
+    config = MiningConfig(collect_stats=True)
+    _, fresh = mine(example_db, example_utable, example_mtable, config)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        junk = bytearray(5_000_000)
+        del junk
+        _, nested = mine(example_db, example_utable, example_mtable, config)
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert 0 < nested.peak_memory_estimate < 1_000_000
+    assert 0 < fresh.peak_memory_estimate < 1_000_000
+
+
+def test_scanned_and_cached_rows_agree(monkeypatch):
+    """Every node's children decided from a scan of its projection match the
+    children decided from the rows cached for a single pivot: the same
+    results, candidate counts and observer stream."""
+    def run(db, utable, mtable, config):
+        obs = _Recorder(hashlib.sha256())
+        husps, stats = mine(db, utable, mtable, config, observer=obs)
+        return husps, stats.candidates_visited, obs.events, obs.digest.hexdigest()
+
+    built = []
+    real_pivot_projection = miner_module.pivot_projection
+
+    def counting_pivot_projection(*args):
+        built.append(args[0])
+        return real_pivot_projection(*args)
+
+    monkeypatch.setattr(miner_module, "pivot_projection", counting_pivot_projection)
+    configs = [MiningConfig(variant=v, node_bound=nb)
+               for v in (USPT1, USPT2, USPT) for nb in (BOUND_PEU, BOUND_SEU)]
+    instances = mixed_instances(30)
+    cached = [run(*inst, config) for inst in instances for config in configs]
+    assert built
+
+    def scanned_rows(self, proj):
+        return *self._scan_rows(proj), 0
+
+    built.clear()
+    monkeypatch.setattr(miner_module._Engine, "_child_rows", scanned_rows)
+    scanned = [run(*inst, config) for inst in instances for config in configs]
+    assert not built
+    assert scanned == cached

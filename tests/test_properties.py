@@ -17,7 +17,6 @@ from huspmine import (
     SymbolTable,
     UtilityTable,
     build_database_arrays,
-    build_utility_array,
     find_matches,
     generate_mtable,
     initial_projection,
@@ -93,12 +92,11 @@ def test_match_enumeration_agrees_with_max_recursion(qseq, pattern):
 @given(qsequences())
 @settings(max_examples=200, deadline=None)
 def test_array_suffix_sums_and_reconstruction(qseq):
-    ua = build_utility_array(qseq, UNIT)
-    n = len(ua)
-    assert ua.record(n).ru == 0
-    for p in range(1, n):
-        assert ua.record(p).ru == ua.record(p + 1).ru + ua.record(p + 1).u
-    assert sum(r.u for r in ua.records) == qsequence_utility(qseq, UNIT)
+    seq = SequenceArrays(qseq, UNIT)
+    assert seq.ru[seq.n - 1] == 0
+    for p in range(seq.n - 1):
+        assert seq.ru[p] == seq.ru[p + 1] + seq.u[p + 1]
+    assert sum(seq.u) == qsequence_utility(qseq, UNIT)
 
 
 @given(st.lists(qsequences(), max_size=6))

@@ -8,15 +8,14 @@ from huspmine import (
     Pattern,
     QSDatabase,
     build_database_arrays,
-    build_utility_array,
     initial_projection,
     pattern_utility,
     project,
     qsequence_utility,
 )
-from huspmine.uarray import I_STEP, S_STEP, Projection
+from huspmine.uarray import I_STEP, S_STEP, Projection, SequenceArrays
 
-from support import engine_bounds
+from support import engine_bounds, paper_records
 
 
 @pytest.fixture()
@@ -54,7 +53,7 @@ def test_third_sequence_records_match_reference(example_db, example_utable, ids)
     Position 1 carries ru = 82: the suffix-sum identity with u(s) = 94 and
     u(position 1) = 12 admits no other value.
     """
-    ua = build_utility_array(example_db.sequences[2], example_utable)
+    seq = SequenceArrays(example_db.sequences[2], example_utable)
     a, b, c, d, e = (ids[x] for x in "abcde")
     expected = [
         (1, a, 12, 82, 3, 3),
@@ -67,31 +66,29 @@ def test_third_sequence_records_match_reference(example_db, example_utable, ids)
         (3, e, 8, 3, None, 9),
         (4, d, 3, 0, None, None),
     ]
-    assert len(ua) == 9
-    for pos, want in enumerate(expected, start=1):
-        r = ua.record(pos)
-        assert (r.eid, r.item, r.u, r.ru, r.next_pos, r.next_eid) == want
-    assert ua.first_occurrence == {a: 1, b: 2, c: 5, d: 9, e: 8}
+    assert seq.n == 9
+    assert paper_records(seq) == expected
+    first_occurrence = {i: at[0] + 1 for i, at in seq.positions_of.items()}
+    assert first_occurrence == {a: 1, b: 2, c: 5, d: 9, e: 8}
 
 
 def test_suffix_sum_identity_and_reconstruction(example_db, example_utable):
     for qseq in example_db.sequences:
-        ua = build_utility_array(qseq, example_utable)
-        n = len(ua)
-        assert ua.record(n).ru == 0
-        for p in range(1, n):
-            assert ua.record(p).ru == ua.record(p + 1).ru + ua.record(p + 1).u
-        assert sum(r.u for r in ua.records) == qsequence_utility(qseq, example_utable)
+        seq = SequenceArrays(qseq, example_utable)
+        assert seq.ru[seq.n - 1] == 0
+        for p in range(seq.n - 1):
+            assert seq.ru[p] == seq.ru[p + 1] + seq.u[p + 1]
+        assert sum(seq.u) == qsequence_utility(qseq, example_utable)
 
 
 def test_next_pointers(example_db, example_utable, ids):
-    ua = build_utility_array(example_db.sequences[2], example_utable)
-    for p, r in enumerate(ua.records, start=1):
-        if r.next_pos is not None:
-            assert r.next_pos > p
-            assert ua.record(r.next_pos).item == r.item
-        if r.next_eid is not None:
-            assert ua.record(r.next_eid).eid == r.eid + 1
+    records = paper_records(SequenceArrays(example_db.sequences[2], example_utable))
+    for p, (eid, item, _, _, next_pos, next_eid) in enumerate(records, start=1):
+        if next_pos is not None:
+            assert next_pos > p
+            assert records[next_pos - 1][1] == item
+        if next_eid is not None:
+            assert records[next_eid - 1][0] == eid + 1
 
 
 def test_project_i_step_pivots(arrays, ids):
