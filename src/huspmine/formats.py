@@ -1,4 +1,4 @@
-"""File formats, threshold generation, and the synthetic data generator.
+r"""File formats, threshold generation, and the synthetic data generator.
 
 Dataset grammar, one q-sequence per line::
 
@@ -10,9 +10,16 @@ Dataset grammar, one q-sequence per line::
                                   utilities are supplied to the parser
 
 ITEM is a non-negative integer or a bare identifier, QTY a positive integer.
+Tokens are separated by one or more spaces; any other character, a tab
+included, belongs to a token.  A line of whitespace only is skipped.
 Utility-table and threshold-table files hold one ``ITEM VALUE`` pair per
-line with ``#`` starting a comment.  All emitters write UTF-8 with LF;
-parsers accept CRLF too.
+line with ``#`` starting a comment.
+
+Lines end at ``\n`` only, and a ``\r`` just before it is dropped, so CRLF
+files read as LF files.  Other Unicode line boundaries (``\x0b``, ``\x0c``,
+``\x1c``-``\x1e``, ``\x85``, ``\u2028``, ``\u2029``, a lone ``\r``) are
+ordinary characters: they neither end a line nor shift the line numbers
+that errors report.  All emitters write UTF-8 with LF.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -71,20 +79,15 @@ def _read_text(source: Source) -> str:
     return source.read()
 
 
-def _tokens_with_columns(line: str):
-    out = []
-    col = 0
-    length = len(line)
-    while col < length:
-        if line[col] == " ":
-            col += 1
-            continue
-        end = line.find(" ", col)
-        if end == -1:
-            end = length
-        out.append((line[col:end], col + 1))
-        col = end
-    return out
+def _lines(text: str) -> list:
+    """The lines of ``text``: split at ``\\n`` only, one trailing ``\\r``
+    dropped from each."""
+    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+
+
+def _column(line: str, index: int) -> int:
+    """1-based column of the ``index``-th space-separated token of ``line``."""
+    return [m.start() for m in re.finditer("[^ ]+", line)][index] + 1
 
 
 def parse_dataset(
@@ -93,84 +96,85 @@ def parse_dataset(
     """Parse a dataset file into a database with interned items.
 
     When ``unit_utilities`` (name -> unit utility) is given, any SUtility
-    trailer is verified against the recomputed sequence utility.
+    trailer is verified against the recomputed sequence utility, once every
+    line has parsed.
     """
-    text = _read_text(source)
-    raw_sequences = []  # list of (lineno, [elements], declared_sutility)
-    names = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
+    match_item = _ITEM_TOKEN.match
+    raw_sequences = []  # (lineno, elements, declared); an element maps name -> qty
+    names_seen: set = set()
+    for lineno, line in enumerate(_lines(_read_text(source)), start=1):
+        if not line or line.isspace():
             continue
-        tokens = _tokens_with_columns(line)
-        elements: list[list[tuple[str, int]]] = []
-        current: list[tuple[str, int]] = []
-        seen_in_current: set = set()
-        ended = False
-        pending_separator = False
-        declared: Optional[tuple[int, int]] = None  # (value, col)
-        for tok, col in tokens:
-            if ended:
-                m = _SUTILITY.match(tok)
-                if m is None or declared is not None:
-                    raise ParseError(f"unexpected token {tok!r} after -2", lineno, col)
-                declared = (int(m.group(1)), col)
-                continue
+        tokens = [t for t in line.split(" ") if t]
+        elements = []
+        element: dict = {}
+        for k, tok in enumerate(tokens):
             if tok == "-1":
-                if not current:
-                    raise ParseError("empty element before -1", lineno, col)
-                elements.append(current)
-                current, seen_in_current = [], set()
-                pending_separator = True
-                continue
-            if tok == "-2":
-                if pending_separator and not current:
-                    raise ParseError("empty element before -2", lineno, col)
-                if current:
-                    elements.append(current)
-                if not elements:
-                    raise ParseError("empty sequence", lineno, col)
-                ended = True
-                continue
-            pending_separator = False
-            m = _ITEM_TOKEN.match(tok)
-            if m is None:
-                raise ParseError(f"bad token {tok!r}", lineno, col)
-            name, qty = m.group(1), int(m.group(2))
-            if qty < 1:
-                raise ParseError(f"quantity must be >= 1 in {tok!r}", lineno, col)
-            if name in seen_in_current:
-                raise ParseError(f"duplicate item {name!r} in element", lineno, col)
-            seen_in_current.add(name)
-            current.append((name, qty))
-            names.add(name)
-        if not ended:
+                if not element:
+                    raise ParseError("empty element before -1", lineno, _column(line, k))
+                elements.append(element)
+                names_seen.update(element)
+                element = {}
+            elif tok == "-2":
+                if not element:
+                    message = "empty element before -2" if elements else "empty sequence"
+                    raise ParseError(message, lineno, _column(line, k))
+                elements.append(element)
+                names_seen.update(element)
+                break
+            else:
+                m = match_item(tok)
+                if m is None:
+                    raise ParseError(f"bad token {tok!r}", lineno, _column(line, k))
+                name, qty = m.groups()
+                qty = int(qty)
+                if qty < 1:
+                    raise ParseError(f"quantity must be >= 1 in {tok!r}", lineno,
+                                     _column(line, k))
+                if name in element:
+                    raise ParseError(f"duplicate item {name!r} in element", lineno,
+                                     _column(line, k))
+                element[name] = qty
+        else:
             raise ParseError("sequence not terminated by -2", lineno, 1)
+        declared = None  # (value, line, token index)
+        for j in range(k + 1, len(tokens)):
+            m = _SUTILITY.match(tokens[j])
+            if m is None or declared is not None:
+                raise ParseError(f"unexpected token {tokens[j]!r} after -2", lineno,
+                                 _column(line, j))
+            declared = (int(m.group(1)), line, j)
         raw_sequences.append((lineno, elements, declared))
 
-    symbols = SymbolTable.from_names(names)
+    symbols = SymbolTable.from_names(names_seen)
+    ids = symbols._ids
     sequences = []
     for ordinal, (lineno, elements, declared) in enumerate(raw_sequences, start=1):
-        qitemsets = tuple(
-            QItemset.from_pairs((symbols.id_of(n), q) for n, q in element)
-            for element in elements
-        )
-        qseq = QSequence(sid=str(ordinal), elements=qitemsets)
+        qitemsets = []
+        for element in elements:
+            if len(element) == 1:
+                [(name, qty)] = element.items()
+                qitemsets.append(QItemset((ids[name],), (qty,)))
+            else:
+                pairs = sorted(zip(map(ids.__getitem__, element), element.values()))
+                qitemsets.append(QItemset(*zip(*pairs)))
         if declared is not None and unit_utilities is not None:
-            value, col = declared
+            value, line, k = declared
+            unit_of = unit_utilities.__getitem__
+            actual = 0
             try:
-                actual = sum(
-                    q * unit_utilities[n] for element in elements for n, q in element
-                )
+                for element in elements:
+                    actual += sum(map(mul, element.values(), map(unit_of, element)))
             except KeyError as exc:
                 raise ConfigError(
                     f"utility table is missing items: {exc.args[0]}"
                 ) from None
             if actual != value:
                 raise SUtilityMismatch(
-                    f"declared SUtility {value} but recomputed {actual}", lineno, col
+                    f"declared SUtility {value} but recomputed {actual}", lineno,
+                    _column(line, k),
                 )
-        sequences.append(qseq)
+        sequences.append(QSequence(str(ordinal), tuple(qitemsets)))
     return QSDatabase(sequences=tuple(sequences), symbols=symbols)
 
 
@@ -199,7 +203,7 @@ def serialize_dataset(db: QSDatabase, utable: Optional[UtilityTable] = None) -> 
 def parse_item_values(source: Source) -> dict:
     """Parse ``ITEM VALUE`` lines into a name -> value dict."""
     out: dict = {}
-    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
+    for lineno, line in enumerate(_lines(_read_text(source)), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -283,10 +287,19 @@ def generate_mtable(
         raise ValueError("beta must be >= 0")
     if not 0 <= lmu_fraction <= 1:
         raise ValueError("lmu_fraction must be within [0, 1]")
-    totals = [0] * len(db.symbols)
+    # an item's total utility is its unit utility times its total quantity
+    quantities = [0] * len(db.symbols)
     for qseq in db.sequences:
-        for _, item, qty in qseq.flat():
-            totals[item] += qty * utable.of(item)
+        for element in qseq.elements:
+            for item, qty in zip(element.items, element.quantities):
+                quantities[item] += qty
+    unit = utable.unit
+    if len(unit) < len(quantities):
+        for qseq in db.sequences:
+            for _, item, _ in qseq.flat():
+                utable.of(item)  # raises for the first occurrence not covered
+        unit += (0,) * (len(quantities) - len(unit))  # items that never occur
+    totals = [q * u for q, u in zip(quantities, unit)]
     lmu = round_half_up(lmu_fraction * sum(totals))
     return MTable(tuple(max(round_half_up(beta * t), lmu) for t in totals))
 
@@ -425,8 +438,8 @@ def parse_results(source: Source, symbols: Optional[SymbolTable] = None):
         for entry in payload["husps"]:
             rows.append((entry["pattern"], int(entry["utility"]), int(entry["miu"])))
     else:
-        lines = text.splitlines()
-        if not lines or lines[0] != RESULT_HEADER:
+        lines = _lines(text)
+        if lines[0] != RESULT_HEADER:
             raise ValueError("missing result header")
         for line in lines[1:]:
             if not line.strip():

@@ -32,19 +32,19 @@ is not limited by the interpreter's recursion depth.
 
 One loop decides the children of every expanded node, from child rows
 ``(item, utility, peu, seu, swu, pool, ext)``, one list per concatenation
-kind sorted by item, and an offset ``b``: a child's utility and PEU are its
-row's plus ``b``, and its SEU is its row's plus ``b`` capped at its SWU.  The
-rows have two sources, chosen by the shape of the node's projection.  Most
-expanded nodes of a dense run have a projection that is one pivot ``p`` of
-one sequence ``s``, worth its best utility ``b``; their children are fixed
-by ``(s, p)`` up to that offset, so their rows are cached per ``(s, p)``,
-filled by one candidate scan of ``p`` worth zero the first time ``(s, p)``
-is met and kept for the rest of the run.  Every other node's rows come from
-a candidate scan of its own projection, with ``b`` zero.  An expanded
-child's projection is built when the child is decided: by ``project`` from
-the node's projection for a scanned row, by ``pivot_projection`` from the
-positions a cached row keeps in ``ext``.  Both sources give the same
-children with the same bounds.
+kind sorted by item, and an offset ``b``: a child's utility, PEU and SEU are
+its row's plus ``b``, and its node SEU is the smaller of that and its
+prefix's SEU.  The rows have two sources, chosen by the shape of the node's
+projection.  Most expanded nodes of a dense run have a projection that is
+one pivot ``p`` of one sequence ``s``, worth its best utility ``b``; their
+children are fixed by ``(s, p)`` up to that offset, so their rows are cached
+per ``(s, p)``, filled by one candidate scan of ``p`` worth zero the first
+time ``(s, p)`` is met and kept for the rest of the run.  Every other node's
+rows come from a candidate scan of its own projection, with ``b`` zero.  An
+expanded child's projection is built when the child is decided: by
+``project`` from the node's projection for a scanned row, by
+``pivot_projection`` from the positions a cached row keeps in ``ext``.  Both
+sources give the same children with the same bounds.
 
 A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
 its size as an int, and its bounds as a tuple of ints.  The validated
@@ -430,10 +430,9 @@ class _Engine:
         """Decide every child of an expanded node from its child rows and
         return, in visiting order, the stack entries of the ones that matter.
 
-        A child's utility and PEU are its row's plus the offset ``b``, and
-        its SEU is the row's plus ``b`` capped at the child's SWU; this is
-        exact for both row sources, as a scanned SEU never exceeds its SWU.
-        These decide whether the child is a result and whether it is
+        A child's utility, PEU and SEU are its row's plus the offset ``b``,
+        and its node SEU is the smaller of that SEU and its prefix's.  These
+        decide whether the child is a result and whether it is
         expanded.  An expanded child's projection is built here: by
         ``project`` from ``proj`` for a scanned row, by ``pivot_projection``
         from a cached row's ``ext``.  Every child is counted as a candidate,
@@ -475,8 +474,6 @@ class _Engine:
                 utility += b
                 peu += b
                 seu += b
-                if seu > swu:
-                    seu = swu
                 m = mu[item]
                 child_min_mu = m if m < prefix_min_mu else prefix_min_mu
                 seu_star = prefix_seu if prefix_seu < seu else seu

@@ -116,13 +116,14 @@ class QItemset:
     quantities: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.items:
+        items, quantities = self.items, self.quantities
+        if not items:
             raise ModelError("empty q-itemset")
-        if len(self.items) != len(self.quantities):
+        if len(items) != len(quantities):
             raise ModelError("items/quantities length mismatch")
-        if any(q < 1 for q in self.quantities):
+        if min(quantities) < 1:
             raise ModelError("quantities must be >= 1")
-        if any(a >= b for a, b in zip(self.items, self.items[1:])):
+        if len(items) > 1 and not all(map(lt, items, items[1:])):
             raise ModelError("items within an element must be strictly increasing")
 
     @classmethod

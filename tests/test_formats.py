@@ -7,7 +7,11 @@ import pytest
 from huspmine import (
     MiningConfig,
     ParseError,
+    QSDatabase,
     SUtilityMismatch,
+    SymbolTable,
+    UnknownItem,
+    UtilityTable,
     bind_thresholds,
     bind_unit_utilities,
     database_utility,
@@ -43,22 +47,43 @@ def test_parse_full_files_total(example_db, example_utable):
     assert database_utility(example_db, example_utable) == 441
 
 
+PARSE_ERRORS = [
+    ("-2\n", "empty sequence", 1, 1),
+    ("a[1] -1 -2\n", "empty element", 1, 9),
+    ("a[1] b[0] -2\n", "quantity", 1, 6),
+    ("a[1] a[2] -2\n", "duplicate item", 1, 6),
+    ("a[1]\n", "not terminated", 1, 1),
+    ("a[1] -2 b[2]\n", "after -2", 1, 9),
+    ("a[x] -2\n", "bad token", 1, 1),
+    # positions on later lines, after blank lines, leading and doubled spaces
+    ("a[1]  -1  b[1] b[2] -2", "duplicate item", 1, 16),
+    ("  -2", "empty sequence", 1, 3),
+    ("a[1]  -2 -2\n", "after -2", 1, 10),
+    ("a[1] -2\n  b[1]\n", "not terminated", 2, 1),
+    ("a[1] -2\n  x[1]  b[1]  -1 -1 -2\n", "empty element before -1", 2, 18),
+    ("a[1] -2\nb[1] -2 SUtility:3 SUtility:3\n", "after -2", 2, 20),
+    ("a[1] -2\r\n a[1] -1  b[y]\r\n", "bad token", 2, 11),
+    ("  a[1] -2\n\n   a[1]  -1   -2\n", "empty element before -2", 3, 15),
+    ("a[1] -2\n\n  a[1] -2  junk\n", "after -2", 3, 12),
+    # the SUtility trailer is checked after the whole file has parsed
+    ("a[2] -1 b[1] -2 SUtility:14\n", "declared SUtility 14", 1, 17),
+    ("a[1] -2 SUtility:4\n  a[2]  -1  b[1]  -2   SUtility:14\n",
+     "declared SUtility 14", 2, 24),
+    ("a[1] -2 SUtility:5\nb[x] -2\n", "bad token", 2, 1),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("-2\n", "empty sequence"),
-        ("a[1] -1 -2\n", "empty element"),
-        ("a[1] b[0] -2\n", "quantity"),
-        ("a[1] a[2] -2\n", "duplicate item"),
-        ("a[1]\n", "not terminated"),
-        ("a[1] -2 b[2]\n", "after -2"),
-        ("a[x] -2\n", "bad token"),
-    ],
+    "text,fragment,line,col",
+    PARSE_ERRORS,
+    ids=[f"{text}-{fragment}" for text, fragment, _, _ in PARSE_ERRORS],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, line, col):
     with pytest.raises(ParseError) as err:
-        parse_dataset(io.StringIO(text))
+        parse_dataset(io.StringIO(text), unit_utilities={"a": 4, "b": 5})
     assert fragment in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"line {line}, col {col}: ")
 
 
 def test_parse_error_carries_position():
@@ -98,6 +123,25 @@ def test_crlf_accepted():
     assert len(db) == 2
 
 
+@pytest.mark.parametrize(
+    "sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_lines_end_only_at_newline(sep):
+    """Only ``\\n`` ends a line (a ``\\r`` before it is dropped): the other
+    Unicode line boundaries are ordinary characters of a token."""
+    with pytest.raises(ParseError) as err:
+        parse_dataset(io.StringIO(f"a[1] -2{sep}b[2] -2\n"))
+    assert "bad token" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, 6)
+    with pytest.raises(ParseError) as err:
+        parse_dataset(io.StringIO(f"a[1] -2\nb[x]{sep}c[1] -2\n"))
+    assert (err.value.line, err.value.col) == (2, 1)
+    with pytest.raises(ParseError) as err:
+        parse_item_values(io.StringIO(f"a 4{sep}b 5\n"))
+    assert err.value.line == 1
+    assert parse_item_values(io.StringIO("a 4\r\nb 5\r\n")) == {"a": 4, "b": 5}
+
+
 def test_item_values_parsing():
     values = parse_item_values(io.StringIO("# prices\na 4\nb 5  # inline\n\n"))
     assert values == {"a": 4, "b": 5}
@@ -130,6 +174,18 @@ def test_generate_mtable_uniform_case(example_db, example_utable):
 def test_generate_mtable_item_totals(example_db, example_utable, ids):
     mt = generate_mtable(example_db, example_utable, beta=1.0, lmu_fraction=0.0)
     assert mt.of(ids["f"]) == 24  # f occurs once with quantity 4 at unit 6
+
+
+def test_generate_mtable_reports_an_uncovered_item():
+    # ids a=0, b=1, c=2; c occurs before b, so c is the first item missed
+    db = parse_dataset(io.StringIO("a[1] -1 c[1] -1 b[1] -2\n"))
+    with pytest.raises(UnknownItem) as err:
+        generate_mtable(db, UtilityTable((1,)), 1, 0)
+    assert err.value.args == (2,)
+    assert generate_mtable(db, UtilityTable((1, 2, 3, 4)), 1, 0).mu == (1, 2, 3)
+    # an item of the symbol table that never occurs needs no unit utility
+    sparse = QSDatabase(db.sequences[:1], SymbolTable(("a", "b", "c", "d")))
+    assert generate_mtable(sparse, UtilityTable((1, 2, 3)), 1, 0).mu == (1, 2, 3, 0)
 
 
 def test_generate_mtable_monotone(example_db, example_utable):
@@ -221,6 +277,8 @@ def test_results_round_trip(example_db, example_utable, example_mtable):
         text = write_results(husps, None, fmt, example_db.symbols)
         again = parse_results(io.StringIO(text), example_db.symbols)
         assert again == husps
+        crlf = io.StringIO(text.replace("\n", "\r\n"))
+        assert parse_results(crlf, example_db.symbols) == husps
 
 
 def test_pattern_string_round_trip(example_db, ids):

@@ -186,6 +186,27 @@ def test_bounds_invariants_on_visited_nodes(example_db, example_utable,
         assert b.pmiu <= b.miu
 
 
+def test_node_seu_never_exceeds_its_swu():
+    """A child's SEU is the min of its row's and its prefix's, and is never
+    capped at the child's SWU: on every node of the corpus it is at most
+    that SWU already."""
+    class Bounds(MiningObserver):
+        def __init__(self):
+            self.pairs = []
+
+        def on_node(self, pattern, bounds, expanded):
+            self.pairs.append((bounds.seu, bounds.swu))
+
+    obs = Bounds()
+    for db, utable, mtable in mixed_instances(50):
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                config = MiningConfig(variant=variant, node_bound=node_bound)
+                mine(db, utable, mtable, config, observer=obs)
+    assert len(obs.pairs) == 16439
+    assert all(seu <= swu for seu, swu in obs.pairs)
+
+
 @pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
 @pytest.mark.parametrize("variant", [USPT1, USPT])
 def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,

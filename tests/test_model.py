@@ -53,6 +53,10 @@ def test_qitemset_invariants():
         QItemset((1, 1), (1, 1))  # duplicate
     with pytest.raises(ModelError):
         QItemset((1,), (0,))  # zero quantity
+    with pytest.raises(ModelError):
+        QItemset((1, 2), (1,))  # length mismatch
+    with pytest.raises(ModelError):
+        QItemset((1, 2), (3, 0))  # zero quantity after the first item
 
 
 def test_sequence_utilities(example_db, example_utable):
