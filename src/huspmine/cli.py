@@ -149,6 +149,9 @@ def _cmd_mine(args, parser) -> int:
 
 def _cmd_oracle(args, parser) -> int:
     db, utable, mtable = _load_inputs(args, parser)
+    if args.max_len < 1:
+        # the same check, and message, as ``mine --max-len``
+        raise ConfigError("max_pattern_length must be >= 1")
     kwargs = {}
     if args.node_budget is not None:
         kwargs["node_budget"] = args.node_budget

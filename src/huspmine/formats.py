@@ -41,6 +41,7 @@ from .model import (
     QSDatabase,
     QSequence,
     SymbolTable,
+    UnknownItem,
     UtilityTable,
     qsequence_utility,
 )
@@ -382,16 +383,15 @@ def write_results(
     """Render mined patterns as TSV (default) or JSON text."""
     if symbols is None:
         raise ValueError("symbols required to render patterns")
+    render = _pattern_renderer(symbols)
     if fmt == "tsv":
-        lines = [RESULT_HEADER]
-        for h in husps:
-            lines.append(f"{h.pattern.render(symbols)}\t{h.utility}\t{h.miu}")
-        return "".join(line + "\n" for line in lines)
+        rows = [f"{render(h.pattern)}\t{h.utility}\t{h.miu}\n" for h in husps]
+        return RESULT_HEADER + "\n" + "".join(rows)
     if fmt == "json":
         payload = {
             "husps": [
                 {
-                    "pattern": h.pattern.render(symbols),
+                    "pattern": render(h.pattern),
                     "utility": h.utility,
                     "miu": h.miu,
                 }
@@ -410,6 +410,30 @@ def write_results(
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _pattern_renderer(symbols: SymbolTable):
+    """A function giving ``pattern.render(symbols)``, which renders each
+    distinct itemset once and keeps its text for the later patterns.
+
+    An id outside the symbol table raises :class:`UnknownItem`, as
+    :meth:`SymbolTable.name_of` does.
+    """
+    names = symbols.names
+    n_names = len(names)
+    rendered: dict[tuple, str] = {}
+
+    def itemset_text(itemset: tuple) -> str:
+        for item in itemset:
+            if not 0 <= item < n_names:
+                raise UnknownItem(item)
+        text = rendered[itemset] = "[" + " ".join([names[i] for i in itemset]) + "]"
+        return text
+
+    def render(pattern: Pattern) -> str:
+        return ",".join([rendered.get(w) or itemset_text(w) for w in pattern.itemsets])
+
+    return render
 
 
 def parse_pattern_string(text: str, symbols: SymbolTable) -> Pattern:

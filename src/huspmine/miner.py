@@ -43,14 +43,20 @@ time ``(s, p)`` is met and kept for the rest of the run.  Every other node's
 rows come from a candidate scan of its own projection, with ``b`` zero.  An
 expanded child's projection is built when the child is decided: by
 ``project`` from the node's projection for a scanned row, by
-``pivot_projection`` from the positions a cached row keeps in ``ext``.  Both
-sources give the same children with the same bounds.
+``pivot_projection`` from the positions a cached row keeps in ``ext`` when
+there are several.  A cached row with one position gives the child no
+projection at all: the child carries the lone-pivot triple ``(s, p, b)`` of
+that position and its best utility, which is all its own cached rows need.
+Both sources give the same children with the same bounds.
 
 A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
-its size as an int, and its bounds as a tuple of ints.  The validated
-:class:`Pattern` is built only for a result and for an observer call, and
-:class:`Bounds` only for ``on_node``.  The walk is a pre-order with sorted
-children, I-children first, which meets the patterns of one size in
+its size as an int, and its bounds as a tuple of ints.  A :class:`Pattern`
+is built only for a result and for an observer call, and :class:`Bounds`
+only for ``on_node``.  The search builds its patterns with
+``Pattern._unchecked``, which skips the validation: a child only ever
+appends a larger item to the last itemset or a new singleton, so it is
+valid whenever its parent is.  The walk is a pre-order with sorted children,
+I-children first, which meets the patterns of one size in
 :func:`pattern_sort_key` order, so results are emitted sorted by keeping one
 list per size.
 """
@@ -305,29 +311,34 @@ class _Engine:
         """Visit the tree in pre-order from an explicit stack of decided
         nodes ``(itemsets, size, projection, node, expand)``, where ``node``
         is ``(utility, miu, pmiu, seu, peu, swu)``.  An expanded child
-        carries its own projection, built when it was decided; a root's is
-        built when the root is popped, and a node that is not expanded has
-        none.  Children are pushed in reverse so they are visited in sorted
-        order, I-children first.
+        carries its own projection, built when it was decided, or the
+        lone-pivot triple ``(sequence, pivot, best)`` when its projection
+        would be that one pivot; a root's projection is built when the root
+        is popped, and a node that is not expanded has none.  Children are
+        pushed in reverse so they are visited in sorted order, I-children
+        first.
 
         Pre-order meets the patterns of one size in ``pattern_sort_key``
         order, so the results, kept in one list per size and joined
-        shortest first, come out sorted.
+        shortest first, come out sorted.  The patterns of the results and
+        of the observer calls are built unchecked: every node extends a
+        valid pattern by a larger item or a new singleton.
         """
         stack = roots[::-1]
         by_size: list[list[Husp]] = []
         observer, arrays = self.observer, self.arrays
+        pattern_of = Pattern._unchecked
         while stack:
             itemsets, size, proj, node, expand = stack.pop()
             utility, miu = node[0], node[1]
             if utility >= miu:
                 while len(by_size) < size:
                     by_size.append([])
-                by_size[size - 1].append(Husp(Pattern(itemsets), utility, miu))
+                by_size[size - 1].append(Husp(pattern_of(itemsets), utility, miu))
             if observer:
                 _, _, pmiu_, seu, peu, swu_ = node
                 bounds = Bounds(swu_, seu, peu, pmiu_, miu, utility)
-                observer.on_node(Pattern(itemsets), bounds, expand)
+                observer.on_node(pattern_of(itemsets), bounds, expand)
             if expand:
                 if proj is None:
                     item = itemsets[0][0]
@@ -375,22 +386,27 @@ class _Engine:
             acc_i.end_sequence(seq.useq)
             acc_s.end_sequence(seq.useq)
 
-    def _child_rows(self, proj: Projection) -> tuple[list, list, int]:
+    def _child_rows(self, proj) -> tuple[list, list, int]:
         """The I- and S-child rows of the node whose projection is ``proj``,
         each sorted by item, and the offset ``b`` to add to every row.
 
-        A row is ``(item, utility, peu, seu, swu, pool, ext)``.  A projection
-        that is one pivot of one sequence takes the rows cached for that
-        ``(sequence, pivot)``, worth zero, and ``b`` is the pivot's best
-        utility; any other projection is scanned, and ``b`` is zero.
+        A row is ``(item, utility, peu, seu, swu, pool, ext)``.  ``proj`` is
+        a :class:`Projection` or a lone-pivot triple ``(sequence, pivot,
+        best)``.  A triple, or a projection that is one pivot of one
+        sequence, takes the rows cached for that ``(sequence, pivot)``,
+        worth zero, and ``b`` is the pivot's best utility; any other
+        projection is scanned, and ``b`` is zero.
         """
-        entries = proj.entries
-        if len(entries) == 1 and len(entries[0].pivots) == 1:
+        if proj.__class__ is tuple:
+            si, p, b = proj
+        else:
+            entries = proj.entries
+            if len(entries) != 1 or len(entries[0].pivots) != 1:
+                return *self._scan_rows(proj), 0
             entry = entries[0]
-            key = (entry.seq_index, entry.pivots[0])
-            i_rows, s_rows = self.pivot_rows.get(key) or self._pivot_rows(*key)
-            return i_rows, s_rows, entry.best[0]
-        return *self._scan_rows(proj), 0
+            si, p, b = entry.seq_index, entry.pivots[0], entry.best[0]
+        i_rows, s_rows = self.pivot_rows.get((si, p)) or self._pivot_rows(si, p)
+        return i_rows, s_rows, b
 
     def _scan_rows(self, proj: Projection) -> tuple[list, list]:
         """The child rows of one candidate scan of ``proj``.  Their ``ext``
@@ -407,7 +423,8 @@ class _Engine:
         A cached row's ``ext`` is ``(si, pivots, utilities)``: the child's
         positions that extend ``p``, with the item's utility at each.  An
         I-child has one such position, after ``p`` in its element; an
-        S-child has every occurrence in a later element.
+        S-child has every occurrence in a later element.  An expanded child
+        whose ``ext`` holds one position is carried as a lone-pivot triple.
         """
         i_rows, s_rows = self._scan_rows(Projection([ProjEntry(si, [p], [0])]))
         seq = self.arrays[si]
@@ -426,7 +443,7 @@ class _Engine:
         )
         return rows
 
-    def _span(self, itemsets: tuple, size: int, proj: Projection, node: tuple) -> list:
+    def _span(self, itemsets: tuple, size: int, proj, node: tuple) -> list:
         """Decide every child of an expanded node from its child rows and
         return, in visiting order, the stack entries of the ones that matter.
 
@@ -435,9 +452,10 @@ class _Engine:
         decide whether the child is a result and whether it is
         expanded.  An expanded child's projection is built here: by
         ``project`` from ``proj`` for a scanned row, by ``pivot_projection``
-        from a cached row's ``ext``.  Every child is counted as a candidate,
-        but a child that is neither a result nor expanded is only pushed for
-        an observer.
+        from a cached row's ``ext`` of several pivots, and as the lone-pivot
+        triple ``(sequence, pivot, b + utility)`` from an ``ext`` of one.
+        Every child is counted as a candidate, but a child that is neither a
+        result nor expanded is only pushed for an observer.
         """
         i_rows, s_rows, b = self._child_rows(proj)
         _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
@@ -482,8 +500,12 @@ class _Engine:
                 if expand or observer or utility >= child_min_mu:
                     child_proj = None
                     if expand:
-                        child_proj = (project(proj, arrays, item, kind) if ext is None
-                                      else pivot_projection(*ext, b))
+                        if ext is None:
+                            child_proj = project(proj, arrays, item, kind)
+                        elif len(ext[1]) == 1:
+                            child_proj = (ext[0], ext[1][0], b + ext[2][0])
+                        else:
+                            child_proj = pivot_projection(*ext, b)
                     child = (utility, child_min_mu, child_pmiu, seu_star, peu, swu)
                     visits.append((head + (stem + (item,),), size, child_proj, child,
                                    expand))

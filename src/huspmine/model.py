@@ -67,10 +67,9 @@ class SymbolTable:
             raise UnknownItem(name) from None
 
     def name_of(self, item: Item) -> str:
-        try:
+        if 0 <= item < len(self.names):
             return self.names[item]
-        except IndexError:
-            raise UnknownItem(item) from None
+        raise UnknownItem(item)
 
 
 @dataclass(frozen=True)
@@ -125,12 +124,6 @@ class QItemset:
             raise ModelError("quantities must be >= 1")
         if len(items) > 1 and not all(map(lt, items, items[1:])):
             raise ModelError("items within an element must be strictly increasing")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "QItemset":
-        pairs = sorted(pairs)
-        items = tuple(i for i, _ in pairs)
-        return cls(items, tuple(q for _, q in pairs))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -219,15 +212,20 @@ class Pattern:
     def single(cls, item: Item) -> "Pattern":
         return cls(((item,),))
 
+    @classmethod
+    def _unchecked(cls, itemsets: tuple) -> "Pattern":
+        """A pattern over ``itemsets`` built without the checks above, for
+        the search engine, which only ever extends a valid pattern by a
+        larger item or a new singleton.  Equal to, and hashed like,
+        ``Pattern(itemsets)``."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "itemsets", itemsets)
+        return pattern
+
     @property
     def size(self) -> int:
         """Total number of item occurrences (the pattern's length)."""
         return sum(len(w) for w in self.itemsets)
-
-    @property
-    def k(self) -> int:
-        """Number of itemsets."""
-        return len(self.itemsets)
 
     def distinct_items(self) -> frozenset:
         return frozenset(i for w in self.itemsets for i in w)

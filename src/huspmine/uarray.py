@@ -27,6 +27,7 @@ from .model import (
     MTable,
     QSDatabase,
     QSequence,
+    UnknownItem,
     UtilityTable,
 )
 
@@ -59,14 +60,21 @@ class SequenceArrays:
         self, qseq: QSequence, utable: UtilityTable, mtable: Optional[MTable] = None
     ):
         self.sid = qseq.sid
+        unit = utable.unit
+        n_units = len(unit)
         item: list[int] = []
         eid: list[int] = []
         u: list[int] = []
         for element_id, element in enumerate(qseq.elements, start=1):
-            for it, qty in element.entries():
+            items = element.items
+            # an element's items are strictly increasing, so its ends bound
+            # every id; a negative id would otherwise wrap around ``unit``
+            if items[0] < 0 or items[-1] >= n_units:
+                raise UnknownItem(next(i for i in items if not 0 <= i < n_units))
+            for it, qty in zip(items, element.quantities):
                 item.append(it)
                 eid.append(element_id)
-                u.append(qty * utable.of(it))
+                u.append(qty * unit[it])
         self._derive(item, eid, u, mtable)
 
     def _derive(self, item: list, eid: list, u: list, mtable: Optional[MTable]) -> None:

@@ -8,6 +8,7 @@ from huspmine import (
     MiningObserver,
     MTable,
     Pattern,
+    QItemset,
     bind_unit_utilities,
     mine,
     parse_dataset,
@@ -17,6 +18,12 @@ from huspmine.formats import GenParams, generate_synthetic
 from huspmine.oracle import brute_force_bounds
 
 ITEM_NAMES = [chr(ord("a") + i) for i in range(6)]
+
+
+def qitemset_from_pairs(pairs):
+    """The q-itemset of ``(item, quantity)`` pairs given in any order."""
+    pairs = sorted(pairs)
+    return QItemset(tuple(i for i, _ in pairs), tuple(q for _, q in pairs))
 
 
 def uniform_instance(seed):

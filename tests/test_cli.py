@@ -245,6 +245,19 @@ def test_config_error_exits_4(tmp_path, fixture_files, capsys):
     assert "missing items" in err
 
 
+@pytest.mark.parametrize("command", ["mine", "oracle"])
+def test_max_len_zero_is_a_config_error(fixture_files, capsys, command):
+    data, utility, mtable = fixture_files
+    code, out, err = run_main(
+        [command, "--data", str(data), "--utility-table", str(utility),
+         "--mtable", str(mtable), "--max-len", "0"],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "config error: max_pattern_length must be >= 1\n"
+
+
 def test_oracle_check_roundtrip(tmp_path, fixture_files, capsys):
     data, utility, mtable = fixture_files
     result = tmp_path / "mined.tsv"

@@ -5,8 +5,10 @@ import io
 import pytest
 
 from huspmine import (
+    Husp,
     MiningConfig,
     ParseError,
+    Pattern,
     QSDatabase,
     SUtilityMismatch,
     SymbolTable,
@@ -27,6 +29,8 @@ from huspmine import (
     write_results,
 )
 from huspmine.formats import GenParams
+
+from support import mixed_instances
 
 
 
@@ -279,6 +283,53 @@ def test_results_round_trip(example_db, example_utable, example_mtable):
         assert again == husps
         crlf = io.StringIO(text.replace("\n", "\r\n"))
         assert parse_results(crlf, example_db.symbols) == husps
+
+
+def _mixed_names(n):
+    """``n`` item names, numeric and identifier names interleaved."""
+    return SymbolTable(tuple(str(7 * i) if i % 2 else f"item_{i}" for i in range(n)))
+
+
+def test_write_results_matches_pattern_render(example_db, example_utable, example_mtable):
+    """Both formats equal a reference rendered row by row with
+    ``Pattern.render``, on every result of the reference example and of
+    ``mixed_instances(50)``, under their own and under mixed names."""
+    import json
+
+    instances = [(example_db, example_utable, example_mtable)] + mixed_instances(50)
+    rows = 0
+    for db, utable, mtable in instances:
+        husps, stats = mine(db, utable, mtable)
+        rows += len(husps)
+        for symbols in (db.symbols, _mixed_names(len(db.symbols))):
+            want = ["pattern\tutility\tmiu"] + [
+                f"{h.pattern.render(symbols)}\t{h.utility}\t{h.miu}" for h in husps
+            ]
+            tsv = write_results(husps, stats, "tsv", symbols)
+            assert tsv == "".join(line + "\n" for line in want)
+            payload = json.loads(write_results(husps, None, "json", symbols))
+            assert payload["husps"] == [
+                {"pattern": h.pattern.render(symbols), "utility": h.utility,
+                 "miu": h.miu}
+                for h in husps
+            ]
+    assert rows > 1000
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("item", [-1, -2, 2, 3])
+def test_write_results_rejects_items_outside_the_table(fmt, item):
+    """A negative id does not wrap around to the last names, and an id past
+    the end is no name either: both raise ``UnknownItem``, as ``name_of``
+    does."""
+    symbols = SymbolTable(("a", "b"))
+    with pytest.raises(UnknownItem):
+        symbols.name_of(item)
+    husps = [Husp(Pattern(((0,),)), 1, 1), Husp(Pattern(((0,), (item,))), 1, 1)]
+    with pytest.raises(UnknownItem):
+        write_results(husps, None, fmt, symbols)
+    with pytest.raises(UnknownItem):
+        write_results([Husp(Pattern(((item,),)), 1, 1)], None, fmt, symbols)
 
 
 def test_pattern_string_round_trip(example_db, ids):

@@ -207,15 +207,32 @@ def test_node_seu_never_exceeds_its_swu():
     assert all(seu <= swu for seu, swu in obs.pairs)
 
 
+def _watch_span(monkeypatch, record):
+    """Patch ``_Engine._span`` to pass every stack entry it returns, a
+    ``(itemsets, size, projection, node, expand)`` tuple, to ``record``."""
+    real_span = miner_module._Engine._span
+
+    def watched_span(self, *args):
+        visits = real_span(self, *args)
+        for entry in visits:
+            record(entry)
+        return visits
+
+    monkeypatch.setattr(miner_module._Engine, "_span", watched_span)
+
+
 @pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
 @pytest.mark.parametrize("variant", [USPT1, USPT])
 def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
                                               example_mtable, variant, node_bound):
-    """A child's projection comes from ``project``, or from
-    ``pivot_projection`` when its parent's projection is a single pivot; the
-    two together build exactly one per expanded non-root node."""
+    """Every expanded non-root child gets exactly one projection when it is
+    decided, and no other child gets one.  It comes from ``project``, or,
+    when its parent's child rows are cached for a single pivot, from
+    ``pivot_projection`` or as a lone-pivot triple ``(sequence, pivot,
+    best)``."""
     calls = []
     from_pivot = []
+    lone = []
     real_project = miner_module.project
     real_pivot_projection = miner_module.pivot_projection
 
@@ -228,6 +245,14 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
         from_pivot.append(args[:2])
         return real_pivot_projection(*args, **kwargs)
 
+    def check_entry(entry):
+        proj, expand = entry[2], entry[4]
+        assert (proj is not None) == expand
+        if isinstance(proj, tuple):
+            assert len(proj) == 3
+            calls.append(proj)
+            lone.append(proj)
+
     class Expanded(MiningObserver):
         def __init__(self):
             self.count = 0
@@ -238,6 +263,7 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
 
     monkeypatch.setattr(miner_module, "project", counting_project)
     monkeypatch.setattr(miner_module, "pivot_projection", counting_pivot_projection)
+    _watch_span(monkeypatch, check_entry)
     config = MiningConfig(variant=variant, node_bound=node_bound)
     instances = [(example_db, example_utable, example_mtable)] + mixed_instances(10)
     total = 0
@@ -248,7 +274,7 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
         assert len(calls) == obs.count
         total += obs.count
     assert total > 0
-    assert from_pivot and len(from_pivot) < total
+    assert from_pivot and lone and len(from_pivot) + len(lone) < total
 
 
 def test_seu_anchor_is_the_earliest_pivot_on_ties():
@@ -291,12 +317,18 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
     db = parse_dataset(io.StringIO(text))
     ut = bind_unit_utilities(units, db.symbols)
     longest = sum(len(e.items) for s in db.sequences for e in s.elements)
+    # the pivot count of every child projection built from cached rows,
+    # where a lone-pivot triple counts as one
     built = []
     real_pivot_projection = miner_module.pivot_projection
 
     def recording_pivot_projection(seq_index, pivots, utilities, prefix):
         built.append(len(pivots))
         return real_pivot_projection(seq_index, pivots, utilities, prefix)
+
+    def record_lone(entry):
+        if isinstance(entry[2], tuple):
+            built.append(1)
 
     class Collect(MiningObserver):
         def __init__(self):
@@ -306,6 +338,7 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
             self.nodes[pattern.render(db.symbols)] = (pattern, bounds)
 
     monkeypatch.setattr(miner_module, "pivot_projection", recording_pivot_projection)
+    _watch_span(monkeypatch, record_lone)
     # every threshold at 1 removes no item and cuts no subtree, so every
     # node's bounds are the oracle's; at 4 and 12 the gates cut subtrees
     for mu in (1, 4, 12):
@@ -415,6 +448,34 @@ def test_observer_stream_is_pinned(example_db, example_utable, example_mtable):
     assert digest.hexdigest() == (
         "038bd894ec2d304a5d641ad681ca609878ca12bc54c072e345e6c8da2fca9db5"
     )
+
+
+def test_engine_built_patterns_equal_validated_ones(example_db, example_utable,
+                                                    example_mtable):
+    """The search builds its patterns without re-validating them; each result
+    and each ``on_node`` pattern is still equal to, and hashes like, the
+    validated ``Pattern`` of its itemsets."""
+    class Patterns(MiningObserver):
+        def __init__(self):
+            self.seen = []
+
+        def on_node(self, pattern, bounds, expanded):
+            self.seen.append(pattern)
+
+    obs = Patterns()
+    results = []
+    instances = [(example_db, example_utable, example_mtable)] + mixed_instances(50)
+    for db, utable, mtable in instances:
+        for variant in (USPT1, USPT):
+            husps, _ = mine(db, utable, mtable, MiningConfig(variant=variant),
+                            observer=obs)
+            results += [h.pattern for h in husps]
+    assert len(results) > 1000
+    for pattern in results + obs.seen:
+        checked = Pattern(pattern.itemsets)
+        assert type(pattern) is Pattern
+        assert pattern == checked and checked == pattern
+        assert hash(pattern) == hash(checked)
 
 
 def test_collect_stats_leaves_the_callers_trace_running(example_db, example_utable,

@@ -22,6 +22,8 @@ from huspmine import (
 )
 from huspmine.model import match_utility
 
+from support import qitemset_from_pairs
+
 
 def test_item_utility_known_values(example_utable, ids):
     assert item_utility(ids["a"], 3, example_utable) == 12
@@ -35,9 +37,9 @@ def test_item_utility_unknown_item(example_utable):
 
 
 def test_qitemset_utility(example_utable, ids):
-    ab = QItemset.from_pairs([(ids["a"], 3), (ids["b"], 2)])
+    ab = qitemset_from_pairs([(ids["a"], 3), (ids["b"], 2)])
     assert qitemset_utility(ab, example_utable) == 22
-    d3 = QItemset.from_pairs([(ids["d"], 3)])
+    d3 = qitemset_from_pairs([(ids["d"], 3)])
     assert qitemset_utility(d3, example_utable) == 3
 
 

@@ -11,7 +11,6 @@ from huspmine import (
     MiningConfig,
     bind_unit_utilities,
     Pattern,
-    QItemset,
     QSDatabase,
     QSequence,
     SymbolTable,
@@ -41,7 +40,12 @@ from huspmine.miner import (
 )
 from huspmine.oracle import brute_force_bounds, enumerate_occurring
 
-from support import engine_bounds, mixed_instances, max_sequence_length
+from support import (
+    engine_bounds,
+    max_sequence_length,
+    mixed_instances,
+    qitemset_from_pairs,
+)
 
 N_ITEMS = 5
 
@@ -57,7 +61,7 @@ def qsequences(draw, max_elements=4, max_element_size=3):
                      unique=True)
         )
         qtys = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
-        elements.append(QItemset.from_pairs(zip(items, qtys)))
+        elements.append(qitemset_from_pairs(zip(items, qtys)))
     return QSequence("s", tuple(elements))
 
 
@@ -327,7 +331,7 @@ def _without_items(db, doomed):
         for element in qseq.elements:
             kept = [(i, q) for i, q in element.entries() if i not in doomed]
             if kept:
-                elements.append(QItemset.from_pairs(kept))
+                elements.append(qitemset_from_pairs(kept))
         if elements:
             sequences.append(QSequence(qseq.sid, tuple(elements)))
     return QSDatabase(tuple(sequences), db.symbols)

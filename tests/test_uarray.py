@@ -6,9 +6,15 @@ import pytest
 from huspmine import (
     MTable,
     Pattern,
+    QItemset,
     QSDatabase,
+    QSequence,
+    SymbolTable,
+    UnknownItem,
+    UtilityTable,
     build_database_arrays,
     initial_projection,
+    mine,
     pattern_utility,
     project,
     qsequence_utility,
@@ -180,3 +186,16 @@ def test_tombstoned_items_leave_positions_valid(example_db, example_utable,
     assert ids["e"] not in seq.positions_of
     # remaining utilities skip the removed occurrence
     assert seq.ru[4] == 46 - 8
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 2])
+def test_items_outside_the_tables_raise_unknown_item(bad):
+    """``QItemset`` accepts any int id, but an id the tables do not cover
+    stops ``mine()`` with ``UnknownItem`` naming it: a negative id does not
+    wrap around to the last items' prices."""
+    items = tuple(sorted((bad, 1)))
+    seq = QSequence("s", (QItemset((0,), (1,)), QItemset(items, (1, 1))))
+    db = QSDatabase((seq,), SymbolTable(("a", "b")))
+    with pytest.raises(UnknownItem) as raised:
+        mine(db, UtilityTable((1, 2)), MTable((1, 1)))
+    assert raised.value.args == (bad,)
