@@ -452,15 +452,28 @@ def parse_results(source: Source, symbols: Optional[SymbolTable] = None):
     """Read a result file back.
 
     TSV and JSON are auto-detected.  Returns Husp objects when a symbol
-    table is given, else (pattern_string, utility, miu) rows.
+    table is given, else (pattern_string, utility, miu) rows.  Raises
+    ValueError unless ``husps`` is a list of objects, each with a string
+    ``pattern`` and integer (not boolean) ``utility`` and ``miu``.
     """
     text = _read_text(source)
     rows = []
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
-        for entry in payload["husps"]:
-            rows.append((entry["pattern"], int(entry["utility"]), int(entry["miu"])))
+        husps = json.loads(text).get("husps")
+        if not isinstance(husps, list):
+            raise ValueError("'husps' must be a list of results")
+        for entry in husps:
+            if not isinstance(entry, dict):
+                raise ValueError(f"result is not an object: {entry!r}")
+            pattern_s, utility, miu_v = (entry.get("pattern"), entry.get("utility"),
+                                         entry.get("miu"))
+            # bool is an int subclass, and a float would be truncated
+            if not (isinstance(pattern_s, str) and type(utility) is int
+                    and type(miu_v) is int):
+                raise ValueError(f"result needs a string pattern and integer "
+                                 f"utility and miu: {entry!r}")
+            rows.append((pattern_s, utility, miu_v))
     else:
         lines = _lines(text)
         if lines[0] != RESULT_HEADER:

@@ -34,19 +34,22 @@ One loop decides the children of every expanded node, from child rows
 ``(item, utility, peu, seu, swu, pool, ext)``, one list per concatenation
 kind sorted by item, and an offset ``b``: a child's utility, PEU and SEU are
 its row's plus ``b``, and its node SEU is the smaller of that and its
-prefix's SEU.  The rows have two sources, chosen by the shape of the node's
-projection.  Most expanded nodes of a dense run have a projection that is
-one pivot ``p`` of one sequence ``s``, worth its best utility ``b``; their
-children are fixed by ``(s, p)`` up to that offset, so their rows are cached
-per ``(s, p)``, filled by one candidate scan of ``p`` worth zero the first
-time ``(s, p)`` is met and kept for the rest of the run.  Every other node's
-rows come from a candidate scan of its own projection, with ``b`` zero.  An
-expanded child's projection is built when the child is decided: by
-``project`` from the node's projection for a scanned row, by
-``pivot_projection`` from the positions a cached row keeps in ``ext`` when
-there are several.  A cached row with one position gives the child no
-projection at all: the child carries the lone-pivot triple ``(s, p, b)`` of
-that position and its best utility, which is all its own cached rows need.
+prefix's.  Every expanded node carries one :class:`Projection` and an
+offset added to every best utility in it.  The rows have two sources,
+chosen by the shape of the projection.  Most expanded nodes of a dense run
+have a projection that is one pivot ``p`` of one sequence ``s``; their
+children are fixed by ``(s, p)`` up to the pivot's offset best utility, so
+their rows are cached per ``(s, p)``, filled by one candidate scan of ``p``
+worth zero the first time ``(s, p)`` is met and kept for the rest of the
+run.  A cached row's ``ext`` is its child's projection from ``p`` worth
+zero, built once by ``project``; an expanded child shares it and carries
+the node's offset plus its best utility.  Every other node's rows come from
+a candidate scan of its own projection, with the node's offset, and an
+expanded child's projection is built by ``project`` when the child is
+decided.  An offset is non-zero only below a cached row, where every
+projection lies in one sequence.  There a row's SEU is capped at the
+sequence utility before the offset is added, and the node SEU is still
+exact: the prefix's SEU, which caps it, is at most the sequence utility.
 Both sources give the same children with the same bounds.
 
 A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
@@ -63,9 +66,9 @@ list per size.
 
 from __future__ import annotations
 
+import sys
 import time
 import tracemalloc
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,7 +88,6 @@ from .uarray import (
     _ItemAccumulator,
     build_database_arrays,
     initial_projection,
-    pivot_projection,
     project,
 )
 
@@ -203,6 +205,12 @@ class _Engine:
         self.mtable = mtable
         self.config = config
         self.observer = observer
+        # read once, not at every expanded node: whether PUK runs, whether
+        # PEU gates expansion, and the largest pattern size
+        self.puk = config.variant == USPT
+        self.peu_gate = config.node_bound == BOUND_PEU
+        cap = config.max_pattern_length
+        self.max_size = sys.maxsize if cap is None else cap
         self.n_items = len(db.symbols)
         self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
         self.stats = MiningStats()
@@ -284,7 +292,7 @@ class _Engine:
             observer.on_item_extension_bounds(dict(self.global_item_peu))
         # every root is decided before the search reuses the accumulators;
         # a root's expansion gate is its first-pass whole-sequence weight
-        deeper = self._depth_ok(2)
+        deeper = self.max_size >= 2
         roots = []
         for item in self.global_item_peu:
             first = self.one_seq_info[item]
@@ -297,24 +305,20 @@ class _Engine:
                 acc.swu[item],
             )
             expand = deeper and first.swu >= first.pmiu
-            roots.append((((item,),), 1, None, node, expand))
+            roots.append((((item,),), 1, None, 0, node, expand))
         self.stats.count_node(1, len(roots))
         husps = self._search(roots)
         self.stats.husps_found = len(husps)
         return husps
 
-    def _depth_ok(self, child_size: int) -> bool:
-        cap = self.config.max_pattern_length
-        return cap is None or child_size <= cap
-
     def _search(self, roots: list) -> list[Husp]:
         """Visit the tree in pre-order from an explicit stack of decided
-        nodes ``(itemsets, size, projection, node, expand)``, where ``node``
-        is ``(utility, miu, pmiu, seu, peu, swu)``.  An expanded child
-        carries its own projection, built when it was decided, or the
-        lone-pivot triple ``(sequence, pivot, best)`` when its projection
-        would be that one pivot; a root's projection is built when the root
-        is popped, and a node that is not expanded has none.  Children are
+        nodes ``(itemsets, size, projection, b, node, expand)``, where
+        ``node`` is ``(utility, miu, pmiu, seu, peu, swu)`` and ``b`` is
+        the offset added to every best utility of ``projection``.  An
+        expanded child carries its projection, built or shared when it was
+        decided; a root's projection is built when the root is popped, with
+        offset zero, and a node that is not expanded has none.  Children are
         pushed in reverse so they are visited in sorted order, I-children
         first.
 
@@ -329,7 +333,7 @@ class _Engine:
         observer, arrays = self.observer, self.arrays
         pattern_of = Pattern._unchecked
         while stack:
-            itemsets, size, proj, node, expand = stack.pop()
+            itemsets, size, proj, b, node, expand = stack.pop()
             utility, miu = node[0], node[1]
             if utility >= miu:
                 while len(by_size) < size:
@@ -343,7 +347,7 @@ class _Engine:
                 if proj is None:
                     item = itemsets[0][0]
                     proj = initial_projection(arrays, item, self.item_seqs[item])
-                stack.extend(reversed(self._span(itemsets, size, proj, node)))
+                stack.extend(reversed(self._span(itemsets, size, proj, b, node)))
         return [husp for bucket in by_size for husp in bucket]
 
     def _scan_candidates(self, proj: Projection) -> None:
@@ -386,33 +390,25 @@ class _Engine:
             acc_i.end_sequence(seq.useq)
             acc_s.end_sequence(seq.useq)
 
-    def _child_rows(self, proj) -> tuple[list, list, int]:
-        """The I- and S-child rows of the node whose projection is ``proj``,
-        each sorted by item, and the offset ``b`` to add to every row.
+    def _child_rows(self, proj: Projection, b: int) -> tuple[list, list, int]:
+        """The I- and S-child rows of the node whose projection is ``proj``
+        with offset ``b``, each sorted by item, and the offset to add to
+        every row.
 
-        A row is ``(item, utility, peu, seu, swu, pool, ext)``.  ``proj`` is
-        a :class:`Projection` or a lone-pivot triple ``(sequence, pivot,
-        best)``.  A triple, or a projection that is one pivot of one
-        sequence, takes the rows cached for that ``(sequence, pivot)``,
-        worth zero, and ``b`` is the pivot's best utility; any other
-        projection is scanned, and ``b`` is zero.
+        A row is ``(item, utility, peu, seu, swu, pool, ext)``.  A projection
+        that is one pivot of one sequence takes the rows cached for that
+        ``(sequence, pivot)``, worth zero, with offset ``b`` plus the pivot's
+        best utility; any other projection is scanned, with offset ``b``,
+        and its rows' ``ext`` is None.
         """
-        if proj.__class__ is tuple:
-            si, p, b = proj
-        else:
-            entries = proj.entries
-            if len(entries) != 1 or len(entries[0].pivots) != 1:
-                return *self._scan_rows(proj), 0
+        entries = proj.entries
+        if len(entries) == 1 and len(entries[0].pivots) == 1:
             entry = entries[0]
-            si, p, b = entry.seq_index, entry.pivots[0], entry.best[0]
-        i_rows, s_rows = self.pivot_rows.get((si, p)) or self._pivot_rows(si, p)
-        return i_rows, s_rows, b
-
-    def _scan_rows(self, proj: Projection) -> tuple[list, list]:
-        """The child rows of one candidate scan of ``proj``.  Their ``ext``
-        is None: an expanded child is projected from ``proj``."""
+            key = (entry.seq_index, entry.pivots[0])
+            i_rows, s_rows = self.pivot_rows.get(key) or self._pivot_rows(*key)
+            return i_rows, s_rows, b + entry.best[0]
         self._scan_candidates(proj)
-        return _acc_rows(self.acc_i), _acc_rows(self.acc_s)
+        return _acc_rows(self.acc_i), _acc_rows(self.acc_s), b
 
     def _pivot_rows(self, si: int, p: int) -> tuple[list, list]:
         """The child rows of pivot ``p`` of sequence ``si`` taken alone and
@@ -420,46 +416,37 @@ class _Engine:
         them the first time ``(si, p)`` is met; every row's SWU is the
         sequence utility.
 
-        A cached row's ``ext`` is ``(si, pivots, utilities)``: the child's
-        positions that extend ``p``, with the item's utility at each.  An
-        I-child has one such position, after ``p`` in its element; an
-        S-child has every occurrence in a later element.  An expanded child
-        whose ``ext`` holds one position is carried as a lone-pivot triple.
+        A cached row's ``ext`` is the child's projection from that pivot
+        worth zero, built once by ``project`` and shared by every node that
+        meets ``(si, p)``; each adds its own offset.
         """
-        i_rows, s_rows = self._scan_rows(Projection([ProjEntry(si, [p], [0])]))
-        seq = self.arrays[si]
-        u_, positions_of = seq.u, seq.positions_of
-        e = seq.eid[p]
-        later = seq.elem_first[e] if e < len(seq.elem_first) else seq.n
-
-        def cached(row, pivots):
-            return row[:6] + ((si, pivots, [u_[q] for q in pivots]),)
-
+        lone = Projection([ProjEntry(si, [p], [0])])
+        self._scan_candidates(lone)
+        arrays = self.arrays
+        i_rows, s_rows = _acc_rows(self.acc_i), _acc_rows(self.acc_s)
         rows = self.pivot_rows[(si, p)] = (
-            [cached(r, [positions_of[r[0]][bisect_right(positions_of[r[0]], p)]])
-             for r in i_rows],
-            [cached(r, positions_of[r[0]][bisect_left(positions_of[r[0]], later):])
-             for r in s_rows],
+            [r[:6] + (project(lone, arrays, r[0], I_STEP),) for r in i_rows],
+            [r[:6] + (project(lone, arrays, r[0], S_STEP),) for r in s_rows],
         )
         return rows
 
-    def _span(self, itemsets: tuple, size: int, proj, node: tuple) -> list:
+    def _span(self, itemsets: tuple, size: int, proj: Projection, b: int,
+              node: tuple) -> list:
         """Decide every child of an expanded node from its child rows and
         return, in visiting order, the stack entries of the ones that matter.
 
-        A child's utility, PEU and SEU are its row's plus the offset ``b``,
+        A child's utility, PEU and SEU are its row's plus the rows' offset,
         and its node SEU is the smaller of that SEU and its prefix's.  These
         decide whether the child is a result and whether it is
-        expanded.  An expanded child's projection is built here: by
-        ``project`` from ``proj`` for a scanned row, by ``pivot_projection``
-        from a cached row's ``ext`` of several pivots, and as the lone-pivot
-        triple ``(sequence, pivot, b + utility)`` from an ``ext`` of one.
-        Every child is counted as a candidate, but a child that is neither a
-        result nor expanded is only pushed for an observer.
+        expanded.  An expanded child's projection is a cached row's ``ext``
+        or, for a scanned row, built here by ``project`` from ``proj``; the
+        child carries it with the rows' offset.  Every child is counted as a
+        candidate, but a child that is neither a result nor expanded is only
+        pushed for an observer.
         """
-        i_rows, s_rows, b = self._child_rows(proj)
+        i_rows, s_rows, b = self._child_rows(proj, b)
         _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
-        if self.config.variant == USPT:
+        if self.puk:
             global_peu = self.global_item_peu
             floor = prefix_pmiu - b
             kept_i = [r for r in i_rows
@@ -479,8 +466,8 @@ class _Engine:
             )
         size += 1
         self.stats.count_node(size, len(kept_i) + len(kept_s))
-        deeper = self._depth_ok(size + 1)
-        peu_gate = self.config.node_bound == BOUND_PEU
+        deeper = size < self.max_size
+        peu_gate = self.peu_gate
         mu, arrays = self.mtable.mu, self.arrays
         visits = []
         # an I-child extends the last itemset, an S-child opens a new one
@@ -500,14 +487,10 @@ class _Engine:
                 if expand or observer or utility >= child_min_mu:
                     child_proj = None
                     if expand:
-                        if ext is None:
-                            child_proj = project(proj, arrays, item, kind)
-                        elif len(ext[1]) == 1:
-                            child_proj = (ext[0], ext[1][0], b + ext[2][0])
-                        else:
-                            child_proj = pivot_projection(*ext, b)
+                        child_proj = (ext if ext is not None
+                                      else project(proj, arrays, item, kind))
                     child = (utility, child_min_mu, child_pmiu, seu_star, peu, swu)
-                    visits.append((head + (stem + (item,),), size, child_proj, child,
+                    visits.append((head + (stem + (item,),), size, child_proj, b, child,
                                    expand))
         return visits
 

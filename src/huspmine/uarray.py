@@ -23,7 +23,6 @@ from typing import Optional
 
 from .model import (
     Item,
-    Money,
     MTable,
     QSDatabase,
     QSequence,
@@ -44,7 +43,6 @@ class SequenceArrays:
     """
 
     __slots__ = (
-        "sid",
         "n",
         "item",
         "eid",
@@ -59,7 +57,6 @@ class SequenceArrays:
     def __init__(
         self, qseq: QSequence, utable: UtilityTable, mtable: Optional[MTable] = None
     ):
-        self.sid = qseq.sid
         unit = utable.unit
         n_units = len(unit)
         item: list[int] = []
@@ -244,19 +241,6 @@ def project(
         if new_pivots:
             proj.entries.append(ProjEntry(entry.seq_index, new_pivots, new_best))
     return proj
-
-
-def pivot_projection(
-    seq_index: int, pivots: list[int], utilities: list[int], prefix: Money
-) -> Projection:
-    """Projection of a child of a pattern whose projection is one pivot.
-
-    ``pivots`` are the child item's positions that extend that pivot in
-    sequence ``seq_index`` and ``utilities`` the item's utility at each; every
-    new pivot's best utility is the parent pivot's best ``prefix`` plus the
-    item's utility there, exactly as :func:`project` would derive it.
-    """
-    return Projection([ProjEntry(seq_index, pivots, [prefix + x for x in utilities])])
 
 
 class _ItemAccumulator:

@@ -1,5 +1,6 @@
 """Command-line behavior and exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -211,17 +212,35 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys):
 
 def test_check_against_malformed_file_exits_3(tmp_path, fixture_files, capsys):
     data, utility, mtable = fixture_files
+    argv = ["oracle", "--data", str(data), "--utility-table", str(utility),
+            "--mtable", str(mtable), "--max-len", "3"]
+    # the oracle's own results with every utility off by 0.9: read as
+    # integers they would be truncated back to the right values
+    code, out, _ = run_main(argv + ["--format", "json"], capsys)
+    assert code == 0
+    off = json.loads(out)
+    assert off["husps"]
+    for entry in off["husps"]:
+        entry["utility"] += 0.9
     for content in ("not a result file\n",
-                    "pattern\tutility\tmiu\n[zz],[qq]\t5\t5\n"):
+                    "pattern\tutility\tmiu\n[zz],[qq]\t5\t5\n",
+                    '{}',
+                    '{"husps": 5}',
+                    '{"husps": [1]}',
+                    '{"husps": [{"pattern": "[b]", "utility": null, "miu": 1}]}',
+                    '{"husps": [{"pattern": "[b]", "utility": true, "miu": 1}]}',
+                    '{"husps": [{"pattern": "[b]", "utility": "2", "miu": 1}]}',
+                    '{"husps": [{"pattern": 7, "utility": 2, "miu": 1}]}',
+                    '{"husps": [{"pattern": "[b]", "utility": 2}]}',
+                    json.dumps(off)):
         junk = tmp_path / "junk.tsv"
         junk.write_text(content)
         code, _, err = run_main(
-            ["oracle", "--data", str(data), "--utility-table", str(utility),
-             "--mtable", str(mtable), "--max-len", "3", "--check", str(junk),
-             "--out", str(tmp_path / "o.tsv")],
+            argv + ["--check", str(junk), "--out", str(tmp_path / "o.tsv")],
             capsys,
         )
-        assert code == 3
+        assert code == 3, content
+        assert "Traceback" not in err
 
 
 def test_bench_rejects_mtable(tmp_path, fixture_files, capsys):

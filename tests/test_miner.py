@@ -23,6 +23,7 @@ from huspmine import (
 from huspmine.oracle import brute_force_bounds, brute_force_mine
 import huspmine.miner as miner_module
 from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
+from huspmine.uarray import I_STEP, S_STEP, initial_projection, project
 
 from support import engine_bounds, mixed_instances
 
@@ -209,7 +210,7 @@ def test_node_seu_never_exceeds_its_swu():
 
 def _watch_span(monkeypatch, record):
     """Patch ``_Engine._span`` to pass every stack entry it returns, a
-    ``(itemsets, size, projection, node, expand)`` tuple, to ``record``."""
+    ``(itemsets, size, projection, b, node, expand)`` tuple, to ``record``."""
     real_span = miner_module._Engine._span
 
     def watched_span(self, *args):
@@ -221,37 +222,57 @@ def _watch_span(monkeypatch, record):
     monkeypatch.setattr(miner_module._Engine, "_span", watched_span)
 
 
+def _watch_cache_fills(monkeypatch, record):
+    """Patch ``_Engine._pivot_rows`` to pass every ``ext`` projection of the
+    rows it caches to ``record``; returns a one-item list that is True while
+    a fill runs."""
+    real_pivot_rows = miner_module._Engine._pivot_rows
+    filling = [False]
+
+    def watched_pivot_rows(self, *args):
+        filling[0] = True
+        try:
+            rows = real_pivot_rows(self, *args)
+        finally:
+            filling[0] = False
+        for kind_rows in rows:
+            for row in kind_rows:
+                record(row[6])
+        return rows
+
+    monkeypatch.setattr(miner_module._Engine, "_pivot_rows", watched_pivot_rows)
+    return filling
+
+
 @pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
 @pytest.mark.parametrize("variant", [USPT1, USPT])
 def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
                                               example_mtable, variant, node_bound):
-    """Every expanded non-root child gets exactly one projection when it is
-    decided, and no other child gets one.  It comes from ``project``, or,
-    when its parent's child rows are cached for a single pivot, from
-    ``pivot_projection`` or as a lone-pivot triple ``(sequence, pivot,
-    best)``."""
-    calls = []
-    from_pivot = []
-    lone = []
+    """Every expanded non-root child carries exactly one projection when it
+    is decided, and no other child carries one.  Outside the fills of the
+    pivot-row cache, ``project`` is called only for expanded children of
+    scanned rows; every other expanded child shares the ``ext`` projection
+    of a cached row."""
+    built = {}    # id -> projection built by ``project`` outside cache fills
+    cached = {}   # id -> ``ext`` projection of a cached row
+    counts = {"built": 0, "shared": 0}
     real_project = miner_module.project
-    real_pivot_projection = miner_module.pivot_projection
 
     def counting_project(*args, **kwargs):
-        calls.append(args[2:])
-        return real_project(*args, **kwargs)
-
-    def counting_pivot_projection(*args, **kwargs):
-        calls.append(args[:2])
-        from_pivot.append(args[:2])
-        return real_pivot_projection(*args, **kwargs)
+        proj = real_project(*args, **kwargs)
+        if not filling[0]:
+            built[id(proj)] = proj
+        return proj
 
     def check_entry(entry):
-        proj, expand = entry[2], entry[4]
+        proj, expand = entry[2], entry[5]
         assert (proj is not None) == expand
-        if isinstance(proj, tuple):
-            assert len(proj) == 3
-            calls.append(proj)
-            lone.append(proj)
+        if expand:
+            if id(proj) in built:
+                counts["built"] += 1
+            else:
+                assert cached.get(id(proj)) is proj
+                counts["shared"] += 1
 
     class Expanded(MiningObserver):
         def __init__(self):
@@ -262,19 +283,68 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
                 self.count += 1
 
     monkeypatch.setattr(miner_module, "project", counting_project)
-    monkeypatch.setattr(miner_module, "pivot_projection", counting_pivot_projection)
+    filling = _watch_cache_fills(monkeypatch, lambda ext: cached.setdefault(id(ext), ext))
     _watch_span(monkeypatch, check_entry)
     config = MiningConfig(variant=variant, node_bound=node_bound)
     instances = [(example_db, example_utable, example_mtable)] + mixed_instances(10)
-    total = 0
+    total = shared = 0
     for db, utable, mtable in instances:
-        calls.clear()
+        built.clear()
+        cached.clear()
+        counts.update(built=0, shared=0)
         obs = Expanded()
         mine(db, utable, mtable, config, observer=obs)
-        assert len(calls) == obs.count
+        assert counts["built"] == len(built)
+        assert counts["built"] + counts["shared"] == obs.count
         total += obs.count
-    assert total > 0
-    assert from_pivot and lone and len(from_pivot) + len(lone) < total
+        shared += counts["shared"]
+    assert 0 < shared < total
+
+
+@pytest.mark.parametrize("variant", [USPT1, USPT])
+def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
+    """An expanded child's projection, with its offset added to every best
+    utility, is the pattern's projection built by ``project`` from its
+    1-pattern, and a non-zero offset rides only with a one-entry
+    projection."""
+    arrays = []
+    real_build = miner_module.build_database_arrays
+
+    def build(*args):
+        arrays[:] = real_build(*args)
+        return arrays
+
+    def reference(itemsets):
+        proj = initial_projection(arrays, itemsets[0][0])
+        for item in itemsets[0][1:]:
+            proj = project(proj, arrays, item, I_STEP)
+        for itemset in itemsets[1:]:
+            proj = project(proj, arrays, itemset[0], S_STEP)
+            for item in itemset[1:]:
+                proj = project(proj, arrays, item, I_STEP)
+        return proj
+
+    offsets = {"zero": 0, "lone": 0, "several": 0}
+
+    def check_entry(entry):
+        itemsets, proj, b, expand = entry[0], entry[2], entry[3], entry[5]
+        if not expand:
+            return
+        if b == 0:
+            offsets["zero"] += 1
+        else:
+            assert len(proj.entries) == 1
+            offsets["lone" if len(proj.entries[0].pivots) == 1 else "several"] += 1
+        got = [(e.seq_index, e.pivots, [x + b for x in e.best]) for e in proj.entries]
+        want = [(e.seq_index, e.pivots, e.best) for e in reference(itemsets).entries]
+        assert got == want
+
+    monkeypatch.setattr(miner_module, "build_database_arrays", build)
+    _watch_span(monkeypatch, check_entry)
+    for db, utable, mtable in mixed_instances(30):
+        for node_bound in (BOUND_PEU, BOUND_SEU):
+            mine(db, utable, mtable, MiningConfig(variant=variant, node_bound=node_bound))
+    assert all(offsets.values()), offsets
 
 
 def test_seu_anchor_is_the_earliest_pivot_on_ties():
@@ -317,18 +387,12 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
     db = parse_dataset(io.StringIO(text))
     ut = bind_unit_utilities(units, db.symbols)
     longest = sum(len(e.items) for s in db.sequences for e in s.elements)
-    # the pivot count of every child projection built from cached rows,
-    # where a lone-pivot triple counts as one
+    # the pivot count of every child projection cached for a single pivot
     built = []
-    real_pivot_projection = miner_module.pivot_projection
 
-    def recording_pivot_projection(seq_index, pivots, utilities, prefix):
-        built.append(len(pivots))
-        return real_pivot_projection(seq_index, pivots, utilities, prefix)
-
-    def record_lone(entry):
-        if isinstance(entry[2], tuple):
-            built.append(1)
+    def record_ext(ext):
+        assert len(ext.entries) == 1
+        built.append(len(ext.entries[0].pivots))
 
     class Collect(MiningObserver):
         def __init__(self):
@@ -337,8 +401,7 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
         def on_node(self, pattern, bounds, expanded):
             self.nodes[pattern.render(db.symbols)] = (pattern, bounds)
 
-    monkeypatch.setattr(miner_module, "pivot_projection", recording_pivot_projection)
-    _watch_span(monkeypatch, record_lone)
+    _watch_cache_fills(monkeypatch, record_ext)
     # every threshold at 1 removes no item and cuts no subtree, so every
     # node's bounds are the oracle's; at 4 and 12 the gates cut subtrees
     for mu in (1, 4, 12):
@@ -507,21 +570,16 @@ def test_scanned_and_cached_rows_agree(monkeypatch):
         return husps, stats.candidates_visited, obs.events, obs.digest.hexdigest()
 
     built = []
-    real_pivot_projection = miner_module.pivot_projection
-
-    def counting_pivot_projection(*args):
-        built.append(args[0])
-        return real_pivot_projection(*args)
-
-    monkeypatch.setattr(miner_module, "pivot_projection", counting_pivot_projection)
+    _watch_cache_fills(monkeypatch, built.append)
     configs = [MiningConfig(variant=v, node_bound=nb)
                for v in (USPT1, USPT2, USPT) for nb in (BOUND_PEU, BOUND_SEU)]
     instances = mixed_instances(30)
     cached = [run(*inst, config) for inst in instances for config in configs]
     assert built
 
-    def scanned_rows(self, proj):
-        return *self._scan_rows(proj), 0
+    def scanned_rows(self, proj, b):
+        self._scan_candidates(proj)
+        return miner_module._acc_rows(self.acc_i), miner_module._acc_rows(self.acc_s), b
 
     built.clear()
     monkeypatch.setattr(miner_module._Engine, "_child_rows", scanned_rows)

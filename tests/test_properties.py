@@ -311,14 +311,14 @@ def test_projections_hold_at_most_one_pivot_per_element(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(miner_module, "build_database_arrays", build)
-    for name in ("initial_projection", "project", "pivot_projection"):
+    for name in ("initial_projection", "project"):
         monkeypatch.setattr(miner_module, name, checked(getattr(miner_module, name)))
     for db, utable, mtable in mixed_instances(30):
         for variant in (USPT1, USPT):
             for node_bound in (BOUND_PEU, BOUND_SEU):
                 mine(db, utable, mtable,
                      MiningConfig(variant=variant, node_bound=node_bound))
-    assert built.keys() == {"initial_projection", "project", "pivot_projection"}
+    assert built.keys() == {"initial_projection", "project"}
 
 
 def _without_items(db, doomed):
