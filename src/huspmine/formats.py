@@ -13,7 +13,8 @@ ITEM is a non-negative integer or a bare identifier, QTY a positive integer.
 Tokens are separated by one or more spaces; any other character, a tab
 included, belongs to a token.  A line of whitespace only is skipped.
 Utility-table and threshold-table files hold one ``ITEM VALUE`` pair per
-line with ``#`` starting a comment.
+line with ``#`` starting a comment.  Every integer in an input or result
+file is ASCII digits.
 
 Lines end at ``\n`` only, and a ``\r`` just before it is dropped, so CRLF
 files read as LF files.  Other Unicode line boundaries (``\x0b``, ``\x0c``,
@@ -49,9 +50,11 @@ from .miner import ConfigError, Husp
 
 Source = Union[str, Path, TextIO]
 
-_ITEM_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)\[(\d+)\]$")
-_NAME = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)$")
-_SUTILITY = re.compile(r"^SUtility:(\d+)$")
+# ASCII: ``\d`` alone, like ``int``, takes every Unicode digit
+_ITEM_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)\[(\d+)\]$", re.ASCII)
+_NAME = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)$", re.ASCII)
+_SUTILITY = re.compile(r"^SUtility:(\d+)$", re.ASCII)
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -214,10 +217,9 @@ def parse_item_values(source: Source) -> dict:
         name, value = fields
         if name in out:
             raise ParseError(f"duplicate item {name!r}", lineno)
-        try:
-            parsed = int(value)
-        except ValueError:
-            raise ParseError(f"bad value {value!r}", lineno) from None
+        if _INTEGER.fullmatch(value) is None:
+            raise ParseError(f"bad value {value!r}", lineno)
+        parsed = int(value)
         if parsed < 0:
             raise ParseError(f"negative value {value!r}", lineno)
         out[name] = parsed
@@ -482,6 +484,8 @@ def parse_results(source: Source, symbols: Optional[SymbolTable] = None):
             if not line.strip():
                 continue
             pattern_s, utility, miu_v = line.split("\t")
+            if not (_INTEGER.fullmatch(utility) and _INTEGER.fullmatch(miu_v)):
+                raise ValueError(f"utility and miu must be integers: {line!r}")
             rows.append((pattern_s, int(utility), int(miu_v)))
     if symbols is None:
         return rows

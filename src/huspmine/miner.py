@@ -211,7 +211,6 @@ class _Engine:
         self.peu_gate = config.node_bound == BOUND_PEU
         cap = config.max_pattern_length
         self.max_size = sys.maxsize if cap is None else cap
-        self.n_items = len(db.symbols)
         self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
         self.stats = MiningStats()
         self.item_seqs: dict[int, list[int]] = {}
@@ -221,8 +220,8 @@ class _Engine:
         self.global_item_peu: dict[int, int] = {}
         self.one_seq_info: dict[int, OneSeqInfo] = {}
         # scratch state of the candidate scan, one per concatenation kind
-        self.acc_i = _ItemAccumulator(self.n_items)
-        self.acc_s = _ItemAccumulator(self.n_items)
+        self.acc_i = _ItemAccumulator()
+        self.acc_s = _ItemAccumulator()
         # (sequence, pivot) -> the child rows of that lone pivot
         self.pivot_rows: dict[tuple[int, int], tuple[list, list]] = {}
 
@@ -269,25 +268,20 @@ class _Engine:
         observer = self.observer
         acc = self.acc_s
         self._scan_root()
-        if acc.touched:
-            # prefilter: an item whose SWU falls below the least threshold
-            # of any item belongs to no result
-            floor = min(mu[i] for i in acc.touched)
-            self._remove_items({i for i in acc.touched if acc.swu[i] < floor})
+        # prefilter: an item whose SWU falls below the least threshold of
+        # any item belongs to no result
+        floor = min((mu[i] for i in acc.node), default=0)
+        self._remove_items({i for i, row in acc.node.items() if row[3] < floor})
+        # a removal rescans into a new ``acc.node``: read it after each phase
         self.one_seq_info = {
-            i: OneSeqInfo(
-                swu=acc.swu[i],
-                utility=acc.utility[i],
-                pmiu=int(min(mu[i], acc.pool[i])),
-                miu=mu[i],
-            )
-            for i in sorted(acc.touched)
+            i: OneSeqInfo(swu=swu, utility=utility, pmiu=int(min(mu[i], pool)), miu=mu[i])
+            for i, (utility, _, _, swu, pool) in sorted(acc.node.items())
         }
         if observer:
             observer.on_one_sequence_stats(dict(self.one_seq_info))
         if self.config.variant != USPT1:
             self._swu_strategy()
-        self.global_item_peu = {item: acc.peu[item] for item in sorted(acc.touched)}
+        self.global_item_peu = {i: row[1] for i, row in sorted(acc.node.items())}
         if observer:
             observer.on_item_extension_bounds(dict(self.global_item_peu))
         # every root is decided before the search reuses the accumulators;
@@ -296,16 +290,10 @@ class _Engine:
         roots = []
         for item in self.global_item_peu:
             first = self.one_seq_info[item]
-            node = (
-                acc.utility[item],
-                first.miu,
-                int(min(first.miu, acc.pool[item])),
-                acc.seu[item],
-                acc.peu[item],
-                acc.swu[item],
-            )
+            utility, peu, seu, swu, pool = acc.node[item]
+            bounds = (utility, first.miu, int(min(first.miu, pool)), seu, peu, swu)
             expand = deeper and first.swu >= first.pmiu
-            roots.append((((item,),), 1, None, 0, node, expand))
+            roots.append((((item,),), 1, None, 0, bounds, expand))
         self.stats.count_node(1, len(roots))
         husps = self._search(roots)
         self.stats.husps_found = len(husps)
@@ -496,11 +484,10 @@ class _Engine:
 
 
 def _acc_rows(acc: _ItemAccumulator) -> list:
-    """``(item, utility, peu, seu, swu, pool, None)`` for every item the
-    accumulator's last scan touched, sorted by item."""
-    utility, peu, seu, swu, pool = acc.utility, acc.peu, acc.seu, acc.swu, acc.pool
-    return [(i, utility[i], peu[i], seu[i], swu[i], pool[i], None)
-            for i in sorted(acc.touched)]
+    """``(item, utility, peu, seu, swu, pool, None)`` for every item of the
+    accumulator's current node, sorted by item."""
+    node = acc.node
+    return [(i, *node[i], None) for i in sorted(node)]
 
 
 def _validate(db, utable, mtable, config) -> None:

@@ -12,12 +12,12 @@ A pattern's projection stores, per containing sequence, the pivot positions
 (the flat position of the pattern's last item across matches) together with
 the best achievable match utility ending at each pivot.  Projections share
 the parent arrays read-only; child projections are derived from parent
-projections, never from the raw database.
+projections, never from the raw database.  The candidate scan gathers the
+bounds of a node's children by item, in one dict per sequence and one per node.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -219,23 +219,20 @@ def project(
                     new_pivots.append(q)
                     new_best.append(hit[1] + u[q])
         elif kind == S_STEP:
-            # running max of parent best over elements strictly before eid[q]
-            elem_max: list[tuple[int, int]] = []
-            cur = None
-            for p, b in zip(pivots, best):
-                if cur is None or b > cur:
-                    cur = b
-                if elem_max and elem_max[-1][0] == eid[p]:
-                    elem_max[-1] = (eid[p], cur)
-                else:
-                    elem_max.append((eid[p], cur))
-            keys = [e for e, _ in elem_max]
+            # running max of parent best over the pivots in elements strictly
+            # before eid[q]; best may be 0, so no pivot yet reads below 0
+            run_max = -1
+            ptr = 0
+            n_piv = len(pivots)
             for q in positions:
-                idx = bisect.bisect_left(keys, eid[q])
-                if idx == 0:
-                    continue
-                new_pivots.append(q)
-                new_best.append(elem_max[idx - 1][1] + u[q])
+                eq = eid[q]
+                while ptr < n_piv and eid[pivots[ptr]] < eq:
+                    if best[ptr] > run_max:
+                        run_max = best[ptr]
+                    ptr += 1
+                if run_max >= 0:
+                    new_pivots.append(q)
+                    new_best.append(run_max + u[q])
         else:
             raise ValueError(f"unknown concatenation kind: {kind!r}")
         if new_pivots:
@@ -249,95 +246,53 @@ class _ItemAccumulator:
     SEU, SWU and the threshold pool of a pattern.
 
     Each feed is one (match utility, remaining utility) pair of a child item
-    at flat position ``q`` of the current sequence.  Within a sequence the
-    accumulator keeps, per item, the best match utility, the best extension
-    term (match + remaining), the remaining utility at the anchor (the
-    earliest ``q`` reaching the best term, which has the largest remaining
-    utility among the ties) and the threshold pool after the first ``q``
-    fed.  ``end_sequence`` folds those into per-node sums of utility, PEU,
-    capped SEU and SWU, and the node's pool minimum, and starts the next
-    sequence.  Tag arrays avoid any per-node or per-sequence clearing of the
-    full item range.
+    at flat position ``q`` of the current sequence.  ``seq`` maps every item
+    fed in the current sequence to ``[u, peu, aru, pool]``: the best match
+    utility, the best extension term (match + remaining), the remaining
+    utility at the anchor (the earliest ``q`` reaching the best term, which
+    has the largest remaining utility among the ties) and the threshold
+    pool after the first ``q`` fed.  ``end_sequence`` folds ``seq`` into
+    ``node``, which maps every item fed since ``reset_node`` to ``[utility,
+    peu, seu, swu, pool]``: the sums of utility, PEU, SEU capped per
+    sequence at the sequence utility, and SWU, and the least pool.
     """
 
-    __slots__ = (
-        "seq_tag",
-        "seq_u",
-        "seq_peu",
-        "seq_aru",
-        "seq_pool",
-        "seq_mark",
-        "seq_touched",
-        "node_tag",
-        "utility",
-        "peu",
-        "seu",
-        "swu",
-        "pool",
-        "node_mark",
-        "touched",
-    )
+    __slots__ = ("seq", "node")
 
-    def __init__(self, n_items: int):
-        self.seq_tag = [0] * n_items
-        self.seq_u = [0] * n_items
-        self.seq_peu = [0] * n_items
-        self.seq_aru = [0] * n_items
-        self.seq_pool = [0] * n_items
-        self.seq_mark = 1
-        self.seq_touched: list[int] = []
-        self.node_tag = [0] * n_items
-        self.utility = [0] * n_items
-        self.peu = [0] * n_items
-        self.seu = [0] * n_items
-        self.swu = [0] * n_items
-        self.pool = [0] * n_items
-        self.node_mark = 0
-        self.touched: list[int] = []
+    def __init__(self):
+        self.seq: dict[int, list] = {}
+        self.node: dict[int, list] = {}
 
     def reset_node(self) -> None:
-        self.node_mark += 1
-        self.touched = []
+        self.node = {}
 
     def feed(self, item: int, match: int, rest: int, pool: int) -> None:
         term = match + rest
-        if self.seq_tag[item] != self.seq_mark:
-            self.seq_tag[item] = self.seq_mark
-            self.seq_u[item] = match
-            self.seq_peu[item] = term
-            self.seq_aru[item] = rest
-            self.seq_pool[item] = pool
-            self.seq_touched.append(item)
+        state = self.seq.get(item)
+        if state is None:
+            self.seq[item] = [match, term, rest, pool]
             return
-        if match > self.seq_u[item]:
-            self.seq_u[item] = match
-        best = self.seq_peu[item]
-        if term > best or (term == best and rest > self.seq_aru[item]):
-            self.seq_peu[item] = term
-            self.seq_aru[item] = rest
+        if match > state[0]:
+            state[0] = match
+        best = state[1]
+        if term > best or (term == best and rest > state[2]):
+            state[1] = term
+            state[2] = rest
 
     def end_sequence(self, useq: int) -> None:
-        mark = self.node_mark
-        for item in self.seq_touched:
-            u_s = self.seq_u[item]
-            seu_s = u_s + self.seq_aru[item]
+        node = self.node
+        for item, (u_s, peu_s, aru, pool) in self.seq.items():
+            seu_s = u_s + aru
             if seu_s > useq:
                 seu_s = useq
-            if self.node_tag[item] != mark:
-                self.node_tag[item] = mark
-                self.touched.append(item)
-                self.utility[item] = u_s
-                self.peu[item] = self.seq_peu[item]
-                self.seu[item] = seu_s
-                self.swu[item] = useq
-                self.pool[item] = self.seq_pool[item]
+            sums = node.get(item)
+            if sums is None:
+                node[item] = [u_s, peu_s, seu_s, useq, pool]
             else:
-                self.utility[item] += u_s
-                self.peu[item] += self.seq_peu[item]
-                self.seu[item] += seu_s
-                self.swu[item] += useq
-                if self.seq_pool[item] < self.pool[item]:
-                    self.pool[item] = self.seq_pool[item]
-        self.seq_mark += 1
-        self.seq_touched = []
-
+                sums[0] += u_s
+                sums[1] += peu_s
+                sums[2] += seu_s
+                sums[3] += useq
+                if pool < sums[4]:
+                    sums[4] = pool
+        self.seq = {}

@@ -9,6 +9,7 @@ from huspmine import (
     MTable,
     Pattern,
     QItemset,
+    UtilityTable,
     bind_unit_utilities,
     mine,
     parse_dataset,
@@ -106,6 +107,18 @@ def mixed_instances(n):
         else:
             out.append(uniform_instance(seed))
     return [inst for inst in out if inst[0].sequences]
+
+
+def zero_priced_instances(n):
+    """``mixed_instances(n)`` with about 40% of the items repriced to 0,
+    which the generators never draw: matches and extension terms worth
+    nothing, and items whose every bound is 0."""
+    out = []
+    for seed, (db, utable, mtable) in enumerate(mixed_instances(n)):
+        r = random.Random(seed)
+        unit = tuple(0 if r.random() < 0.4 else u for u in utable.unit)
+        out.append((db, UtilityTable(unit), mtable))
+    return out
 
 
 def paper_records(seq):

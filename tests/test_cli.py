@@ -224,6 +224,10 @@ def test_check_against_malformed_file_exits_3(tmp_path, fixture_files, capsys):
         entry["utility"] += 0.9
     for content in ("not a result file\n",
                     "pattern\tutility\tmiu\n[zz],[qq]\t5\t5\n",
+                    # the right result, but not in ASCII digits
+                    "pattern\tutility\tmiu\n[b],[c e]\t2_00\t200\n",
+                    "pattern\tutility\tmiu\n[b],[c e]\t+200\t200\n",
+                    "pattern\tutility\tmiu\n[b],[c e]\t200\t\u0662\u0660\u0660\n",
                     '{}',
                     '{"husps": 5}',
                     '{"husps": [1]}',

@@ -151,12 +151,39 @@ def test_item_values_parsing():
     assert values == {"a": 4, "b": 5}
     with pytest.raises(ParseError):
         parse_item_values(io.StringIO("a 4\na 5\n"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="negative value"):
         parse_item_values(io.StringIO("a -3\n"))
     with pytest.raises(ParseError):
         parse_item_values(io.StringIO("a b c\n"))
     round_trip = parse_item_values(io.StringIO(serialize_item_values(values)))
     assert round_trip == values
+
+
+NOT_ASCII_INTEGERS = [
+    (parse_results, "pattern\tutility\tmiu\n[a]\t1_000\t1\n"),
+    (parse_results, "pattern\tutility\tmiu\n[a]\t+7\t1\n"),
+    (parse_results, "pattern\tutility\tmiu\n[a]\t 7\t1\n"),
+    (parse_results, "pattern\tutility\tmiu\n[a]\t7\t\u0663\n"),
+    (parse_item_values, "a 1_000\n"),
+    (parse_item_values, "a +7\n"),
+    (parse_item_values, "a \u0663\n"),
+    (parse_dataset, "a[\u0663] -2\n"),
+    (parse_dataset, "\u0663[1] -2\n"),
+    (parse_dataset, "a[1] -2 SUtility:\u0663\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    NOT_ASCII_INTEGERS,
+    ids=[f"{parse.__name__}-{text!r}" for parse, text in NOT_ASCII_INTEGERS],
+)
+def test_integers_are_ascii_digits(parse, text):
+    """An integer in any input file is ASCII digits: ``int`` alone would
+    also read ``_`` separators, a ``+`` sign, blanks and other Unicode
+    digits (``\u0663`` is the Arabic-Indic three)."""
+    with pytest.raises(ValueError):
+        parse(io.StringIO(text))
 
 
 def test_bind_reports_missing_items(example_db):

@@ -45,6 +45,7 @@ from support import (
     max_sequence_length,
     mixed_instances,
     qitemset_from_pairs,
+    zero_priced_instances,
 )
 
 N_ITEMS = 5
@@ -242,13 +243,18 @@ def test_bound_chain_and_monotonicity_on_random_instances():
 
 
 def test_engine_matches_oracle_across_variants():
-    for db, utable, mtable in mixed_instances(15):
+    """Every variant under either node bound gives the oracle's results,
+    also when some items are priced 0."""
+    configs = [MiningConfig(variant=variant, node_bound=node_bound)
+               for variant in (USPT1, USPT2, USPT)
+               for node_bound in (BOUND_PEU, BOUND_SEU)]
+    for db, utable, mtable in mixed_instances(15) + zero_priced_instances(60):
         want = [
             (h.pattern, h.utility, h.miu)
             for h in brute_force_mine(db, utable, mtable, max_sequence_length(db))
         ]
-        for variant in (USPT1, USPT2, USPT):
-            got, _ = mine(db, utable, mtable, MiningConfig(variant=variant))
+        for config in configs:
+            got, _ = mine(db, utable, mtable, config)
             assert [(h.pattern, h.utility, h.miu) for h in got] == want
 
 
@@ -399,7 +405,8 @@ def test_engine_node_bounds_match_the_match_list_oracle():
     """Every bound the search computes, and every standalone extension
     bound, must equal the value recomputed from explicit match lists over
     the database the variant leaves: pre-filtered under uspt1, and further
-    cut by the SWU strategy under uspt2 and uspt."""
+    cut by the SWU strategy under uspt2 and uspt.  Some inputs price items
+    at 0."""
     from huspmine import MiningObserver
 
     class Collect(MiningObserver):
@@ -415,7 +422,7 @@ def test_engine_node_bounds_match_the_match_list_oracle():
 
     compared = 0
     swu_removals = 0
-    for db, utable, mtable in mixed_instances(10):
+    for db, utable, mtable in mixed_instances(10) + zero_priced_instances(10):
         prefiltered = _drop_globally_hopeless_items(db, utable, mtable)
         after_swu = _drop_swu_hopeless_items(prefiltered, utable, mtable)
         swu_removals += len(prefiltered.distinct_items() - after_swu.distinct_items())
