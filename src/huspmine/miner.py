@@ -14,7 +14,9 @@ layers cut the tree:
   reachable in its subtree (PMIU);
 * the PUK strategy drops extension items before they are visited as
   children, when both the item's standalone extension bound and the
-  would-be child's bound fall below the prefix's PMIU.
+  would-be child's bound fall below the prefix's PMIU.  It is skipped at
+  every node whose PMIU even the least standalone item bound reaches,
+  where it could drop nothing.
 
 Variant ``uspt1`` disables the first and third layers, ``uspt2`` disables
 only the third, ``uspt`` enables all three.  All variants produce the same
@@ -28,7 +30,10 @@ own children are decided in turn.  The 1-patterns are the children of the
 empty pattern, whose projection is the whole database: the same scan over
 every position gives the set-up statistics, the item removals and the root
 bounds.  The search walks the tree from an explicit stack, so pattern length
-is not limited by the interpreter's recursion depth.
+is not limited by the interpreter's recursion depth.  A child that is a
+result is emitted where it is decided, and only the children to expand go
+on the stack, or every child when an observer is attached, so that
+``on_node`` still sees every node in pre-order.
 
 One loop decides the children of every expanded node, from child rows
 ``(item, utility, peu, seu, swu, pool, ext)``, one list per concatenation
@@ -58,10 +63,11 @@ is built only for a result and for an observer call, and :class:`Bounds`
 only for ``on_node``.  The search builds its patterns with
 ``Pattern._unchecked``, which skips the validation: a child only ever
 appends a larger item to the last itemset or a new singleton, so it is
-valid whenever its parent is.  The walk is a pre-order with sorted children,
-I-children first, which meets the patterns of one size in
-:func:`pattern_sort_key` order, so results are emitted sorted by keeping one
-list per size.
+valid whenever its parent is.  Results are kept in one list per size.
+Children are decided in sorted order, I-children first, and the nodes to
+expand are walked in pre-order, which expands the nodes of one size in
+:func:`pattern_sort_key` order; so every list receives its patterns sorted,
+and the lists joined shortest first are the sorted output.
 """
 
 from __future__ import annotations
@@ -218,7 +224,10 @@ class _Engine:
             for item in seq.positions_of:
                 self.item_seqs.setdefault(item, []).append(si)
         self.global_item_peu: dict[int, int] = {}
+        self.least_item_peu = 0
         self.one_seq_info: dict[int, OneSeqInfo] = {}
+        # the results of size k + 1, in pattern_sort_key order, at index k
+        self.by_size: list[list[Husp]] = [[]]
         # scratch state of the candidate scan, one per concatenation kind
         self.acc_i = _ItemAccumulator()
         self.acc_s = _ItemAccumulator()
@@ -282,24 +291,30 @@ class _Engine:
         if self.config.variant != USPT1:
             self._swu_strategy()
         self.global_item_peu = {i: row[1] for i, row in sorted(acc.node.items())}
+        self.least_item_peu = min(self.global_item_peu.values(), default=0)
         if observer:
             observer.on_item_extension_bounds(dict(self.global_item_peu))
         # every root is decided before the search reuses the accumulators;
         # a root's expansion gate is its first-pass whole-sequence weight
         deeper = self.max_size >= 2
+        results = self.by_size[0]
         roots = []
         for item in self.global_item_peu:
             first = self.one_seq_info[item]
             utility, peu, seu, swu, pool = acc.node[item]
-            bounds = (utility, first.miu, int(min(first.miu, pool)), seu, peu, swu)
+            if utility >= first.miu:
+                results.append(Husp(Pattern._unchecked(((item,),)), utility, first.miu))
             expand = deeper and first.swu >= first.pmiu
-            roots.append((((item,),), 1, None, 0, bounds, expand))
-        self.stats.count_node(1, len(roots))
-        husps = self._search(roots)
+            if expand or observer:
+                bounds = (utility, first.miu, int(min(first.miu, pool)), seu, peu, swu)
+                roots.append((((item,),), 1, None, 0, bounds, expand))
+        self.stats.count_node(1, len(self.global_item_peu))
+        self._search(roots)
+        husps = [husp for bucket in self.by_size for husp in bucket]
         self.stats.husps_found = len(husps)
         return husps
 
-    def _search(self, roots: list) -> list[Husp]:
+    def _search(self, roots: list) -> None:
         """Visit the tree in pre-order from an explicit stack of decided
         nodes ``(itemsets, size, projection, b, node, expand)``, where
         ``node`` is ``(utility, miu, pmiu, seu, peu, swu)`` and ``b`` is
@@ -310,33 +325,27 @@ class _Engine:
         pushed in reverse so they are visited in sorted order, I-children
         first.
 
-        Pre-order meets the patterns of one size in ``pattern_sort_key``
-        order, so the results, kept in one list per size and joined
-        shortest first, come out sorted.  The patterns of the results and
-        of the observer calls are built unchecked: every node extends a
-        valid pattern by a larger item or a new singleton.
+        A node's results are already in ``by_size`` when it is popped: they
+        were emitted where the node was decided.  So the stack holds only
+        the nodes to expand and, when an observer is attached, every other
+        decided node too, for ``on_node`` in pre-order.  The observer's
+        patterns are built unchecked: every node extends a valid pattern
+        by a larger item or a new singleton.
         """
         stack = roots[::-1]
-        by_size: list[list[Husp]] = []
         observer, arrays = self.observer, self.arrays
-        pattern_of = Pattern._unchecked
         while stack:
             itemsets, size, proj, b, node, expand = stack.pop()
-            utility, miu = node[0], node[1]
-            if utility >= miu:
-                while len(by_size) < size:
-                    by_size.append([])
-                by_size[size - 1].append(Husp(pattern_of(itemsets), utility, miu))
             if observer:
-                _, _, pmiu_, seu, peu, swu_ = node
+                utility, miu, pmiu_, seu, peu, swu_ = node
                 bounds = Bounds(swu_, seu, peu, pmiu_, miu, utility)
-                observer.on_node(pattern_of(itemsets), bounds, expand)
-            if expand:
-                if proj is None:
-                    item = itemsets[0][0]
-                    proj = initial_projection(arrays, item, self.item_seqs[item])
-                stack.extend(reversed(self._span(itemsets, size, proj, b, node)))
-        return [husp for bucket in by_size for husp in bucket]
+                observer.on_node(Pattern._unchecked(itemsets), bounds, expand)
+                if not expand:
+                    continue
+            if proj is None:
+                item = itemsets[0][0]
+                proj = initial_projection(arrays, item, self.item_seqs[item])
+            stack.extend(reversed(self._span(itemsets, size, proj, b, node)))
 
     def _scan_candidates(self, proj: Projection) -> None:
         """One pass over the projected arrays that evaluates every would-be
@@ -420,21 +429,28 @@ class _Engine:
 
     def _span(self, itemsets: tuple, size: int, proj: Projection, b: int,
               node: tuple) -> list:
-        """Decide every child of an expanded node from its child rows and
-        return, in visiting order, the stack entries of the ones that matter.
+        """Decide every child of an expanded node from its child rows, emit
+        the results among them and return, in visiting order, the stack
+        entries of the children to expand.
 
         A child's utility, PEU and SEU are its row's plus the rows' offset,
         and its node SEU is the smaller of that SEU and its prefix's.  These
-        decide whether the child is a result and whether it is
-        expanded.  An expanded child's projection is a cached row's ``ext``
-        or, for a scanned row, built here by ``project`` from ``proj``; the
-        child carries it with the rows' offset.  Every child is counted as a
-        candidate, but a child that is neither a result nor expanded is only
-        pushed for an observer.
+        decide whether the child is a result and whether it is expanded.  A
+        result is appended to ``by_size`` here: siblings share one size and
+        are decided in ``pattern_sort_key`` order, and every pattern below
+        them is larger, so each list stays sorted.  An expanded child's
+        projection is a cached row's ``ext`` or, for a scanned row, built
+        here by ``project`` from ``proj``; the child carries it with the
+        rows' offset.  Every child is counted as a candidate, but one that
+        is not expanded is returned only for an observer.
+
+        PUK drops a row only when its item's global PEU is below the
+        prefix's PMIU, so the filter is skipped when even the least global
+        item PEU reaches it: it could drop nothing.
         """
         i_rows, s_rows, b = self._child_rows(proj, b)
         _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
-        if self.puk:
+        if self.puk and self.least_item_peu < prefix_pmiu:
             global_peu = self.global_item_peu
             floor = prefix_pmiu - b
             kept_i = [r for r in i_rows
@@ -452,11 +468,16 @@ class _Engine:
                 {r[0]: b + r[2] for r in kept_i},
                 {r[0]: b + r[2] for r in kept_s},
             )
+        by_size = self.by_size
+        if len(by_size) == size:
+            by_size.append([])
+        results = by_size[size]
         size += 1
         self.stats.count_node(size, len(kept_i) + len(kept_s))
         deeper = size < self.max_size
         peu_gate = self.peu_gate
         mu, arrays = self.mtable.mu, self.arrays
+        pattern_of = Pattern._unchecked
         visits = []
         # an I-child extends the last itemset, an S-child opens a new one
         for kind, kept, head, stem in (
@@ -472,14 +493,19 @@ class _Engine:
                 seu_star = prefix_seu if prefix_seu < seu else seu
                 child_pmiu = pool if pool < child_min_mu else child_min_mu
                 expand = deeper and (peu if peu_gate else seu_star) >= child_pmiu
-                if expand or observer or utility >= child_min_mu:
+                result = utility >= child_min_mu
+                if not (expand or result or observer):
+                    continue
+                child = head + (stem + (item,),)
+                if result:
+                    results.append(Husp(pattern_of(child), utility, child_min_mu))
+                if expand or observer:
                     child_proj = None
                     if expand:
                         child_proj = (ext if ext is not None
                                       else project(proj, arrays, item, kind))
-                    child = (utility, child_min_mu, child_pmiu, seu_star, peu, swu)
-                    visits.append((head + (stem + (item,),), size, child_proj, b, child,
-                                   expand))
+                    bounds = (utility, child_min_mu, child_pmiu, seu_star, peu, swu)
+                    visits.append((child, size, child_proj, b, bounds, expand))
         return visits
 
 

@@ -34,9 +34,11 @@ def symbol_sort_key(name: str) -> tuple:
     Item ids are assigned in this order, so id order coincides with the
     conventional "alphabetical" order used when writing itemsets.  Numeric
     names of equal value (``7``, ``07``) fall back to the name itself, so
-    the order is total and never depends on set iteration order.
+    the order is total and never depends on set iteration order.  Only
+    ASCII digits make a name numeric: ``"²"`` is a digit to ``isdigit`` but
+    not to ``int``, so it sorts as an identifier.
     """
-    if name.isdigit():
+    if name.isascii() and name.isdigit():
         return (0, int(name), name)
     return (1, 0, name)
 

@@ -249,12 +249,15 @@ class _ItemAccumulator:
     at flat position ``q`` of the current sequence.  ``seq`` maps every item
     fed in the current sequence to ``[u, peu, aru, pool]``: the best match
     utility, the best extension term (match + remaining), the remaining
-    utility at the anchor (the earliest ``q`` reaching the best term, which
-    has the largest remaining utility among the ties) and the threshold
-    pool after the first ``q`` fed.  ``end_sequence`` folds ``seq`` into
-    ``node``, which maps every item fed since ``reset_node`` to ``[utility,
-    peu, seu, swu, pool]``: the sums of utility, PEU, SEU capped per
-    sequence at the sequence utility, and SWU, and the least pool.
+    utility at the anchor (the earliest ``q`` reaching the best term) and
+    the threshold pool after the first ``q`` fed.  One item's feeds within
+    a sequence come in increasing position order and the remaining utility
+    never rises along a sequence, so the earliest ``q`` of a tie already
+    has the largest remaining utility, and a later tie never replaces it.
+    ``end_sequence`` folds ``seq`` into ``node``, which maps every item fed
+    since ``reset_node`` to ``[utility, peu, seu, swu, pool]``: the sums of
+    utility, PEU, SEU capped per sequence at the sequence utility, and SWU,
+    and the least pool.
     """
 
     __slots__ = ("seq", "node")
@@ -274,8 +277,7 @@ class _ItemAccumulator:
             return
         if match > state[0]:
             state[0] = match
-        best = state[1]
-        if term > best or (term == best and rest > state[2]):
+        if term > state[1]:
             state[1] = term
             state[2] = rest
 

@@ -25,7 +25,7 @@ import huspmine.miner as miner_module
 from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
 from huspmine.uarray import I_STEP, S_STEP, initial_projection, project
 
-from support import engine_bounds, mixed_instances
+from support import engine_bounds, mixed_instances, zero_priced_instances
 
 
 def test_pattern_order_examples(ids):
@@ -328,8 +328,8 @@ def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
 
     def check_entry(entry):
         itemsets, proj, b, expand = entry[0], entry[2], entry[3], entry[5]
-        if not expand:
-            return
+        # without an observer only the children to expand are stacked
+        assert expand
         if b == 0:
             offsets["zero"] += 1
         else:
@@ -345,6 +345,27 @@ def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
         for node_bound in (BOUND_PEU, BOUND_SEU):
             mine(db, utable, mtable, MiningConfig(variant=variant, node_bound=node_bound))
     assert all(offsets.values()), offsets
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 2])
+def test_observer_free_run_equals_the_observed_one(max_len):
+    """Without an observer the search stacks only the nodes it expands and
+    emits every result where it is decided; with one, every decided node is
+    stacked for ``on_node``.  Both runs return the same results and counts."""
+    results = 0
+    for db, utable, mtable in mixed_instances(30) + zero_priced_instances(30):
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                config = MiningConfig(variant=variant, node_bound=node_bound,
+                                      max_pattern_length=max_len)
+                bare, bare_stats = mine(db, utable, mtable, config)
+                seen, seen_stats = mine(db, utable, mtable, config,
+                                        observer=MiningObserver())
+                assert bare == seen
+                assert bare_stats.candidates_visited == seen_stats.candidates_visited
+                assert bare_stats.depth_histogram == seen_stats.depth_histogram
+                results += len(bare)
+    assert results > 500
 
 
 def test_seu_anchor_is_the_earliest_pivot_on_ties():

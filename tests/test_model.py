@@ -181,6 +181,12 @@ def test_symbol_table_orders_numeric_names():
         table.id_of("3")
 
 
+def test_symbol_table_orders_non_ascii_digits_as_identifiers():
+    # "²" is a digit to str.isdigit but not to int(): it sorts as a name
+    table = SymbolTable.from_names(["²", "a", "10", "9", "07", "7"])
+    assert table.names == ("07", "7", "9", "10", "a", "²")
+
+
 def test_sequence_length_and_flat(example_db):
     s3 = example_db.sequences[2]
     assert s3.length == 9
