@@ -35,6 +35,16 @@ EXIT_TOO_LARGE = 5
 EXIT_MEMORY = 6
 
 
+def _ratio(text: str) -> Fraction:
+    """An exact ratio such as ``0.009`` or ``1/3``, read for a threshold
+    flag or a sweep value; a malformed one or one over zero is a usage
+    error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid ratio: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="huspmine",
@@ -47,9 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--utility-table", required=True, help="unit utility file")
         p.add_argument("--mtable", help="per-item threshold file")
         # exact decimals: 0.009 is 9/1000, not the nearest binary fraction
-        p.add_argument("--beta", type=Fraction,
+        p.add_argument("--beta", type=_ratio,
                        help="threshold factor against each item's total utility")
-        p.add_argument("--lmu", type=Fraction,
+        p.add_argument("--lmu", type=_ratio,
                        help="least threshold as a fraction of the database utility")
 
     p_mine = sub.add_parser("mine", help="run the pattern search")
@@ -220,12 +230,12 @@ def _cmd_bench(args, parser) -> int:
         if args.lmu_sweep is not None:
             if args.beta is None:
                 parser.error("--beta is required with --lmu-sweep")
-            points = [("lmu", Fraction(x)) for x in args.lmu_sweep.split(",")]
+            points = [("lmu", _ratio(x)) for x in args.lmu_sweep.split(",")]
         else:
             if args.lmu is None:
                 parser.error("--lmu is required with --beta-sweep")
-            points = [("beta", Fraction(x)) for x in args.beta_sweep.split(",")]
-    except ValueError as exc:
+            points = [("beta", _ratio(x)) for x in args.beta_sweep.split(",")]
+    except argparse.ArgumentTypeError as exc:
         parser.error(f"bad sweep value: {exc}")
     lines = ["variant\tbeta\tlmu\truntime_s\tcandidates\thusps\tpeak_mem_bytes"]
     for variant in variants:

@@ -29,45 +29,46 @@ expanded.  Only an expanded child gets its own projection, from which its
 own children are decided in turn.  The 1-patterns are the children of the
 empty pattern, whose projection is the whole database: the same scan over
 every position gives the set-up statistics, the item removals and the root
-bounds.  The search walks the tree from an explicit stack, so pattern length
-is not limited by the interpreter's recursion depth.  A child that is a
-result is emitted where it is decided, and only the children to expand go
-on the stack, or every child when an observer is attached, so that
-``on_node`` still sees every node in pre-order.
+bounds.
 
-One loop decides the children of every expanded node, from child rows
-``(item, utility, peu, seu, swu, pool, ext)``, one list per concatenation
-kind sorted by item, and an offset ``b``: a child's utility, PEU and SEU are
-its row's plus ``b``, and its node SEU is the smaller of that and its
-prefix's.  Every expanded node carries one :class:`Projection` and an
-offset added to every best utility in it.  The rows have two sources,
-chosen by the shape of the projection.  Most expanded nodes of a dense run
-have a projection that is one pivot ``p`` of one sequence ``s``; their
-children are fixed by ``(s, p)`` up to the pivot's offset best utility, so
-their rows are cached per ``(s, p)``, filled by one candidate scan of ``p``
-worth zero the first time ``(s, p)`` is met and kept for the rest of the
-run.  A cached row's ``ext`` is its child's projection from ``p`` worth
-zero, built once by ``project``; an expanded child shares it and carries
-the node's offset plus its best utility.  Every other node's rows come from
-a candidate scan of its own projection, with the node's offset, and an
-expanded child's projection is built by ``project`` when the child is
-decided.  An offset is non-zero only below a cached row, where every
-projection lies in one sequence.  There a row's SEU is capped at the
-sequence utility before the offset is added, and the node SEU is still
-exact: the prefix's SEU, which caps it, is at most the sequence utility.
-Both sources give the same children with the same bounds.
+One loop, ``_Engine._walk``, visits the tree in pre-order.  It decides each
+child where it meets it: emits it if it is a result, reports it to
+``on_node`` and, if it is expanded, descends into it by pushing the context
+of the node whose children it was deciding.  A context is the rows iterator
+and its concatenation kind, the offset ``b``, the node's MIU, PMIU and SEU,
+its itemsets, the children's size and their result list.  No call, tuple or
+list is made per node beyond that push, and pattern length is not limited
+by the interpreter's recursion depth.
 
-A search node is a plain tuple: the pattern's itemsets as a tuple of tuples,
-its size as an int, and its bounds as a tuple of ints.  A :class:`Pattern`
-is built only for a result and for an observer call, and :class:`Bounds`
-only for ``on_node``.  The search builds its patterns with
-``Pattern._unchecked``, which skips the validation: a child only ever
+A node's children are decided from child rows ``(item, utility, peu, seu,
+swu, pool, ext)``, one list per concatenation kind sorted by item: a
+child's utility, PEU and SEU are its row's plus ``b``, and its node SEU is
+the smaller of that and its prefix's.  The rows have one source per shape
+of the node's projection.  Most expanded nodes of a dense run are one pivot
+``p`` of one sequence ``s``; their children are fixed by the key ``(s, p)``
+up to the pivot's best utility, so their rows are cached per key, filled by
+one candidate scan of ``p`` worth zero the first time the key is met and
+kept for the rest of the run.  A cached row's ``ext`` is its child's
+projection from ``p`` worth zero: a child that is itself a lone pivot
+``q`` is kept as ``((s, q), best)``, any other as its :class:`Projection`,
+scanned when the child is expanded.  Descending adds ``best``, or nothing,
+to the offset.  Every other node is scanned with its offset, and its rows'
+``ext`` is None: an expanded child's projection is built by ``project``
+when the walk descends into it.  An offset is non-zero only below a lone
+pivot, where every projection lies in one sequence.  There a row's SEU is
+capped at the sequence utility before the offset is added, and the node SEU
+is still exact: the prefix's SEU, which caps it, is at most the sequence
+utility.  Both sources give the same children with the same bounds.
+
+A :class:`Pattern` is built only for a result and for an observer call,
+and :class:`Bounds` only for ``on_node``.  The walk builds its patterns
+with ``Pattern._unchecked``, which skips the validation: a child only ever
 appends a larger item to the last itemset or a new singleton, so it is
 valid whenever its parent is.  Results are kept in one list per size.
-Children are decided in sorted order, I-children first, and the nodes to
-expand are walked in pre-order, which expands the nodes of one size in
-:func:`pattern_sort_key` order; so every list receives its patterns sorted,
-and the lists joined shortest first are the sorted output.
+Children are decided in sorted order, I-children first, and in pre-order,
+which meets the nodes of one size in :func:`pattern_sort_key` order; so
+every list receives its patterns sorted, and the lists joined shortest
+first are the sorted output.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ class MiningStats:
     wall_time: float = 0.0
     peak_memory_estimate: Optional[int] = None
     depth_histogram: dict = field(default_factory=dict)
-
-    def count_node(self, depth: int, n: int = 1) -> None:
-        if n:
-            self.candidates_visited += n
-            self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + n
 
 
 @dataclass(frozen=True)
@@ -231,8 +227,8 @@ class _Engine:
         # scratch state of the candidate scan, one per concatenation kind
         self.acc_i = _ItemAccumulator()
         self.acc_s = _ItemAccumulator()
-        # (sequence, pivot) -> the child rows of that lone pivot
-        self.pivot_rows: dict[tuple[int, int], tuple[list, list]] = {}
+        # (sequence, pivot) -> the I- and S-child rows of that lone pivot
+        self.rows_by_key: dict[tuple[int, int], tuple[list, list]] = {}
 
     # -- set-up -------------------------------------------------------
 
@@ -294,7 +290,7 @@ class _Engine:
         self.least_item_peu = min(self.global_item_peu.values(), default=0)
         if observer:
             observer.on_item_extension_bounds(dict(self.global_item_peu))
-        # every root is decided before the search reuses the accumulators;
+        # every root is decided before the walk reuses the accumulators;
         # a root's expansion gate is its first-pass whole-sequence weight
         deeper = self.max_size >= 2
         results = self.by_size[0]
@@ -306,46 +302,136 @@ class _Engine:
                 results.append(Husp(Pattern._unchecked(((item,),)), utility, first.miu))
             expand = deeper and first.swu >= first.pmiu
             if expand or observer:
-                bounds = (utility, first.miu, int(min(first.miu, pool)), seu, peu, swu)
-                roots.append((((item,),), 1, None, 0, bounds, expand))
-        self.stats.count_node(1, len(self.global_item_peu))
-        self._search(roots)
+                pmiu = int(min(first.miu, pool))
+                roots.append((item, utility, peu, seu, swu, first.miu, pmiu, expand))
+        hist = [0, len(self.global_item_peu)]
+        self._walk(roots, hist)
+        stats = self.stats
+        stats.candidates_visited = sum(hist)
+        stats.depth_histogram = {depth: n for depth, n in enumerate(hist) if n}
         husps = [husp for bucket in self.by_size for husp in bucket]
-        self.stats.husps_found = len(husps)
+        stats.husps_found = len(husps)
         return husps
 
-    def _search(self, roots: list) -> None:
-        """Visit the tree in pre-order from an explicit stack of decided
-        nodes ``(itemsets, size, projection, b, node, expand)``, where
-        ``node`` is ``(utility, miu, pmiu, seu, peu, swu)`` and ``b`` is
-        the offset added to every best utility of ``projection``.  An
-        expanded child carries its projection, built or shared when it was
-        decided; a root's projection is built when the root is popped, with
-        offset zero, and a node that is not expanded has none.  Children are
-        pushed in reverse so they are visited in sorted order, I-children
-        first.
+    def _walk(self, roots: list, hist: list) -> None:
+        """Decide every node below the decided ``roots``, in pre-order, and
+        count the candidates of size ``k`` in ``hist[k]``.
 
-        A node's results are already in ``by_size`` when it is popped: they
-        were emitted where the node was decided.  So the stack holds only
-        the nodes to expand and, when an observer is attached, every other
-        decided node too, for ``on_node`` in pre-order.  The observer's
-        patterns are built unchecked: every node extends a valid pattern
-        by a larger item or a new singleton.
+        A root is ``(item, utility, peu, seu, swu, miu, pmiu, expand)``.  The
+        walk keeps one context, the node whose children are being decided:
+        its rows iterator ``it`` and concatenation ``kind``, the S-rows still
+        to come, its projection ``proj`` when it was scanned, the offset
+        ``b``, its MIU, PMIU and SEU, the PUK ``floor``, its itemsets split
+        into ``head`` and ``stem`` for the child patterns, the children's
+        size, their result list and whether they may be expanded.  A child is
+        decided where the loop meets it; descending into an expanded child
+        pushes the context, and an exhausted context pops its parent's.
+
+        A node that is a lone pivot takes the rows cached for its key,
+        filled by one scan the first time the key is met, with its offset
+        plus its best utility; any other node is scanned with its offset.
+        An expanded child of a scanned row is projected when the walk
+        descends into it.  PUK drops a row only when its item's global PEU
+        is below the prefix's PMIU, so it is off, with ``floor`` 0 below
+        every row's PEU, when even the least global item PEU reaches it.
         """
-        stack = roots[::-1]
-        observer, arrays = self.observer, self.arrays
-        while stack:
-            itemsets, size, proj, b, node, expand = stack.pop()
-            if observer:
-                utility, miu, pmiu_, seu, peu, swu_ = node
-                bounds = Bounds(swu_, seu, peu, pmiu_, miu, utility)
-                observer.on_node(Pattern._unchecked(itemsets), bounds, expand)
-                if not expand:
+        observer, arrays, mu = self.observer, self.arrays, self.mtable.mu
+        scan, acc_i, acc_s = self._scan_candidates, self.acc_i, self.acc_s
+        rows_by_key, item_seqs, by_size = self.rows_by_key, self.item_seqs, self.by_size
+        global_peu, least_peu = self.global_item_peu, self.least_item_peu
+        puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
+        pattern_of = Pattern._unchecked
+        pending = iter(roots)
+        stack = []
+        it, s_rows = iter(()), None
+        while True:
+            for item, utility, peu, seu, swu, pool, ext in it:
+                if peu < floor and global_peu[item] < pmiu:
+                    hist[size] -= 1
                     continue
-            if proj is None:
-                item = itemsets[0][0]
-                proj = initial_projection(arrays, item, self.item_seqs[item])
-            stack.extend(reversed(self._span(itemsets, size, proj, b, node)))
+                utility += b
+                peu += b
+                seu += b
+                m = mu[item]
+                miu = m if m < min_mu else min_mu
+                if seu > node_seu:
+                    seu = node_seu
+                child_pmiu = pool if pool < miu else miu
+                expand = deeper and (peu if peu_gate else seu) >= child_pmiu
+                result = utility >= miu
+                if not (expand or result or observer):
+                    continue
+                child = head + (stem + (item,),)
+                if result:
+                    results.append(Husp(pattern_of(child), utility, miu))
+                if observer:
+                    bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
+                    observer.on_node(pattern_of(child), bounds, expand)
+                if expand:
+                    stack.append((it, kind, s_rows, proj, b, min_mu, pmiu, node_seu, floor,
+                                  itemsets, head, stem, size, results, deeper))
+                    if ext is None:
+                        ext = _lone_key(project(proj, arrays, item, kind))
+                    break
+            else:
+                if s_rows is not None:
+                    # an I-child extends the last itemset, an S-child opens
+                    # a new one
+                    it, kind, s_rows = iter(s_rows), S_STEP, None
+                    head, stem = itemsets, ()
+                    continue
+                if stack:
+                    (it, kind, s_rows, proj, b, min_mu, pmiu, node_seu, floor,
+                     itemsets, head, stem, size, results, deeper) = stack.pop()
+                    continue
+                for item, utility, peu, seu, swu, miu, child_pmiu, expand in pending:
+                    child = ((item,),)
+                    if observer:
+                        bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
+                        observer.on_node(pattern_of(child), bounds, expand)
+                    if expand:
+                        break
+                else:
+                    return
+                ext = _lone_key(initial_projection(arrays, item, item_seqs[item]))
+                b, size = 0, 1
+            # descend into ``child``
+            if type(ext) is tuple:
+                key, best = ext
+                b += best
+                rows = rows_by_key.get(key)
+                if rows is None:
+                    si, p = key
+                    lone = Projection([ProjEntry(si, [p], [0])])
+                    scan(lone)
+                    rows = rows_by_key[key] = tuple(
+                        [(i, *acc.node[i], _lone_key(project(lone, arrays, i, step)))
+                         for i in sorted(acc.node)]
+                        for acc, step in ((acc_i, I_STEP), (acc_s, S_STEP)))
+                i_rows, s_rows = rows
+                proj = None
+            else:
+                proj = ext
+                scan(proj)
+                i_rows, s_rows = _acc_rows(acc_i), _acc_rows(acc_s)
+            itemsets, min_mu, pmiu, node_seu = child, miu, child_pmiu, seu
+            head, stem, kind = child[:-1], child[-1], I_STEP
+            size += 1
+            if len(by_size) < size:
+                by_size.append([])
+                hist.append(0)
+            results = by_size[size - 1]
+            deeper = size < max_size
+            floor = pmiu - b if puk and least_peu < pmiu else 0
+            hist[size] += len(i_rows) + len(s_rows)
+            if observer:
+                both = (i_rows, s_rows)
+                peus = [{r[0]: b + r[2] for r in rows} for rows in both]
+                kept = [{r[0]: b + r[2] for r in rows
+                         if not (r[2] < floor and global_peu[r[0]] < pmiu)}
+                        for rows in both]
+                observer.on_candidates(Pattern(itemsets), *peus, *kept)
+            it = iter(i_rows)
 
     def _scan_candidates(self, proj: Projection) -> None:
         """One pass over the projected arrays that evaluates every would-be
@@ -387,133 +473,22 @@ class _Engine:
             acc_i.end_sequence(seq.useq)
             acc_s.end_sequence(seq.useq)
 
-    def _child_rows(self, proj: Projection, b: int) -> tuple[list, list, int]:
-        """The I- and S-child rows of the node whose projection is ``proj``
-        with offset ``b``, each sorted by item, and the offset to add to
-        every row.
-
-        A row is ``(item, utility, peu, seu, swu, pool, ext)``.  A projection
-        that is one pivot of one sequence takes the rows cached for that
-        ``(sequence, pivot)``, worth zero, with offset ``b`` plus the pivot's
-        best utility; any other projection is scanned, with offset ``b``,
-        and its rows' ``ext`` is None.
-        """
-        entries = proj.entries
-        if len(entries) == 1 and len(entries[0].pivots) == 1:
-            entry = entries[0]
-            key = (entry.seq_index, entry.pivots[0])
-            i_rows, s_rows = self.pivot_rows.get(key) or self._pivot_rows(*key)
-            return i_rows, s_rows, b + entry.best[0]
-        self._scan_candidates(proj)
-        return _acc_rows(self.acc_i), _acc_rows(self.acc_s), b
-
-    def _pivot_rows(self, si: int, p: int) -> tuple[list, list]:
-        """The child rows of pivot ``p`` of sequence ``si`` taken alone and
-        worth zero, kept for the rest of the run.  One candidate scan fills
-        them the first time ``(si, p)`` is met; every row's SWU is the
-        sequence utility.
-
-        A cached row's ``ext`` is the child's projection from that pivot
-        worth zero, built once by ``project`` and shared by every node that
-        meets ``(si, p)``; each adds its own offset.
-        """
-        lone = Projection([ProjEntry(si, [p], [0])])
-        self._scan_candidates(lone)
-        arrays = self.arrays
-        i_rows, s_rows = _acc_rows(self.acc_i), _acc_rows(self.acc_s)
-        rows = self.pivot_rows[(si, p)] = (
-            [r[:6] + (project(lone, arrays, r[0], I_STEP),) for r in i_rows],
-            [r[:6] + (project(lone, arrays, r[0], S_STEP),) for r in s_rows],
-        )
-        return rows
-
-    def _span(self, itemsets: tuple, size: int, proj: Projection, b: int,
-              node: tuple) -> list:
-        """Decide every child of an expanded node from its child rows, emit
-        the results among them and return, in visiting order, the stack
-        entries of the children to expand.
-
-        A child's utility, PEU and SEU are its row's plus the rows' offset,
-        and its node SEU is the smaller of that SEU and its prefix's.  These
-        decide whether the child is a result and whether it is expanded.  A
-        result is appended to ``by_size`` here: siblings share one size and
-        are decided in ``pattern_sort_key`` order, and every pattern below
-        them is larger, so each list stays sorted.  An expanded child's
-        projection is a cached row's ``ext`` or, for a scanned row, built
-        here by ``project`` from ``proj``; the child carries it with the
-        rows' offset.  Every child is counted as a candidate, but one that
-        is not expanded is returned only for an observer.
-
-        PUK drops a row only when its item's global PEU is below the
-        prefix's PMIU, so the filter is skipped when even the least global
-        item PEU reaches it: it could drop nothing.
-        """
-        i_rows, s_rows, b = self._child_rows(proj, b)
-        _, prefix_min_mu, prefix_pmiu, prefix_seu, _, _ = node
-        if self.puk and self.least_item_peu < prefix_pmiu:
-            global_peu = self.global_item_peu
-            floor = prefix_pmiu - b
-            kept_i = [r for r in i_rows
-                      if not (r[2] < floor and global_peu[r[0]] < prefix_pmiu)]
-            kept_s = [r for r in s_rows
-                      if not (r[2] < floor and global_peu[r[0]] < prefix_pmiu)]
-        else:
-            kept_i, kept_s = i_rows, s_rows
-        observer = self.observer
-        if observer:
-            observer.on_candidates(
-                Pattern(itemsets),
-                {r[0]: b + r[2] for r in i_rows},
-                {r[0]: b + r[2] for r in s_rows},
-                {r[0]: b + r[2] for r in kept_i},
-                {r[0]: b + r[2] for r in kept_s},
-            )
-        by_size = self.by_size
-        if len(by_size) == size:
-            by_size.append([])
-        results = by_size[size]
-        size += 1
-        self.stats.count_node(size, len(kept_i) + len(kept_s))
-        deeper = size < self.max_size
-        peu_gate = self.peu_gate
-        mu, arrays = self.mtable.mu, self.arrays
-        pattern_of = Pattern._unchecked
-        visits = []
-        # an I-child extends the last itemset, an S-child opens a new one
-        for kind, kept, head, stem in (
-            (I_STEP, kept_i, itemsets[:-1], itemsets[-1]),
-            (S_STEP, kept_s, itemsets, ()),
-        ):
-            for item, utility, peu, seu, swu, pool, ext in kept:
-                utility += b
-                peu += b
-                seu += b
-                m = mu[item]
-                child_min_mu = m if m < prefix_min_mu else prefix_min_mu
-                seu_star = prefix_seu if prefix_seu < seu else seu
-                child_pmiu = pool if pool < child_min_mu else child_min_mu
-                expand = deeper and (peu if peu_gate else seu_star) >= child_pmiu
-                result = utility >= child_min_mu
-                if not (expand or result or observer):
-                    continue
-                child = head + (stem + (item,),)
-                if result:
-                    results.append(Husp(pattern_of(child), utility, child_min_mu))
-                if expand or observer:
-                    child_proj = None
-                    if expand:
-                        child_proj = (ext if ext is not None
-                                      else project(proj, arrays, item, kind))
-                    bounds = (utility, child_min_mu, child_pmiu, seu_star, peu, swu)
-                    visits.append((child, size, child_proj, b, bounds, expand))
-        return visits
-
 
 def _acc_rows(acc: _ItemAccumulator) -> list:
     """``(item, utility, peu, seu, swu, pool, None)`` for every item of the
     accumulator's current node, sorted by item."""
     node = acc.node
     return [(i, *node[i], None) for i in sorted(node)]
+
+
+def _lone_key(proj: Projection):
+    """``((sequence, pivot), best)`` when ``proj`` is one pivot of one
+    sequence, else ``proj`` itself."""
+    entries = proj.entries
+    if len(entries) == 1 and len(entries[0].pivots) == 1:
+        entry = entries[0]
+        return (entry.seq_index, entry.pivots[0]), entry.best[0]
+    return proj
 
 
 def _validate(db, utable, mtable, config) -> None:

@@ -210,6 +210,37 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("mine", ["--beta", "1/0", "--lmu", "0.1"]),
+    ("mine", ["--beta", "1", "--lmu", "1/0"]),
+    ("oracle", ["--beta", "1/0", "--lmu", "0.1", "--max-len", "2"]),
+    ("oracle", ["--beta", "1", "--lmu", "1/0", "--max-len", "2"]),
+    ("bench", ["--beta", "1/0", "--lmu-sweep", "0.1"]),
+    ("bench", ["--lmu", "1/0", "--beta-sweep", "0.5"]),
+])
+def test_zero_denominator_flag_exits_2(fixture_files, capsys, command, flags):
+    data, utility, _ = fixture_files
+    with pytest.raises(SystemExit) as err:
+        main([command, "--data", str(data), "--utility-table", str(utility)] + flags)
+    assert err.value.code == 2
+    assert "invalid ratio: '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep,fixed", [
+    (["--lmu-sweep", "0.1,1/0"], ["--beta", "1"]),
+    (["--beta-sweep", "0.5,1/0"], ["--lmu", "0.1"]),
+])
+def test_zero_denominator_sweep_value_exits_2(fixture_files, capsys, sweep, fixed):
+    data, utility, _ = fixture_files
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--data", str(data), "--utility-table", str(utility)]
+             + fixed + sweep)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "bad sweep value: invalid ratio: '1/0'" in err_text
+    assert "Traceback" not in err_text
+
+
 def test_check_against_malformed_file_exits_3(tmp_path, fixture_files, capsys):
     data, utility, mtable = fixture_files
     argv = ["oracle", "--data", str(data), "--utility-table", str(utility),

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import sys
 import tracemalloc
 
 import pytest
@@ -208,105 +209,38 @@ def test_node_seu_never_exceeds_its_swu():
     assert all(seu <= swu for seu, swu in obs.pairs)
 
 
-def _watch_span(monkeypatch, record):
-    """Patch ``_Engine._span`` to pass every stack entry it returns, a
-    ``(itemsets, size, projection, b, node, expand)`` tuple, to ``record``."""
-    real_span = miner_module._Engine._span
-
-    def watched_span(self, *args):
-        visits = real_span(self, *args)
-        for entry in visits:
-            record(entry)
-        return visits
-
-    monkeypatch.setattr(miner_module._Engine, "_span", watched_span)
+def _is_lone(proj):
+    return len(proj.entries) == 1 and len(proj.entries[0].pivots) == 1
 
 
-def _watch_cache_fills(monkeypatch, record):
-    """Patch ``_Engine._pivot_rows`` to pass every ``ext`` projection of the
-    rows it caches to ``record``; returns a one-item list that is True while
-    a fill runs."""
-    real_pivot_rows = miner_module._Engine._pivot_rows
-    filling = [False]
+def _watch_scans(monkeypatch, record):
+    """Patch ``_Engine._scan_candidates`` to pass every projection it scans
+    and the engine, after the scan, to ``record``.  The engine scans a lone
+    pivot only to fill the rows cached for it, worth zero."""
+    real_scan = miner_module._Engine._scan_candidates
 
-    def watched_pivot_rows(self, *args):
-        filling[0] = True
-        try:
-            rows = real_pivot_rows(self, *args)
-        finally:
-            filling[0] = False
-        for kind_rows in rows:
-            for row in kind_rows:
-                record(row[6])
-        return rows
+    def watched_scan(self, proj):
+        real_scan(self, proj)
+        record(proj, self)
 
-    monkeypatch.setattr(miner_module._Engine, "_pivot_rows", watched_pivot_rows)
-    return filling
+    monkeypatch.setattr(miner_module._Engine, "_scan_candidates", watched_scan)
 
 
-@pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
-@pytest.mark.parametrize("variant", [USPT1, USPT])
-def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
-                                              example_mtable, variant, node_bound):
-    """Every expanded non-root child carries exactly one projection when it
-    is decided, and no other child carries one.  Outside the fills of the
-    pivot-row cache, ``project`` is called only for expanded children of
-    scanned rows; every other expanded child shares the ``ext`` projection
-    of a cached row."""
-    built = {}    # id -> projection built by ``project`` outside cache fills
-    cached = {}   # id -> ``ext`` projection of a cached row
-    counts = {"built": 0, "shared": 0}
-    real_project = miner_module.project
+def _keep_engines(monkeypatch):
+    """Patch ``_Engine.run`` to keep every engine it runs; returns the list."""
+    engines = []
+    real_run = miner_module._Engine.run
 
-    def counting_project(*args, **kwargs):
-        proj = real_project(*args, **kwargs)
-        if not filling[0]:
-            built[id(proj)] = proj
-        return proj
+    def run(self):
+        engines.append(self)
+        return real_run(self)
 
-    def check_entry(entry):
-        proj, expand = entry[2], entry[5]
-        assert (proj is not None) == expand
-        if expand:
-            if id(proj) in built:
-                counts["built"] += 1
-            else:
-                assert cached.get(id(proj)) is proj
-                counts["shared"] += 1
-
-    class Expanded(MiningObserver):
-        def __init__(self):
-            self.count = 0
-
-        def on_node(self, pattern, bounds, expanded):
-            if expanded and pattern.size >= 2:
-                self.count += 1
-
-    monkeypatch.setattr(miner_module, "project", counting_project)
-    filling = _watch_cache_fills(monkeypatch, lambda ext: cached.setdefault(id(ext), ext))
-    _watch_span(monkeypatch, check_entry)
-    config = MiningConfig(variant=variant, node_bound=node_bound)
-    instances = [(example_db, example_utable, example_mtable)] + mixed_instances(10)
-    total = shared = 0
-    for db, utable, mtable in instances:
-        built.clear()
-        cached.clear()
-        counts.update(built=0, shared=0)
-        obs = Expanded()
-        mine(db, utable, mtable, config, observer=obs)
-        assert counts["built"] == len(built)
-        assert counts["built"] + counts["shared"] == obs.count
-        total += obs.count
-        shared += counts["shared"]
-    assert 0 < shared < total
+    monkeypatch.setattr(miner_module._Engine, "run", run)
+    return engines
 
 
-@pytest.mark.parametrize("variant", [USPT1, USPT])
-def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
-    """An expanded child's projection, with its offset added to every best
-    utility, is the pattern's projection built by ``project`` from its
-    1-pattern, and a non-zero offset rides only with a one-entry
-    projection."""
+def _capture_arrays(monkeypatch):
+    """Keep the utility arrays of the latest run; returns the list they go in."""
     arrays = []
     real_build = miner_module.build_database_arrays
 
@@ -314,44 +248,146 @@ def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
         arrays[:] = real_build(*args)
         return arrays
 
-    def reference(itemsets):
-        proj = initial_projection(arrays, itemsets[0][0])
-        for item in itemsets[0][1:]:
+    monkeypatch.setattr(miner_module, "build_database_arrays", build)
+    return arrays
+
+
+def _reference_projection(arrays, itemsets):
+    """The pattern's projection built by ``project`` from its 1-pattern."""
+    proj = initial_projection(arrays, itemsets[0][0])
+    for item in itemsets[0][1:]:
+        proj = project(proj, arrays, item, I_STEP)
+    for itemset in itemsets[1:]:
+        proj = project(proj, arrays, itemset[0], S_STEP)
+        for item in itemset[1:]:
             proj = project(proj, arrays, item, I_STEP)
-        for itemset in itemsets[1:]:
-            proj = project(proj, arrays, itemset[0], S_STEP)
-            for item in itemset[1:]:
-                proj = project(proj, arrays, item, I_STEP)
+    return proj
+
+
+def _prefix_of(itemsets):
+    """The itemsets of the pattern that ``itemsets`` extends by one item."""
+    last = itemsets[-1]
+    return itemsets[:-1] + ((last[:-1],) if len(last) > 1 else ())
+
+
+def _pivots(proj):
+    return [(e.seq_index, tuple(e.pivots)) for e in proj.entries]
+
+
+@pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
+@pytest.mark.parametrize("variant", [USPT1, USPT])
+def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
+                                              example_mtable, variant, node_bound):
+    """Outside the fills of the row cache, ``project`` is called once for
+    every expanded child of a scanned node and for nothing else: the calls
+    build exactly those children's pivots.  Every other expanded child is a
+    cached row's child and builds nothing when it is expanded.  A lone pivot
+    is scanned only to fill its cached rows."""
+    arrays = _capture_arrays(monkeypatch)
+    fills = {}      # id -> lone projection scanned to fill the cache
+    built = []      # pivots of every projection built outside cache fills
+    pending = []    # the projection scanned for the next ``on_candidates``
+    real_project = miner_module.project
+
+    def counting_project(parent, arrays_, item, kind):
+        proj = real_project(parent, arrays_, item, kind)
+        if id(parent) not in fills:
+            assert not _is_lone(parent)
+            built.append(_pivots(proj))
         return proj
 
-    offsets = {"zero": 0, "lone": 0, "several": 0}
-
-    def check_entry(entry):
-        itemsets, proj, b, expand = entry[0], entry[2], entry[3], entry[5]
-        # without an observer only the children to expand are stacked
-        assert expand
-        if b == 0:
-            offsets["zero"] += 1
+    def record_scan(proj, engine):
+        if _is_lone(proj):
+            assert proj.entries[0].best == [0]
+            fills[id(proj)] = proj
         else:
-            assert len(proj.entries) == 1
-            offsets["lone" if len(proj.entries[0].pivots) == 1 else "several"] += 1
-        got = [(e.seq_index, e.pivots, [x + b for x in e.best]) for e in proj.entries]
-        want = [(e.seq_index, e.pivots, e.best) for e in reference(itemsets).entries]
-        assert got == want
+            pending.append(proj)
 
-    monkeypatch.setattr(miner_module, "build_database_arrays", build)
-    _watch_span(monkeypatch, check_entry)
+    class Expanded(MiningObserver):
+        def __init__(self):
+            self.scanned = set()
+            self.children = []
+
+        def on_candidates(self, prefix, i_items, s_items, kept_i, kept_s):
+            assert len(pending) <= 1
+            if pending:
+                self.scanned.add(prefix.itemsets)
+                pending.clear()
+
+        def on_node(self, pattern, bounds, expanded):
+            if expanded and pattern.size >= 2:
+                self.children.append(pattern.itemsets)
+
+    monkeypatch.setattr(miner_module, "project", counting_project)
+    _watch_scans(monkeypatch, record_scan)
+    config = MiningConfig(variant=variant, node_bound=node_bound)
+    instances = [(example_db, example_utable, example_mtable)] + mixed_instances(10)
+    total = shared = 0
+    for db, utable, mtable in instances:
+        built.clear()
+        fills.clear()
+        obs = Expanded()
+        mine(db, utable, mtable, config, observer=obs)
+        from_scans = [c for c in obs.children if _prefix_of(c) in obs.scanned]
+        want = [_pivots(_reference_projection(arrays, c)) for c in from_scans]
+        assert sorted(built) == sorted(want)
+        total += len(obs.children)
+        shared += len(obs.children) - len(from_scans)
+    assert 0 < shared < total
+
+
+@pytest.mark.parametrize("variant", [USPT1, USPT])
+def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
+    """Every scanned node's projection, with its offset added to every best
+    utility, is the pattern's projection built by ``project`` from its
+    1-pattern, and a non-zero offset rides only with a one-entry projection:
+    below a lone pivot.  Every node that is not scanned is a lone pivot.
+    The offset is read off ``on_candidates``, which reports every child's
+    PEU as the offset plus its scanned row's."""
+    arrays = _capture_arrays(monkeypatch)
+    offsets = {"zero": 0, "lone": 0, "several": 0}
+    pending = []
+
+    def record_scan(proj, engine):
+        if not _is_lone(proj):
+            pending.append((proj, [{i: row[1] for i, row in acc.node.items()}
+                                   for acc in (engine.acc_i, engine.acc_s)]))
+
+    class Offsets(MiningObserver):
+        def on_candidates(self, prefix, i_items, s_items, kept_i, kept_s):
+            want = _reference_projection(arrays, prefix.itemsets)
+            if not pending:
+                assert _is_lone(want)
+                offsets["lone"] += 1
+                return
+            (proj, (peu_i, peu_s)), = pending
+            pending.clear()
+            assert i_items.keys() == peu_i.keys() and s_items.keys() == peu_s.keys()
+            b = {i_items[i] - peu_i[i] for i in i_items} | {
+                s_items[i] - peu_s[i] for i in s_items}
+            assert len(b) <= 1
+            b = b.pop() if b else 0
+            if b == 0:
+                offsets["zero"] += 1
+            else:
+                assert len(proj.entries) == 1
+                offsets["several"] += 1
+            got = [(e.seq_index, e.pivots, [x + b for x in e.best]) for e in proj.entries]
+            assert got == [(e.seq_index, e.pivots, e.best) for e in want.entries]
+
+    _watch_scans(monkeypatch, record_scan)
     for db, utable, mtable in mixed_instances(30):
         for node_bound in (BOUND_PEU, BOUND_SEU):
-            mine(db, utable, mtable, MiningConfig(variant=variant, node_bound=node_bound))
+            mine(db, utable, mtable, MiningConfig(variant=variant, node_bound=node_bound),
+                 observer=Offsets())
     assert all(offsets.values()), offsets
 
 
 @pytest.mark.parametrize("max_len", [None, 1, 2])
 def test_observer_free_run_equals_the_observed_one(max_len):
-    """Without an observer the search stacks only the nodes it expands and
-    emits every result where it is decided; with one, every decided node is
-    stacked for ``on_node``.  Both runs return the same results and counts."""
+    """The walk emits every result where it decides it, with or without an
+    observer; with one it also reports every decided node to ``on_node``.
+    Both runs return the same results and counts."""
     results = 0
     for db, utable, mtable in mixed_instances(30) + zero_priced_instances(30):
         for variant in (USPT1, USPT2, USPT):
@@ -408,13 +444,6 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
     db = parse_dataset(io.StringIO(text))
     ut = bind_unit_utilities(units, db.symbols)
     longest = sum(len(e.items) for s in db.sequences for e in s.elements)
-    # the pivot count of every child projection cached for a single pivot
-    built = []
-
-    def record_ext(ext):
-        assert len(ext.entries) == 1
-        built.append(len(ext.entries[0].pivots))
-
     class Collect(MiningObserver):
         def __init__(self):
             self.nodes = {}
@@ -422,7 +451,7 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
         def on_node(self, pattern, bounds, expanded):
             self.nodes[pattern.render(db.symbols)] = (pattern, bounds)
 
-    _watch_cache_fills(monkeypatch, record_ext)
+    engines = _keep_engines(monkeypatch)
     # every threshold at 1 removes no item and cuts no subtree, so every
     # node's bounds are the oracle's; at 4 and 12 the gates cut subtrees
     for mu in (1, 4, 12):
@@ -439,6 +468,18 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
                     assert set(children) <= obs.nodes.keys()
                     for pattern, bounds in obs.nodes.values():
                         assert bounds == brute_force_bounds(pattern, db, ut, mt)
+    # the pivot count of every child cached for a single pivot: a lone pivot
+    # is kept as its key and best utility, any other child as its projection
+    built = []
+    for engine in engines:
+        for rows in engine.rows_by_key.values():
+            for row in rows[0] + rows[1]:
+                ext = row[6]
+                if type(ext) is tuple:
+                    built.append(1)
+                else:
+                    assert len(ext.entries) == 1 and len(ext.entries[0].pivots) > 1
+                    built.append(len(ext.entries[0].pivots))
     assert max(built) == most_pivots
 
 
@@ -590,20 +631,38 @@ def test_scanned_and_cached_rows_agree(monkeypatch):
         husps, stats = mine(db, utable, mtable, config, observer=obs)
         return husps, stats.candidates_visited, obs.events, obs.digest.hexdigest()
 
-    built = []
-    _watch_cache_fills(monkeypatch, built.append)
+    engines = _keep_engines(monkeypatch)
     configs = [MiningConfig(variant=v, node_bound=nb)
                for v in (USPT1, USPT2, USPT) for nb in (BOUND_PEU, BOUND_SEU)]
     instances = mixed_instances(30)
     cached = [run(*inst, config) for inst in instances for config in configs]
-    assert built
+    assert any(engine.rows_by_key for engine in engines)
 
-    def scanned_rows(self, proj, b):
-        self._scan_candidates(proj)
-        return miner_module._acc_rows(self.acc_i), miner_module._acc_rows(self.acc_s), b
-
-    built.clear()
-    monkeypatch.setattr(miner_module._Engine, "_child_rows", scanned_rows)
+    # no projection reads as a lone pivot, so every node is scanned
+    engines.clear()
+    monkeypatch.setattr(miner_module, "_lone_key", lambda proj: proj)
     scanned = [run(*inst, config) for inst in instances for config in configs]
-    assert not built
+    assert engines and not any(engine.rows_by_key for engine in engines)
     assert scanned == cached
+
+
+def test_a_long_chain_of_lone_pivots_never_recurses():
+    """One sequence of 300 distinct single-item elements worth 1 each, every
+    threshold 300: only the whole sequence is a result, reached through a
+    300-deep chain of lone pivots.  The walk and the row cache must not
+    recurse per level, so a recursion limit below the depth is no obstacle."""
+    n = 300
+    names = [f"i{k:03d}" for k in range(n)]
+    db = parse_dataset(io.StringIO(" -1 ".join(f"{name}[1]" for name in names) + " -2\n"))
+    ut = bind_unit_utilities({name: 1 for name in names}, db.symbols)
+    mt = bind_thresholds({name: n for name in names}, db.symbols)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        husps, stats = mine(db, ut, mt)
+    finally:
+        sys.setrecursionlimit(limit)
+    whole = Pattern(tuple((db.symbols.id_of(name),) for name in names))
+    assert [(h.pattern, h.utility, h.miu) for h in husps] == [(whole, n, n)]
+    assert max(stats.depth_histogram) == n
+    assert stats.depth_histogram == {1: n, **{k: 1 for k in range(2, n + 1)}}
