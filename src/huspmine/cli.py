@@ -45,6 +45,17 @@ def _ratio(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid ratio: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """A count of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="huspmine",
@@ -78,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--out", help="output file (default stdout)")
     p_oracle.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_oracle.add_argument("--check", help="compare against a result file")
-    p_oracle.add_argument("--node-budget", type=int, default=None,
+    p_oracle.add_argument("--node-budget", type=_positive_int, default=None,
                           help="cap on evaluated candidate patterns")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -223,6 +234,8 @@ def _cmd_bench(args, parser) -> int:
     db = formats.parse_dataset(args.data, unit_utilities=units)
     utable = formats.bind_unit_utilities(units, db.symbols)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        parser.error("--variants names no variant")
     for v in variants:
         if v not in VARIANTS:
             parser.error(f"unknown variant {v!r}")

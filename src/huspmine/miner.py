@@ -49,16 +49,17 @@ of the node's projection.  Most expanded nodes of a dense run are one pivot
 up to the pivot's best utility, so their rows are cached per key, filled by
 one candidate scan of ``p`` worth zero the first time the key is met and
 kept for the rest of the run.  A cached row's ``ext`` is its child's
-projection from ``p`` worth zero: a child that is itself a lone pivot
-``q`` is kept as ``((s, q), best)``, any other as its :class:`Projection`,
-scanned when the child is expanded.  Descending adds ``best``, or nothing,
-to the offset.  Every other node is scanned with its offset, and its rows'
-``ext`` is None: an expanded child's projection is built by ``project``
-when the walk descends into it.  An offset is non-zero only below a lone
-pivot, where every projection lies in one sequence.  There a row's SEU is
-capped at the sequence utility before the offset is added, and the node SEU
-is still exact: the prefix's SEU, which caps it, is at most the sequence
-utility.  Both sources give the same children with the same bounds.
+projection from ``p`` worth zero, read off the arrays without ``project``:
+a child that is itself a lone pivot ``q`` is kept as ``((s, q), best)``,
+any other as its :class:`Projection`, scanned when the child is expanded.
+Descending adds ``best``, or nothing, to the offset.  Every other node is
+scanned with its offset, and its rows' ``ext`` is None: an expanded child's
+projection is built by ``project`` when the walk descends into it.  An
+offset is non-zero only below a lone pivot, where every projection lies in
+one sequence.  There a row's SEU is capped at the sequence utility before
+the offset is added, and the node SEU is still exact: the prefix's SEU,
+which caps it, is at most the sequence utility.  Both sources give the same
+children with the same bounds.
 
 A :class:`Pattern` is built only for a result and for an observer call,
 and :class:`Bounds` only for ``on_node``.  The walk builds its patterns
@@ -69,13 +70,19 @@ Children are decided in sorted order, I-children first, and in pre-order,
 which meets the nodes of one size in :func:`pattern_sort_key` order; so
 every list receives its patterns sorted, and the lists joined shortest
 first are the sorted output.
+
+:func:`mine` pauses the cyclic garbage collector while it runs: the search
+makes no reference cycles, so the collector would free nothing, yet it would
+keep re-traversing the growing list of results.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -401,13 +408,7 @@ class _Engine:
                 b += best
                 rows = rows_by_key.get(key)
                 if rows is None:
-                    si, p = key
-                    lone = Projection([ProjEntry(si, [p], [0])])
-                    scan(lone)
-                    rows = rows_by_key[key] = tuple(
-                        [(i, *acc.node[i], _lone_key(project(lone, arrays, i, step)))
-                         for i in sorted(acc.node)]
-                        for acc, step in ((acc_i, I_STEP), (acc_s, S_STEP)))
+                    rows = rows_by_key[key] = self._fill(key)
                 i_rows, s_rows = rows
                 proj = None
             else:
@@ -432,6 +433,38 @@ class _Engine:
                         for rows in both]
                 observer.on_candidates(Pattern(itemsets), *peus, *kept)
             it = iter(i_rows)
+
+    def _fill(self, key: tuple[int, int]) -> tuple[list, list]:
+        """The I- and S-child rows of the lone pivot ``p`` of sequence ``s``
+        worth zero, decided by one candidate scan; each row's ``ext``, its
+        child's projection from ``p``, is read off the arrays.
+
+        An I-child's item occurs once after ``p`` in ``p``'s element, and
+        that is its one pivot.  An S-child's pivots are its item's positions
+        from the next element on.  Every pivot is worth its own utility.
+        """
+        si, p = key
+        self._scan_candidates(Projection([ProjEntry(si, [p], [0])]))
+        seq = self.arrays[si]
+        u, item_ = seq.u, seq.item
+        i_node, s_node = self.acc_i.node, self.acc_s.node
+        e = seq.eid[p]
+        nxt = seq.elem_first[e] if e < len(seq.elem_first) else seq.n
+        # an element's items increase, so its positions after ``p`` list
+        # the I-children in item order
+        i_rows = [(item_[q], *i_node[item_[q]], ((si, q), u[q])) for q in range(p + 1, nxt)]
+        s_rows = []
+        positions_of = seq.positions_of
+        for i in sorted(s_node):
+            at = positions_of[i]
+            pivots = at[bisect_left(at, nxt):]
+            if len(pivots) == 1:
+                q = pivots[0]
+                ext = (si, q), u[q]
+            else:
+                ext = Projection([ProjEntry(si, pivots, [u[q] for q in pivots])])
+            s_rows.append((i, *s_node[i], ext))
+        return i_rows, s_rows
 
     def _scan_candidates(self, proj: Projection) -> None:
         """One pass over the projected arrays that evaluates every would-be
@@ -529,6 +562,10 @@ def mine(
         tracemalloc.reset_peak()
         traced_before = tracemalloc.get_traced_memory()[0]
     started = time.perf_counter()
+    # the search makes no reference cycles, but the results it keeps alive
+    # would have the cyclic collector traverse an ever larger heap
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         engine = _Engine(db, utable, mtable, config, observer)
         husps = engine.run()
@@ -539,5 +576,7 @@ def mine(
             stats.peak_memory_estimate = peak - traced_before
         return husps, stats
     finally:
+        if collecting:
+            gc.enable()
         if own_trace:
             tracemalloc.stop()

@@ -358,6 +358,16 @@ def test_oracle_budget_exits_5(fixture_files, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_oracle_budget_below_one_exits_2(fixture_files, capsys, budget):
+    data, utility, mtable = fixture_files
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--data", str(data), "--utility-table", str(utility),
+              "--mtable", str(mtable), "--max-len", "2", "--node-budget", budget])
+    assert err.value.code == 2
+    assert f"must be at least 1: '{budget}'" in capsys.readouterr().err
+
+
 def test_gen_roundtrip_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.qsd", tmp_path / "a.ut"
     out_b = tmp_path / "b.qsd", tmp_path / "b.ut"
@@ -499,6 +509,18 @@ def test_bench_requires_exactly_one_sweep(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--data", "x", "--utility-table", "y", "--beta", "1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("variants", ["", ","])
+def test_bench_without_variants_exits_2(fixture_files, capsys, variants):
+    data, utility, _ = fixture_files
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--data", str(data), "--utility-table", str(utility),
+              "--beta", "1", "--lmu-sweep", "0.1", "--variants", variants])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--variants names no variant" in captured.err
 
 
 def test_console_entry_point(fixture_files):

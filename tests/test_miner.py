@@ -1,9 +1,11 @@
 """Search engine: ordering, pruning variants, determinism."""
 
+import gc
 import hashlib
 import io
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -16,15 +18,25 @@ from huspmine import (
     UtilityTable,
     bind_thresholds,
     bind_unit_utilities,
+    generate_mtable,
     mine,
     parse_dataset,
+    parse_item_values,
     pattern_sort_key,
     write_results,
 )
+from huspmine.formats import GenParams, generate_synthetic
 from huspmine.oracle import brute_force_bounds, brute_force_mine
 import huspmine.miner as miner_module
 from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
-from huspmine.uarray import I_STEP, S_STEP, initial_projection, project
+from huspmine.uarray import (
+    I_STEP,
+    S_STEP,
+    ProjEntry,
+    Projection,
+    initial_projection,
+    project,
+)
 
 from support import engine_bounds, mixed_instances, zero_priced_instances
 
@@ -278,28 +290,25 @@ def _pivots(proj):
 @pytest.mark.parametrize("variant", [USPT1, USPT])
 def test_only_expanded_children_are_projected(monkeypatch, example_db, example_utable,
                                               example_mtable, variant, node_bound):
-    """Outside the fills of the row cache, ``project`` is called once for
-    every expanded child of a scanned node and for nothing else: the calls
-    build exactly those children's pivots.  Every other expanded child is a
-    cached row's child and builds nothing when it is expanded.  A lone pivot
-    is scanned only to fill its cached rows."""
+    """``project`` is called once for every expanded child of a scanned
+    node and for nothing else: the calls build exactly those children's
+    pivots.  Every other expanded child is a cached row's child and builds
+    nothing when it is expanded.  A lone pivot is scanned only to fill its
+    cached rows, and the fill calls no ``project``."""
     arrays = _capture_arrays(monkeypatch)
-    fills = {}      # id -> lone projection scanned to fill the cache
-    built = []      # pivots of every projection built outside cache fills
+    built = []      # pivots of every projection built
     pending = []    # the projection scanned for the next ``on_candidates``
     real_project = miner_module.project
 
     def counting_project(parent, arrays_, item, kind):
+        assert not _is_lone(parent)
         proj = real_project(parent, arrays_, item, kind)
-        if id(parent) not in fills:
-            assert not _is_lone(parent)
-            built.append(_pivots(proj))
+        built.append(_pivots(proj))
         return proj
 
     def record_scan(proj, engine):
         if _is_lone(proj):
             assert proj.entries[0].best == [0]
-            fills[id(proj)] = proj
         else:
             pending.append(proj)
 
@@ -325,7 +334,6 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
     total = shared = 0
     for db, utable, mtable in instances:
         built.clear()
-        fills.clear()
         obs = Expanded()
         mine(db, utable, mtable, config, observer=obs)
         from_scans = [c for c in obs.children if _prefix_of(c) in obs.scanned]
@@ -666,3 +674,119 @@ def test_a_long_chain_of_lone_pivots_never_recurses():
     assert [(h.pattern, h.utility, h.miu) for h in husps] == [(whole, n, n)]
     assert max(stats.depth_histogram) == n
     assert stats.depth_histogram == {1: n, **{k: 1 for k in range(2, n + 1)}}
+
+
+def _generated(params, beta, lmu):
+    """The database, unit utilities and thresholds of a generated set."""
+    data, units = generate_synthetic(params)
+    db = parse_dataset(io.StringIO(data))
+    utable = bind_unit_utilities(parse_item_values(io.StringIO(units)), db.symbols)
+    return db, utable, generate_mtable(db, utable, Fraction(beta), Fraction(lmu))
+
+
+def test_cached_rows_extend_their_pivot_as_project_does(monkeypatch):
+    """Every cached row's ``ext``, read off the arrays, is the child's
+    projection that ``project`` builds from the lone pivot worth zero, kept
+    as its key and best utility when it is one pivot."""
+    engines = _keep_engines(monkeypatch)
+    # a few long sequences over many items, as well as the usual corpus
+    long = _generated(GenParams(n_sequences=3, n_items=40, max_elements=40,
+                                max_element_size=2, seed=3), "0.5", "0.05")
+    for db, utable, mtable in mixed_instances(30) + [long]:
+        for variant in (USPT1, USPT):
+            config = MiningConfig(variant=variant, max_pattern_length=4)
+            mine(db, utable, mtable, config)
+    kinds = set()
+    for engine in engines:
+        for (si, p), rows in engine.rows_by_key.items():
+            lone = Projection([ProjEntry(si, [p], [0])])
+            for step, step_rows in zip((I_STEP, S_STEP), rows):
+                for row in step_rows:
+                    want = miner_module._lone_key(project(lone, engine.arrays, row[0], step))
+                    assert row[6] == want, (si, p, step, row)
+                    kinds.add((step, type(want)))
+    assert kinds == {(I_STEP, tuple), (S_STEP, tuple), (S_STEP, Projection)}
+
+
+def test_no_collection_runs_inside_mine():
+    """``mine`` pauses the cyclic collector: on a set where a search left
+    with the collector on starts it about a hundred times, no collection
+    starts while ``mine`` is on the stack."""
+    db, utable, mtable = _generated(GenParams(n_sequences=2000, n_items=100, max_elements=5,
+                                              max_element_size=3, seed=3), "1", "0.002")
+    inside = []
+
+    def watch(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is miner_module.mine.__code__:
+                inside.append((phase, info["generation"]))
+                return
+            frame = frame.f_back
+
+    assert gc.isenabled()
+    gc.callbacks.append(watch)
+    try:
+        husps, _ = mine(db, utable, mtable)
+    finally:
+        gc.callbacks.remove(watch)
+    assert len(husps) > 10_000
+    assert inside == []
+
+
+class _Raising(MiningObserver):
+    """Notes whether the collector runs at every ``on_node`` call and
+    raises at the first node of size 3, in the middle of the walk."""
+
+    def __init__(self):
+        self.collecting = []
+
+    def on_node(self, pattern, bounds, expanded):
+        self.collecting.append(gc.isenabled())
+        if pattern.size == 3:
+            raise RuntimeError("observer failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_mine_restores_the_callers_collector_state(example_db, example_utable, enabled):
+    """The collector's state after ``mine`` is the caller's, whether the
+    run returns or an observer raises mid-walk; observers run with the
+    collector paused."""
+    mtable = MTable((1,) * len(example_db.symbols))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        husps, _ = mine(example_db, example_utable, mtable)
+        assert gc.isenabled() is enabled
+        observer = _Raising()
+        with pytest.raises(RuntimeError, match="observer failed"):
+            mine(example_db, example_utable, mtable, observer=observer)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert any(h.pattern.size > 3 for h in husps)
+    assert len(observer.collecting) >= 3 and not any(observer.collecting)
+
+
+def test_the_search_makes_no_reference_cycles():
+    """With the collector off, reference counting frees everything a run
+    allocated once its results are dropped, so pausing the collector in
+    ``mine`` leaves it nothing to find later: in every variant and node
+    bound, with or without an observer and ``collect_stats``."""
+    configs = [MiningConfig(variant=variant, node_bound=node_bound, collect_stats=stats)
+               for variant in (USPT1, USPT2, USPT)
+               for node_bound in (BOUND_PEU, BOUND_SEU)
+               for stats in (False, True)]
+    instances = mixed_instances(12) + zero_priced_instances(12)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for k, (db, utable, mtable) in enumerate(instances):
+            for config in configs:
+                mine(db, utable, mtable, config)
+                mine(db, utable, mtable, config, observer=_Recorder(hashlib.sha256()))
+            assert gc.collect() == 0, k
+    finally:
+        if was:
+            gc.enable()
