@@ -38,7 +38,9 @@ of the node whose children it was deciding.  A context is the rows iterator
 and its concatenation kind, the offset ``b``, the node's MIU, PMIU and SEU,
 its itemsets, the children's size and their result list.  No call, tuple or
 list is made per node beyond that push, and pattern length is not limited
-by the interpreter's recursion depth.
+by the interpreter's recursion depth.  An expanded child that is one pivot
+at its sequence's last position has no children, so unless an observer
+must see its (empty) candidates the walk does not enter it at all.
 
 A node's children are decided from child rows ``(item, utility, peu, seu,
 swu, pool, ext)``, one list per concatenation kind sorted by item: a
@@ -65,7 +67,9 @@ A :class:`Pattern` is built only for a result and for an observer call,
 and :class:`Bounds` only for ``on_node``.  The walk builds its patterns
 with ``Pattern._unchecked``, which skips the validation: a child only ever
 appends a larger item to the last itemset or a new singleton, so it is
-valid whenever its parent is.  Results are kept in one list per size.
+valid whenever its parent is.  A result is a :class:`Husp` named tuple,
+built by ``tuple.__new__`` without the class's generated ``__new__``.
+Results are kept in one list per size.
 Children are decided in sorted order, I-children first, and in pre-order,
 which meets the nodes of one size in :func:`pattern_sort_key` order; so
 every list receives its patterns sorted, and the lists joined shortest
@@ -73,7 +77,14 @@ first are the sorted output.
 
 :func:`mine` pauses the cyclic garbage collector while it runs: the search
 makes no reference cycles, so the collector would free nothing, yet it would
-keep re-traversing the growing list of results.
+keep re-traversing the growing list of results.  Everything allocated in
+the pause still counts as young, so the caller's next allocation would
+start one young collection over all of it.  Before resuming the collector,
+:func:`mine` therefore moves every tracked object to the oldest generation
+with ``gc.freeze()`` and ``gc.unfreeze()``, which also resets the young
+count; a later full collection still sees them.  When the caller has frozen
+objects of its own, the step is skipped, so that their frozen set is never
+unfrozen.
 """
 
 from __future__ import annotations
@@ -84,7 +95,7 @@ import time
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     Money,
@@ -139,8 +150,9 @@ class Bounds:
     utility: Money
 
 
-@dataclass(frozen=True, slots=True)
-class Husp:
+class Husp(NamedTuple):
+    """One result: a pattern, its utility and its MIU threshold."""
+
     pattern: Pattern
     utility: Money
     miu: Money
@@ -306,7 +318,8 @@ class _Engine:
             first = self.one_seq_info[item]
             utility, peu, seu, swu, pool = acc.node[item]
             if utility >= first.miu:
-                results.append(Husp(Pattern._unchecked(((item,),)), utility, first.miu))
+                results.append(tuple.__new__(
+                    Husp, (Pattern._unchecked(((item,),)), utility, first.miu)))
             expand = deeper and first.swu >= first.pmiu
             if expand or observer:
                 pmiu = int(min(first.miu, pool))
@@ -332,7 +345,9 @@ class _Engine:
         into ``head`` and ``stem`` for the child patterns, the children's
         size, their result list and whether they may be expanded.  A child is
         decided where the loop meets it; descending into an expanded child
-        pushes the context, and an exhausted context pops its parent's.
+        pushes the context, and an exhausted context pops its parent's.  A
+        childless child, one pivot at its sequence's last position, is
+        entered only for an observer.
 
         A node that is a lone pivot takes the rows cached for its key,
         filled by one scan the first time the key is met, with its offset
@@ -347,7 +362,10 @@ class _Engine:
         rows_by_key, item_seqs, by_size = self.rows_by_key, self.item_seqs, self.by_size
         global_peu, least_peu = self.global_item_peu, self.least_item_peu
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
-        pattern_of = Pattern._unchecked
+        pattern_of, new = Pattern._unchecked, tuple.__new__
+        # a lone pivot at its sequence's last position has no children:
+        # unless an observer must see its empty candidates, it is not entered
+        last = [seq.n - 1 for seq in arrays]
         pending = iter(roots)
         stack = []
         it, s_rows = iter(()), None
@@ -370,16 +388,17 @@ class _Engine:
                     continue
                 child = head + (stem + (item,),)
                 if result:
-                    results.append(Husp(pattern_of(child), utility, miu))
+                    results.append(new(Husp, (pattern_of(child), utility, miu)))
                 if observer:
                     bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
                     observer.on_node(pattern_of(child), bounds, expand)
                 if expand:
-                    stack.append((it, kind, s_rows, proj, b, min_mu, pmiu, node_seu, floor,
-                                  itemsets, head, stem, size, results, deeper))
                     if ext is None:
                         ext = _lone_key(project(proj, arrays, item, kind))
-                    break
+                    if observer or type(ext) is not tuple or ext[0][1] != last[ext[0][0]]:
+                        stack.append((it, kind, s_rows, proj, b, min_mu, pmiu, node_seu,
+                                      floor, itemsets, head, stem, size, results, deeper))
+                        break
             else:
                 if s_rows is not None:
                     # an I-child extends the last itemset, an S-child opens
@@ -397,10 +416,11 @@ class _Engine:
                         bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
                         observer.on_node(pattern_of(child), bounds, expand)
                     if expand:
-                        break
+                        ext = _lone_key(initial_projection(arrays, item, item_seqs[item]))
+                        if observer or type(ext) is not tuple or ext[0][1] != last[ext[0][0]]:
+                            break
                 else:
                     return
-                ext = _lone_key(initial_projection(arrays, item, item_seqs[item]))
                 b, size = 0, 1
             # descend into ``child``
             if type(ext) is tuple:
@@ -577,6 +597,13 @@ def mine(
         return husps, stats
     finally:
         if collecting:
+            # every object allocated while the collector was paused is still
+            # counted as young: move them all to the oldest generation, so
+            # the next young collection does not traverse the results; a
+            # caller's frozen set is never unfrozen
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
         if own_trace:
             tracemalloc.stop()
