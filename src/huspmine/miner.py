@@ -39,8 +39,8 @@ and its concatenation kind, the offset ``b``, the node's MIU, PMIU and SEU,
 its itemsets, the children's size and their result list.  No call, tuple or
 list is made per node beyond that push, and pattern length is not limited
 by the interpreter's recursion depth.  An expanded child that is one pivot
-at its sequence's last position has no children, so unless an observer
-must see its (empty) candidates the walk does not enter it at all.
+at its sequence's last position has no children, so the walk does not enter
+it; an observer receives its empty candidates where it is decided.
 
 A node's children are decided from child rows ``(item, utility, peu, seu,
 swu, pool, ext)``, one list per concatenation kind sorted by item: a
@@ -79,12 +79,15 @@ first are the sorted output.
 makes no reference cycles, so the collector would free nothing, yet it would
 keep re-traversing the growing list of results.  Everything allocated in
 the pause still counts as young, so the caller's next allocation would
-start one young collection over all of it.  Before resuming the collector,
-:func:`mine` therefore moves every tracked object to the oldest generation
-with ``gc.freeze()`` and ``gc.unfreeze()``, which also resets the young
-count; a later full collection still sees them.  When the caller has frozen
-objects of its own, the step is skipped, so that their frozen set is never
-unfrozen.
+start one young collection over all of it.  :func:`mine` therefore first
+collects the young generations, which frees the caller's young garbage and
+empties them, and before resuming the collector moves every tracked object
+to the oldest generation with ``gc.freeze()`` and ``gc.unfreeze()``, which
+also resets the young count.  So what is moved is what the run allocated
+and kept, with anything an observer allocated; a later full collection
+still sees it, though the trigger of full collections does not count it.
+When any objects are frozen, by the caller or by the interpreter itself,
+both steps are skipped, since ``gc.unfreeze()`` would release them.
 """
 
 from __future__ import annotations
@@ -346,8 +349,8 @@ class _Engine:
         size, their result list and whether they may be expanded.  A child is
         decided where the loop meets it; descending into an expanded child
         pushes the context, and an exhausted context pops its parent's.  A
-        childless child, one pivot at its sequence's last position, is
-        entered only for an observer.
+        childless child, one pivot at its sequence's last position, is not
+        entered: an observer is handed its empty candidates directly.
 
         A node that is a lone pivot takes the rows cached for its key,
         filled by one scan the first time the key is met, with its offset
@@ -363,9 +366,6 @@ class _Engine:
         global_peu, least_peu = self.global_item_peu, self.least_item_peu
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
         pattern_of, new = Pattern._unchecked, tuple.__new__
-        # a lone pivot at its sequence's last position has no children:
-        # unless an observer must see its empty candidates, it is not entered
-        last = [seq.n - 1 for seq in arrays]
         pending = iter(roots)
         stack = []
         it, s_rows = iter(()), None
@@ -395,10 +395,13 @@ class _Engine:
                 if expand:
                     if ext is None:
                         ext = _lone_key(project(proj, arrays, item, kind))
-                    if observer or type(ext) is not tuple or ext[0][1] != last[ext[0][0]]:
-                        stack.append((it, kind, s_rows, proj, b, min_mu, pmiu, node_seu,
-                                      floor, itemsets, head, stem, size, results, deeper))
-                        break
+                    if type(ext) is tuple and ext[0][1] == arrays[ext[0][0]].n - 1:
+                        if observer:
+                            observer.on_candidates(Pattern(child), {}, {}, {}, {})
+                        continue
+                    stack.append((it, kind, s_rows, proj, b, min_mu, pmiu, node_seu,
+                                  floor, itemsets, head, stem, size, results, deeper))
+                    break
             else:
                 if s_rows is not None:
                     # an I-child extends the last itemset, an S-child opens
@@ -417,8 +420,11 @@ class _Engine:
                         observer.on_node(pattern_of(child), bounds, expand)
                     if expand:
                         ext = _lone_key(initial_projection(arrays, item, item_seqs[item]))
-                        if observer or type(ext) is not tuple or ext[0][1] != last[ext[0][0]]:
-                            break
+                        if type(ext) is tuple and ext[0][1] == arrays[ext[0][0]].n - 1:
+                            if observer:
+                                observer.on_candidates(Pattern(child), {}, {}, {}, {})
+                            continue
+                        break
                 else:
                     return
                 b, size = 0, 1
@@ -585,6 +591,11 @@ def mine(
     # the search makes no reference cycles, but the results it keeps alive
     # would have the cyclic collector traverse an ever larger heap
     collecting = gc.isenabled()
+    # the run's objects are handed to the oldest generation at the end; the
+    # young garbage of the caller is freed first, so that it is not moved too
+    hand_back = collecting and not gc.get_freeze_count()
+    if hand_back:
+        gc.collect(1)
     gc.disable()
     try:
         engine = _Engine(db, utable, mtable, config, observer)
@@ -600,8 +611,8 @@ def mine(
             # every object allocated while the collector was paused is still
             # counted as young: move them all to the oldest generation, so
             # the next young collection does not traverse the results; a
-            # caller's frozen set is never unfrozen
-            if not gc.get_freeze_count():
+            # frozen set, which unfreeze() would release, is left alone
+            if hand_back and not gc.get_freeze_count():
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()
