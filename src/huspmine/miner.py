@@ -29,7 +29,15 @@ expanded.  Only an expanded child gets its own projection, from which its
 own children are decided in turn.  The 1-patterns are the children of the
 empty pattern, whose projection is the whole database: the same scan over
 every position gives the set-up statistics, the item removals and the root
-bounds.
+bounds.  The scan keeps, per sequence, each child item's best match and
+its anchor, since an item may be met at several positions.  Where it can
+be met only once the per-sequence state is skipped and each position is
+folded into the node sums directly, which gives the same sums: after a
+projection entry of one pivot, at the positions later in the pivot's
+element, since an element holds an item at most once, and from the next
+element on when the sequence holds no item twice; and in the scan of the
+empty pattern, over a sequence that holds no item twice.  The choice reads
+only the entry's pivot count and the sequence's distinct-item count.
 
 One loop, ``_Engine._walk``, visits the tree in pre-order.  It decides each
 child where it meets it: emits it if it is a result, reports it to
@@ -256,13 +264,19 @@ class _Engine:
 
     def _scan_root(self) -> None:
         """Candidate scan of the empty pattern into ``acc_s``: every
-        position is a match of its item's 1-pattern, worth its own utility."""
+        position is a match of its item's 1-pattern, worth its own utility.
+        A sequence that holds no item twice has one match per item, so its
+        positions are folded into the node sums directly."""
         acc = self.acc_s
         acc.reset_node()
-        feed = acc.feed
+        feed, fold = acc.feed, acc.fold_matches
         for seq in self.arrays:
             item_, u_, ru_, pool_ = seq.item, seq.u, seq.ru, seq.suffix_min_mu
-            for q in range(seq.n):
+            n = seq.n
+            if len(seq.positions_of) == n:
+                fold(item_, u_, ru_, pool_, 0, n, 0, seq.useq)
+                continue
+            for q in range(n):
                 feed(item_[q], u_[q], ru_[q], pool_[q + 1])
             acc.end_sequence(seq.useq)
 
@@ -498,17 +512,42 @@ class _Engine:
 
         The bounds of the I- and S-children stay in ``acc_i``/``acc_s``
         until the next scan.
+
+        An entry of one pivot ``p`` worth ``b`` makes every position it
+        visits a match worth ``b`` plus the position's utility.  Its
+        I-children, the positions after ``p`` in ``p``'s element, are each
+        met once, since an element holds an item at most once; so are its
+        S-children, the positions from the next element on, when the
+        sequence holds no item twice.  Those positions are folded into the
+        node sums directly; the rest go through the per-sequence ``feed``.
         """
         acc_i, acc_s = self.acc_i, self.acc_s
         acc_i.reset_node()
         acc_s.reset_node()
         feed_i, feed_s = acc_i.feed, acc_s.feed
+        fold_i, fold_s = acc_i.fold_matches, acc_s.fold_matches
         for entry in proj.entries:
             seq = self.arrays[entry.seq_index]
             item_, eid_, u_, ru_ = seq.item, seq.eid, seq.u, seq.ru
             pool_ = seq.suffix_min_mu
             n = seq.n
             pivots, best = entry.pivots, entry.best
+            if len(pivots) == 1:
+                p, b = pivots[0], best[0]
+                useq, elem_first = seq.useq, seq.elem_first
+                e = eid_[p]
+                nxt = elem_first[e] if e < len(elem_first) else n
+                if p + 1 < nxt:
+                    fold_i(item_, u_, ru_, pool_, p + 1, nxt, b, useq)
+                if nxt == n:
+                    continue
+                if len(seq.positions_of) == n:
+                    fold_s(item_, u_, ru_, pool_, nxt, n, b, useq)
+                else:
+                    for q in range(nxt, n):
+                        feed_s(item_[q], b + u_[q], ru_[q], pool_[q + 1])
+                    acc_s.end_sequence(useq)
+                continue
             for p, b in zip(pivots, best):
                 e = eid_[p]
                 q = p + 1

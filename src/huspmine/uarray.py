@@ -13,7 +13,9 @@ A pattern's projection stores, per containing sequence, the pivot positions
 the best achievable match utility ending at each pivot.  Projections share
 the parent arrays read-only; child projections are derived from parent
 projections, never from the raw database.  The candidate scan gathers the
-bounds of a node's children by item, in one dict per sequence and one per node.
+bounds of a node's children by item, in one dict per sequence and one per node;
+a position that is its item's only match in the sequence goes to the node's
+dict directly.
 """
 
 from __future__ import annotations
@@ -258,6 +260,11 @@ class _ItemAccumulator:
     since ``reset_node`` to ``[utility, peu, seu, swu, pool]``: the sums of
     utility, PEU, SEU capped per sequence at the sequence utility, and SWU,
     and the least pool.
+
+    ``fold_matches`` is the one-match case of ``feed`` and ``end_sequence``:
+    when each position it is given is its item's only match in the
+    sequence, the per-sequence best and anchor are that match itself, so it
+    adds the position's terms to ``node`` directly, without ``seq``.
     """
 
     __slots__ = ("seq", "node")
@@ -298,3 +305,30 @@ class _ItemAccumulator:
                 if pool < sums[4]:
                     sums[4] = pool
         self.seq = {}
+
+    def fold_matches(
+        self, item_: list, u_: list, ru_: list, pool_: list,
+        start: int, stop: int, b: int, useq: int,
+    ) -> None:
+        """Fold positions ``start`` to ``stop - 1`` of one sequence, given as
+        its item, utility, remaining-utility and threshold-pool arrays, into
+        ``node``.  Each position must be its item's only match in the
+        sequence, worth ``b`` plus its own utility: the same sums as one
+        ``feed`` per position followed by ``end_sequence(useq)``."""
+        node = self.node
+        get = node.get
+        for q in range(start, stop):
+            match = b + u_[q]
+            term = match + ru_[q]
+            seu = term if term < useq else useq
+            pool = pool_[q + 1]
+            sums = get(item_[q])
+            if sums is None:
+                node[item_[q]] = [match, term, seu, useq, pool]
+            else:
+                sums[0] += match
+                sums[1] += term
+                sums[2] += seu
+                sums[3] += useq
+                if pool < sums[4]:
+                    sums[4] = pool

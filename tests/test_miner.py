@@ -37,6 +37,7 @@ from huspmine.uarray import (
     S_STEP,
     ProjEntry,
     Projection,
+    _ItemAccumulator,
     initial_projection,
     project,
 )
@@ -655,6 +656,85 @@ def test_scanned_and_cached_rows_agree(monkeypatch):
     scanned = [run(*inst, config) for inst in instances for config in configs]
     assert engines and not any(engine.rows_by_key for engine in engines)
     assert scanned == cached
+
+
+def _fed_scan(arrays, proj):
+    """The candidate scan built only from ``feed`` and ``end_sequence``, for
+    entries of every shape: the I- and S-children's node sums."""
+    acc_i, acc_s = _ItemAccumulator(), _ItemAccumulator()
+    for entry in proj.entries:
+        seq = arrays[entry.seq_index]
+        item_, eid_, u_, ru_, pool_ = seq.item, seq.eid, seq.u, seq.ru, seq.suffix_min_mu
+        n = seq.n
+        pivots, best = entry.pivots, entry.best
+        for p, b in zip(pivots, best):
+            q = p + 1
+            while q < n and eid_[q] == eid_[p]:
+                acc_i.feed(item_[q], b + u_[q], ru_[q], pool_[q + 1])
+                q += 1
+        start_e = eid_[pivots[0]]
+        if start_e < len(seq.elem_first):
+            run_max = 0
+            ptr = 0
+            for q in range(seq.elem_first[start_e], n):
+                while ptr < len(pivots) and eid_[pivots[ptr]] < eid_[q]:
+                    run_max = max(run_max, best[ptr])
+                    ptr += 1
+                acc_s.feed(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
+        acc_i.end_sequence(seq.useq)
+        acc_s.end_sequence(seq.useq)
+    return acc_i.node, acc_s.node
+
+
+def _fed_root(arrays):
+    """The root scan built only from ``feed`` and ``end_sequence``."""
+    acc = _ItemAccumulator()
+    for seq in arrays:
+        for q in range(seq.n):
+            acc.feed(seq.item[q], seq.u[q], seq.ru[q], seq.suffix_min_mu[q + 1])
+        acc.end_sequence(seq.useq)
+    return acc.node
+
+
+def test_folded_scans_equal_the_fed_ones(monkeypatch):
+    """A one-pivot entry folds the positions it visits into the node sums
+    directly: always for its I-children, and for its S-children when its
+    sequence holds no item twice; the root scan folds such a sequence too.
+    Every scan leaves the same sums as feeding every position."""
+    real_scan = miner_module._Engine._scan_candidates
+    real_root = miner_module._Engine._scan_root
+    shapes = set()
+
+    def scan(self, proj):
+        real_scan(self, proj)
+        assert (self.acc_i.node, self.acc_s.node) == _fed_scan(self.arrays, proj)
+        for entry in proj.entries:
+            seq = self.arrays[entry.seq_index]
+            if len(entry.pivots) > 1:
+                shapes.add("several pivots")
+            elif len(seq.positions_of) == seq.n:
+                shapes.add("one pivot, no item twice")
+            else:
+                shapes.add("one pivot, an item twice")
+
+    def root(self):
+        real_root(self)
+        assert self.acc_s.node == _fed_root(self.arrays)
+
+    monkeypatch.setattr(miner_module._Engine, "_scan_candidates", scan)
+    monkeypatch.setattr(miner_module._Engine, "_scan_root", root)
+    # a recurs after b's element worth more than before: b's S-child a is
+    # worth its best match, not the sum of its matches
+    db = parse_dataset(io.StringIO(
+        "a[1] b[1] -1 a[2] -1 a[5] c[1] -2\nb[2] -1 a[1] -1 a[3] -2\n"))
+    ut = bind_unit_utilities({"a": 1, "b": 1, "c": 1}, db.symbols)
+    mt = bind_thresholds({"a": 1, "b": 1, "c": 1}, db.symbols)
+    configs = [MiningConfig(variant=USPT1, node_bound=BOUND_SEU), MiningConfig()]
+    for inst in mixed_instances(30) + zero_priced_instances(30) + [(db, ut, mt)]:
+        for config in configs:
+            mine(*inst, config)
+    assert shapes == {"several pivots", "one pivot, no item twice",
+                      "one pivot, an item twice"}
 
 
 def test_a_long_chain_of_lone_pivots_never_recurses():

@@ -1,6 +1,8 @@
 """Utility-array construction, projections, and the bounds the engine
 computes from them."""
 
+import random
+
 import pytest
 
 from huspmine import (
@@ -19,7 +21,13 @@ from huspmine import (
     project,
     qsequence_utility,
 )
-from huspmine.uarray import I_STEP, S_STEP, Projection, SequenceArrays
+from huspmine.uarray import (
+    I_STEP,
+    S_STEP,
+    Projection,
+    SequenceArrays,
+    _ItemAccumulator,
+)
 
 from support import engine_bounds, paper_records
 
@@ -199,3 +207,30 @@ def test_items_outside_the_tables_raise_unknown_item(bad):
     with pytest.raises(UnknownItem) as raised:
         mine(db, UtilityTable((1, 2)), MTable((1, 1)))
     assert raised.value.args == (bad,)
+
+
+def test_fold_matches_equals_feeding_each_position():
+    """Positions of distinct items, each its item's only match, folded into
+    the node sums directly: the same sums as one ``feed`` per position and
+    one ``end_sequence``, over several sequences sharing items, with offsets
+    that may push a term past the sequence utility."""
+    r = random.Random(5)
+    for _ in range(200):
+        folded, fed = _ItemAccumulator(), _ItemAccumulator()
+        for _ in range(r.randint(1, 4)):
+            n = r.randint(0, 8)
+            item_ = r.sample(range(12), n)
+            # about half of the positions are worth nothing
+            u_ = [r.choice((0, r.randint(1, 9))) for _ in range(n)]
+            ru_ = [sum(u_[q + 1:]) for q in range(n)]
+            pool_ = [r.choice((r.randint(1, 30), float("inf"))) for _ in range(n + 1)]
+            useq = sum(u_)
+            start = r.randint(0, n)
+            stop = r.randint(start, n)
+            b = r.choice((0, r.randint(0, 20)))
+            folded.fold_matches(item_, u_, ru_, pool_, start, stop, b, useq)
+            for q in range(start, stop):
+                fed.feed(item_[q], b + u_[q], ru_[q], pool_[q + 1])
+            fed.end_sequence(useq)
+            assert folded.node == fed.node
+            assert not folded.seq
