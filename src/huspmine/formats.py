@@ -54,7 +54,7 @@ Source = Union[str, Path, TextIO]
 _ITEM_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)\[(\d+)\]$", re.ASCII)
 _NAME = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)$", re.ASCII)
 _SUTILITY = re.compile(r"^SUtility:(\d+)$", re.ASCII)
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(r"[0-9]+")
 
 
 class ParseError(ValueError):
@@ -217,12 +217,11 @@ def parse_item_values(source: Source) -> dict:
         name, value = fields
         if name in out:
             raise ParseError(f"duplicate item {name!r}", lineno)
-        if _INTEGER.fullmatch(value) is None:
+        if _INTEGER.fullmatch(value.removeprefix("-")) is None:
             raise ParseError(f"bad value {value!r}", lineno)
-        parsed = int(value)
-        if parsed < 0:
+        if value.startswith("-"):
             raise ParseError(f"negative value {value!r}", lineno)
-        out[name] = parsed
+        out[name] = int(value)
     return out
 
 
@@ -311,6 +310,11 @@ def generate_mtable(
 # synthetic data
 
 
+# the log-normal law of the generated unit utilities
+UNIT_LOG_MEAN = 3.0
+UNIT_LOG_SIGMA = 1.3
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Shape of a generated dataset; the seed fixes every output byte."""
@@ -320,8 +324,6 @@ class GenParams:
     max_elements: int = 6
     max_element_size: int = 3
     quantity_range: tuple = (1, 5)
-    unit_log_mean: float = 3.0
-    unit_log_sigma: float = 1.3
     seed: int = 0
 
     def __post_init__(self):
@@ -344,8 +346,7 @@ def generate_synthetic(params: GenParams) -> tuple:
     units = {
         str(i): min(
             1000,
-            max(1, round_half_up(rng.lognormvariate(params.unit_log_mean,
-                                                    params.unit_log_sigma))),
+            max(1, round_half_up(rng.lognormvariate(UNIT_LOG_MEAN, UNIT_LOG_SIGMA))),
         )
         for i in range(params.n_items)
     }
@@ -450,13 +451,12 @@ def parse_pattern_string(text: str, symbols: SymbolTable) -> Pattern:
     return Pattern(tuple(itemsets))
 
 
-def parse_results(source: Source, symbols: Optional[SymbolTable] = None):
-    """Read a result file back.
+def parse_results(source: Source, symbols: SymbolTable) -> list:
+    """Read a result file back as Husp objects.
 
-    TSV and JSON are auto-detected.  Returns Husp objects when a symbol
-    table is given, else (pattern_string, utility, miu) rows.  Raises
-    ValueError unless ``husps`` is a list of objects, each with a string
-    ``pattern`` and integer (not boolean) ``utility`` and ``miu``.
+    TSV and JSON are auto-detected.  Raises ValueError unless ``husps`` is
+    a list of objects, each with a string ``pattern`` and non-negative
+    integer (not boolean) ``utility`` and ``miu``.
     """
     text = _read_text(source)
     rows = []
@@ -472,9 +472,9 @@ def parse_results(source: Source, symbols: Optional[SymbolTable] = None):
                                          entry.get("miu"))
             # bool is an int subclass, and a float would be truncated
             if not (isinstance(pattern_s, str) and type(utility) is int
-                    and type(miu_v) is int):
-                raise ValueError(f"result needs a string pattern and integer "
-                                 f"utility and miu: {entry!r}")
+                    and type(miu_v) is int and utility >= 0 and miu_v >= 0):
+                raise ValueError(f"result needs a string pattern and non-negative "
+                                 f"integer utility and miu: {entry!r}")
             rows.append((pattern_s, utility, miu_v))
     else:
         lines = _lines(text)
@@ -485,10 +485,9 @@ def parse_results(source: Source, symbols: Optional[SymbolTable] = None):
                 continue
             pattern_s, utility, miu_v = line.split("\t")
             if not (_INTEGER.fullmatch(utility) and _INTEGER.fullmatch(miu_v)):
-                raise ValueError(f"utility and miu must be integers: {line!r}")
+                raise ValueError(
+                    f"utility and miu must be non-negative integers: {line!r}")
             rows.append((pattern_s, int(utility), int(miu_v)))
-    if symbols is None:
-        return rows
     return [
         Husp(parse_pattern_string(p, symbols), u, m) for p, u, m in rows
     ]

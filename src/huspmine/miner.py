@@ -26,29 +26,31 @@ Children are evaluated without being projected: one scan over an expanded
 node's projection yields every child's utility, PEU, SEU, SWU and threshold
 pool, which decide whether the child is a result and whether it is
 expanded.  Only an expanded child gets its own projection, from which its
-own children are decided in turn.  The 1-patterns are the children of the
-empty pattern, whose projection is the whole database: the same scan over
-every position gives the set-up statistics, the item removals and the root
-bounds.  The scan keeps, per sequence, each child item's best match and
-its anchor, since an item may be met at several positions.  Where it can
-be met only once the per-sequence state is skipped and each position is
-folded into the node sums directly, which gives the same sums: after a
-projection entry of one pivot, at the positions later in the pivot's
-element, since an element holds an item at most once, and from the next
-element on when the sequence holds no item twice; and in the scan of the
-empty pattern, over a sequence that holds no item twice.  The choice reads
-only the entry's pivot count and the sequence's distinct-item count.
+own children are decided in turn.  The 1-patterns are the S-children of
+the empty pattern, whose projection has one entry without pivots per
+sequence: the empty prefix, worth 0 before every position.  Its scan gives
+the set-up statistics, the item removals and the roots' sums.  The scan
+keeps, per sequence, each child item's best match and its anchor, since an
+item may be met at several positions.  Where it can be met only once the
+per-sequence state is skipped and each position is folded into the node
+sums directly, which gives the same sums: after a projection entry of one
+pivot, at the positions later in the pivot's element, since an element
+holds an item at most once, and from the next element on when the
+sequence holds no item twice; and after an entry without pivots, over a
+sequence that holds no item twice.  The choice reads only the entry's
+pivot count and the sequence's distinct-item count.
 
-One loop, ``_Engine._walk``, visits the tree in pre-order.  It decides each
-child where it meets it: emits it if it is a result, reports it to
-``on_node`` and, if it is expanded, descends into it by pushing the context
-of the node whose children it was deciding.  A context is the rows iterator
-and its concatenation kind, the offset ``b``, the node's MIU, PMIU and SEU,
-its itemsets, the children's size and their result list.  No call, tuple or
-list is made per node beyond that push, and pattern length is not limited
-by the interpreter's recursion depth.  An expanded child that is one pivot
-at its sequence's last position has no children, so the walk does not enter
-it; an observer receives its empty candidates where it is decided.
+One loop, ``_Engine._walk``, visits the tree in pre-order, the roots
+included.  It decides each child where it meets it: emits it if it is a
+result, reports it to ``on_node`` and, if it is expanded, descends into it
+by pushing the context of the node whose children it was deciding.  A
+context is the rows iterator and its concatenation kind, the offset ``b``,
+the node's MIU, PMIU and SEU, its itemsets, the children's size and their
+result list.  No call, tuple or list is made per node beyond that push,
+and pattern length is not limited by the interpreter's recursion depth.
+An expanded child that is one pivot at its sequence's last position has no
+children, so the walk does not enter it; an observer receives its empty
+candidates where it is decided.
 
 A node's children are decided from child rows ``(item, utility, peu, seu,
 swu, pool, ext)``, one list per concatenation kind sorted by item: a
@@ -245,6 +247,8 @@ class _Engine:
         self.max_size = sys.maxsize if cap is None else cap
         self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
         self.stats = MiningStats()
+        # the empty pattern: one entry without pivots per sequence
+        self.root_proj = Projection([ProjEntry(si, (), ()) for si in range(len(db))])
         self.item_seqs: dict[int, list[int]] = {}
         for si, seq in enumerate(self.arrays):
             for item in seq.positions_of:
@@ -263,22 +267,8 @@ class _Engine:
     # -- set-up -------------------------------------------------------
 
     def _scan_root(self) -> None:
-        """Candidate scan of the empty pattern into ``acc_s``: every
-        position is a match of its item's 1-pattern, worth its own utility.
-        A sequence that holds no item twice has one match per item, so its
-        positions are folded into the node sums directly."""
-        acc = self.acc_s
-        acc.reset_node()
-        feed, fold = acc.feed, acc.fold_matches
-        for seq in self.arrays:
-            item_, u_, ru_, pool_ = seq.item, seq.u, seq.ru, seq.suffix_min_mu
-            n = seq.n
-            if len(seq.positions_of) == n:
-                fold(item_, u_, ru_, pool_, 0, n, 0, seq.useq)
-                continue
-            for q in range(n):
-                feed(item_[q], u_[q], ru_[q], pool_[q + 1])
-            acc.end_sequence(seq.useq)
+        """Candidate scan of the empty pattern: its S-children into ``acc_s``."""
+        self._scan_candidates(self.root_proj)
 
     def _remove_items(self, items: set) -> None:
         """Delete ``items`` from every sequence, then rescan the 1-patterns."""
@@ -326,23 +316,8 @@ class _Engine:
         self.least_item_peu = min(self.global_item_peu.values(), default=0)
         if observer:
             observer.on_item_extension_bounds(dict(self.global_item_peu))
-        # every root is decided before the walk reuses the accumulators;
-        # a root's expansion gate is its first-pass whole-sequence weight
-        deeper = self.max_size >= 2
-        results = self.by_size[0]
-        roots = []
-        for item in self.global_item_peu:
-            first = self.one_seq_info[item]
-            utility, peu, seu, swu, pool = acc.node[item]
-            if utility >= first.miu:
-                results.append(tuple.__new__(
-                    Husp, (Pattern._unchecked(((item,),)), utility, first.miu)))
-            expand = deeper and first.swu >= first.pmiu
-            if expand or observer:
-                pmiu = int(min(first.miu, pool))
-                roots.append((item, utility, peu, seu, swu, first.miu, pmiu, expand))
         hist = [0, len(self.global_item_peu)]
-        self._walk(roots, hist)
+        self._walk(hist)
         stats = self.stats
         stats.candidates_visited = sum(hist)
         stats.depth_histogram = {depth: n for depth, n in enumerate(hist) if n}
@@ -350,17 +325,18 @@ class _Engine:
         stats.husps_found = len(husps)
         return husps
 
-    def _walk(self, roots: list, hist: list) -> None:
-        """Decide every node below the decided ``roots``, in pre-order, and
-        count the candidates of size ``k`` in ``hist[k]``.
+    def _walk(self, hist: list) -> None:
+        """Decide every node, in pre-order, and count the candidates of size
+        ``k`` in ``hist[k]``.
 
-        A root is ``(item, utility, peu, seu, swu, miu, pmiu, expand)``.  The
-        walk keeps one context, the node whose children are being decided:
-        its rows iterator ``it`` and concatenation ``kind``, the S-rows still
-        to come, its projection ``proj`` when it was scanned, the offset
-        ``b``, its MIU, PMIU and SEU, the PUK ``floor``, its itemsets split
-        into ``head`` and ``stem`` for the child patterns, the children's
-        size, their result list and whether they may be expanded.  A child is
+        The roots are decided in item order, from the sums the root scan
+        left in ``acc_s``, once the stack is empty.  Below them the walk
+        keeps one context, the node whose children are being decided: its
+        rows iterator ``it`` and concatenation ``kind``, the S-rows still to
+        come, its projection ``proj`` when it was scanned, the offset ``b``,
+        its MIU, PMIU and SEU, the PUK ``floor``, its itemsets split into
+        ``head`` and ``stem`` for the child patterns, the children's size,
+        their result list and whether they may be expanded.  A child is
         decided where the loop meets it; descending into an expanded child
         pushes the context, and an exhausted context pops its parent's.  A
         childless child, one pivot at its sequence's last position, is not
@@ -380,7 +356,10 @@ class _Engine:
         global_peu, least_peu = self.global_item_peu, self.least_item_peu
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
         pattern_of, new = Pattern._unchecked, tuple.__new__
-        pending = iter(roots)
+        # the root scan's sums, which later scans leave alone: each binds a
+        # new node dict
+        roots, one_seq_info = acc_s.node, self.one_seq_info
+        pending = iter(global_peu)
         stack = []
         it, s_rows = iter(()), None
         while True:
@@ -427,8 +406,18 @@ class _Engine:
                     (it, kind, s_rows, proj, b, min_mu, pmiu, node_seu, floor,
                      itemsets, head, stem, size, results, deeper) = stack.pop()
                     continue
-                for item, utility, peu, seu, swu, miu, child_pmiu, expand in pending:
+                results, deeper = by_size[0], max_size >= 2
+                for item in pending:
+                    utility, peu, seu, swu, pool = roots[item]
+                    first = one_seq_info[item]
+                    miu = first.miu
                     child = ((item,),)
+                    if utility >= miu:
+                        results.append(new(Husp, (pattern_of(child), utility, miu)))
+                    # a root's expansion gate is its first-pass whole-sequence
+                    # weight
+                    expand = deeper and first.swu >= first.pmiu
+                    child_pmiu = pool if pool < miu else miu
                     if observer:
                         bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
                         observer.on_node(pattern_of(child), bounds, expand)
@@ -518,16 +507,20 @@ class _Engine:
         I-children, the positions after ``p`` in ``p``'s element, are each
         met once, since an element holds an item at most once; so are its
         S-children, the positions from the next element on, when the
-        sequence holds no item twice.  Those positions are folded into the
-        node sums directly; the rest go through the per-sequence ``feed``.
+        sequence holds no item twice.  So are the S-children of an entry
+        without pivots, every position worth its own utility, over such a
+        sequence.  Those positions are folded into the node sums directly.
+        Every other S-child match goes through ``feed``, worth the best
+        pivot in an earlier element: ``b`` after one pivot, 0 after none.
         """
         acc_i, acc_s = self.acc_i, self.acc_s
         acc_i.reset_node()
         acc_s.reset_node()
         feed_i, feed_s = acc_i.feed, acc_s.feed
         fold_i, fold_s = acc_i.fold_matches, acc_s.fold_matches
+        arrays = self.arrays
         for entry in proj.entries:
-            seq = self.arrays[entry.seq_index]
+            seq = arrays[entry.seq_index]
             item_, eid_, u_, ru_ = seq.item, seq.eid, seq.u, seq.ru
             pool_ = seq.suffix_min_mu
             n = seq.n
@@ -543,32 +536,33 @@ class _Engine:
                     continue
                 if len(seq.positions_of) == n:
                     fold_s(item_, u_, ru_, pool_, nxt, n, b, useq)
-                else:
-                    for q in range(nxt, n):
-                        feed_s(item_[q], b + u_[q], ru_[q], pool_[q + 1])
-                    acc_s.end_sequence(useq)
+                    continue
+            elif pivots:
+                for p, b in zip(pivots, best):
+                    e = eid_[p]
+                    q = p + 1
+                    while q < n and eid_[q] == e:
+                        feed_i(item_[q], b + u_[q], ru_[q], pool_[q + 1])
+                        q += 1
+                acc_i.end_sequence(seq.useq)
+                e = eid_[pivots[0]]
+                nxt = seq.elem_first[e] if e < len(seq.elem_first) else n
+            elif len(seq.positions_of) == n:
+                fold_s(item_, u_, ru_, pool_, 0, n, 0, seq.useq)
                 continue
-            for p, b in zip(pivots, best):
-                e = eid_[p]
-                q = p + 1
-                while q < n and eid_[q] == e:
-                    feed_i(item_[q], b + u_[q], ru_[q], pool_[q + 1])
-                    q += 1
-            start_e = eid_[pivots[0]]
-            if start_e < len(seq.elem_first):
-                # every position visited lies in an element after the start
-                # element, so at least one pivot precedes it
-                run_max = 0
-                ptr = 0
-                n_piv = len(pivots)
-                for q in range(seq.elem_first[start_e], n):
-                    eq = eid_[q]
-                    while ptr < n_piv and eid_[pivots[ptr]] < eq:
-                        if best[ptr] > run_max:
-                            run_max = best[ptr]
-                        ptr += 1
-                    feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
-            acc_i.end_sequence(seq.useq)
+            else:
+                nxt = 0
+            # a position from ``nxt`` on is worth its utility plus the best
+            # pivot in an earlier element, or 0 before the first pivot
+            run_max = 0
+            ptr = 0
+            n_piv = len(pivots)
+            for q in range(nxt, n):
+                while ptr < n_piv and eid_[pivots[ptr]] < eid_[q]:
+                    if best[ptr] > run_max:
+                        run_max = best[ptr]
+                    ptr += 1
+                feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
             acc_s.end_sequence(seq.useq)
 
 

@@ -144,7 +144,12 @@ def build_database_arrays(
 @dataclass(slots=True)
 class ProjEntry:
     """Pivots of one sequence: positions of the pattern's last item across
-    matches (ascending, 0-based) and the best match utility ending at each."""
+    matches (ascending, 0-based) and the best match utility ending at each.
+
+    An entry without pivots is the empty prefix, worth 0 before every
+    position; only the candidate scan of the empty pattern reads one, and
+    ``project`` is never given one, since a 1-pattern's projection is built
+    by :func:`initial_projection`."""
 
     seq_index: int
     pivots: list[int]

@@ -253,12 +253,17 @@ def test_check_against_malformed_file_exits_3(tmp_path, fixture_files, capsys):
     assert off["husps"]
     for entry in off["husps"]:
         entry["utility"] += 0.9
+    # the oracle's own results with one utility negated
+    negated = json.loads(out)
+    assert negated["husps"][0]["utility"] > 0
+    negated["husps"][0]["utility"] *= -1
     for content in ("not a result file\n",
                     "pattern\tutility\tmiu\n[zz],[qq]\t5\t5\n",
                     # the right result, but not in ASCII digits
                     "pattern\tutility\tmiu\n[b],[c e]\t2_00\t200\n",
                     "pattern\tutility\tmiu\n[b],[c e]\t+200\t200\n",
                     "pattern\tutility\tmiu\n[b],[c e]\t200\t\u0662\u0660\u0660\n",
+                    "pattern\tutility\tmiu\n[b],[c e]\t-200\t200\n",
                     '{}',
                     '{"husps": 5}',
                     '{"husps": [1]}',
@@ -267,7 +272,8 @@ def test_check_against_malformed_file_exits_3(tmp_path, fixture_files, capsys):
                     '{"husps": [{"pattern": "[b]", "utility": "2", "miu": 1}]}',
                     '{"husps": [{"pattern": 7, "utility": 2, "miu": 1}]}',
                     '{"husps": [{"pattern": "[b]", "utility": 2}]}',
-                    json.dumps(off)):
+                    json.dumps(off),
+                    json.dumps(negated)):
         junk = tmp_path / "junk.tsv"
         junk.write_text(content)
         code, _, err = run_main(

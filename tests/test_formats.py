@@ -164,9 +164,13 @@ NOT_ASCII_INTEGERS = [
     (parse_results, "pattern\tutility\tmiu\n[a]\t+7\t1\n"),
     (parse_results, "pattern\tutility\tmiu\n[a]\t 7\t1\n"),
     (parse_results, "pattern\tutility\tmiu\n[a]\t7\t\u0663\n"),
+    (parse_results, "pattern\tutility\tmiu\n[a]\t-3\t1\n"),
+    (parse_results, '{"husps": [{"pattern": "[a]", "utility": -4, "miu": 1}]}'),
+    (parse_results, '{"husps": [{"pattern": "[a]", "utility": 4, "miu": -1}]}'),
     (parse_item_values, "a 1_000\n"),
     (parse_item_values, "a +7\n"),
     (parse_item_values, "a \u0663\n"),
+    (parse_item_values, "a -0\n"),
     (parse_dataset, "a[\u0663] -2\n"),
     (parse_dataset, "\u0663[1] -2\n"),
     (parse_dataset, "a[1] -2 SUtility:\u0663\n"),
@@ -180,10 +184,12 @@ NOT_ASCII_INTEGERS = [
 )
 def test_integers_are_ascii_digits(parse, text):
     """An integer in any input file is ASCII digits: ``int`` alone would
-    also read ``_`` separators, a ``+`` sign, blanks and other Unicode
-    digits (``\u0663`` is the Arabic-Indic three)."""
+    also read ``_`` separators, a sign, blanks and other Unicode digits
+    (``\u0663`` is the Arabic-Indic three).  Result files name item ``a``,
+    which the symbol table knows."""
+    symbols = (SymbolTable(("a",)),) if parse is parse_results else ()
     with pytest.raises(ValueError):
-        parse(io.StringIO(text))
+        parse(io.StringIO(text), *symbols)
 
 
 def test_bind_reports_missing_items(example_db):

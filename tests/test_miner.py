@@ -231,13 +231,15 @@ def _is_lone(proj):
 
 def _watch_scans(monkeypatch, record):
     """Patch ``_Engine._scan_candidates`` to pass every projection it scans
-    and the engine, after the scan, to ``record``.  The engine scans a lone
-    pivot only to fill the rows cached for it, worth zero."""
+    but the empty pattern's, and the engine, after the scan, to ``record``.
+    The engine scans a lone pivot only to fill the rows cached for it, worth
+    zero."""
     real_scan = miner_module._Engine._scan_candidates
 
     def watched_scan(self, proj):
         real_scan(self, proj)
-        record(proj, self)
+        if proj is not self.root_proj:
+            record(proj, self)
 
     monkeypatch.setattr(miner_module._Engine, "_scan_candidates", watched_scan)
 
@@ -660,7 +662,8 @@ def test_scanned_and_cached_rows_agree(monkeypatch):
 
 def _fed_scan(arrays, proj):
     """The candidate scan built only from ``feed`` and ``end_sequence``, for
-    entries of every shape: the I- and S-children's node sums."""
+    entries of every shape: the I- and S-children's node sums.  An entry
+    without pivots is the empty prefix, worth 0 before every position."""
     acc_i, acc_s = _ItemAccumulator(), _ItemAccumulator()
     for entry in proj.entries:
         seq = arrays[entry.seq_index]
@@ -672,7 +675,7 @@ def _fed_scan(arrays, proj):
             while q < n and eid_[q] == eid_[p]:
                 acc_i.feed(item_[q], b + u_[q], ru_[q], pool_[q + 1])
                 q += 1
-        start_e = eid_[pivots[0]]
+        start_e = eid_[pivots[0]] if pivots else 0
         if start_e < len(seq.elem_first):
             run_max = 0
             ptr = 0
@@ -699,8 +702,10 @@ def _fed_root(arrays):
 def test_folded_scans_equal_the_fed_ones(monkeypatch):
     """A one-pivot entry folds the positions it visits into the node sums
     directly: always for its I-children, and for its S-children when its
-    sequence holds no item twice; the root scan folds such a sequence too.
-    Every scan leaves the same sums as feeding every position."""
+    sequence holds no item twice; an entry without pivots, the empty
+    pattern's, folds such a sequence too.  Every scan leaves the same sums
+    as feeding every position, and the root scan the same as feeding every
+    position worth its own utility."""
     real_scan = miner_module._Engine._scan_candidates
     real_root = miner_module._Engine._scan_root
     shapes = set()
@@ -710,12 +715,13 @@ def test_folded_scans_equal_the_fed_ones(monkeypatch):
         assert (self.acc_i.node, self.acc_s.node) == _fed_scan(self.arrays, proj)
         for entry in proj.entries:
             seq = self.arrays[entry.seq_index]
+            twice = "no item twice" if len(seq.positions_of) == seq.n else "an item twice"
             if len(entry.pivots) > 1:
                 shapes.add("several pivots")
-            elif len(seq.positions_of) == seq.n:
-                shapes.add("one pivot, no item twice")
+            elif entry.pivots:
+                shapes.add("one pivot, " + twice)
             else:
-                shapes.add("one pivot, an item twice")
+                shapes.add("no pivot, " + twice)
 
     def root(self):
         real_root(self)
@@ -734,7 +740,8 @@ def test_folded_scans_equal_the_fed_ones(monkeypatch):
         for config in configs:
             mine(*inst, config)
     assert shapes == {"several pivots", "one pivot, no item twice",
-                      "one pivot, an item twice"}
+                      "one pivot, an item twice", "no pivot, no item twice",
+                      "no pivot, an item twice"}
 
 
 def test_a_long_chain_of_lone_pivots_never_recurses():
