@@ -377,15 +377,8 @@ def generate_synthetic(params: GenParams) -> tuple:
 RESULT_HEADER = "pattern\tutility\tmiu"
 
 
-def write_results(
-    husps: list,
-    stats=None,
-    fmt: str = "tsv",
-    symbols: Optional[SymbolTable] = None,
-) -> str:
-    """Render mined patterns as TSV (default) or JSON text."""
-    if symbols is None:
-        raise ValueError("symbols required to render patterns")
+def write_results(husps: list, stats, fmt: str, symbols: SymbolTable) -> str:
+    """Render mined patterns as TSV or JSON text; ``stats`` may be None."""
     render = _pattern_renderer(symbols)
     if fmt == "tsv":
         rows = [f"{render(h.pattern)}\t{h.utility}\t{h.miu}\n" for h in husps]

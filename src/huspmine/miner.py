@@ -105,10 +105,14 @@ from __future__ import annotations
 import gc
 import sys
 import time
-import tracemalloc
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform
+    resource = None
 
 from .model import (
     Money,
@@ -148,7 +152,6 @@ class MiningConfig:
     variant: str = USPT
     node_bound: str = BOUND_PEU
     max_pattern_length: Optional[int] = None
-    collect_stats: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,18 @@ class Husp(NamedTuple):
 
 @dataclass
 class MiningStats:
+    """Statistics of one :func:`mine` run, collected on every run.
+
+    - ``candidates_visited``: patterns whose bounds the search computed;
+    - ``husps_found``: patterns returned;
+    - ``wall_time``: seconds spent in :func:`mine`;
+    - ``peak_memory_estimate``: the process's peak resident set size in
+      bytes when the run ended, from ``getrusage``; it covers what the
+      process did before the call too, so it never falls from one run to
+      the next, and it is ``None`` where the ``resource`` module is missing;
+    - ``depth_histogram``: candidates visited, by pattern size.
+    """
+
     candidates_visited: int = 0
     husps_found: int = 0
     wall_time: float = 0.0
@@ -611,15 +626,6 @@ def mine(
     no final sort.  Output is identical across variants.
     """
     _validate(db, utable, mtable, config)
-    tracing = config.collect_stats
-    # a trace the caller started is left running, and what it traced before
-    # this call is kept out of the peak
-    own_trace = tracing and not tracemalloc.is_tracing()
-    if own_trace:
-        tracemalloc.start()
-    if tracing:
-        tracemalloc.reset_peak()
-        traced_before = tracemalloc.get_traced_memory()[0]
     started = time.perf_counter()
     # the search makes no reference cycles, but the results it keeps alive
     # would have the cyclic collector traverse an ever larger heap
@@ -635,9 +641,10 @@ def mine(
         husps = engine.run()
         stats = engine.stats
         stats.wall_time = time.perf_counter() - started
-        if tracing:
-            peak = tracemalloc.get_traced_memory()[1]
-            stats.peak_memory_estimate = peak - traced_before
+        if resource is not None:
+            # kilobytes, except on macOS, which gives bytes
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            stats.peak_memory_estimate = peak if sys.platform == "darwin" else peak * 1024
         return husps, stats
     finally:
         if collecting:
@@ -649,5 +656,3 @@ def mine(
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()
-        if own_trace:
-            tracemalloc.stop()

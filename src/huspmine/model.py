@@ -12,7 +12,6 @@ threads.  The functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import lt
 from typing import Iterator, Optional, Sequence
 
@@ -351,49 +350,35 @@ def pattern_utility_in_sequence(
 ) -> Optional[Money]:
     """Maximum utility over all embeddings, or None when there is no match.
 
-    Uses a max-utility placement recursion over elements rather than listing
-    embeddings, so it stays usable when matches are numerous; equivalence
-    with max over :func:`find_matches` is property-tested.
+    Fills a max-utility placement table over (itemset, element) from the
+    last itemset back, rather than listing embeddings, so it stays usable
+    when matches are numerous or the pattern is long; equivalence with max
+    over :func:`find_matches` is property-tested.
     """
     elements = qseq.elements
     k = len(pattern.itemsets)
     d = len(elements)
     if k > d:
         return None
-
-    weight: dict[tuple[int, int], Optional[Money]] = {}
-
-    def itemset_weight(j: int, e: int) -> Optional[Money]:
-        key = (j, e)
-        if key not in weight:
+    # after[e]: the best placement of the itemsets after the current one in
+    # elements e.. (None when they do not fit); 0 past the last itemset
+    after: list[Optional[Money]] = [0] * (d + 1)
+    for j in range(k - 1, -1, -1):
+        itemset = pattern.itemsets[j]
+        # best[e]: the best placement of itemsets j.. with itemset j at
+        # element e or later; itemset j lies in elements j..d - (k - j)
+        best: list[Optional[Money]] = [None] * (d + 1)
+        for e in range(d - (k - j), j - 1, -1):
+            out = best[e + 1]
+            rest = after[e + 1]
             element = elements[e]
-            if element.contains_items(pattern.itemsets[j]):
-                weight[key] = sum(
-                    element.quantity_of(i) * utable.of(i) for i in pattern.itemsets[j]
-                )
-            else:
-                weight[key] = None
-        return weight[key]
-
-    @lru_cache(maxsize=None)
-    def best(j: int, e: int) -> Optional[Money]:
-        if j == k:
-            return 0
-        if d - e < k - j:
-            return None
-        out = None
-        for ee in range(e, d - (k - j) + 1):
-            w = itemset_weight(j, ee)
-            if w is None:
-                continue
-            rest = best(j + 1, ee + 1)
-            if rest is None:
-                continue
-            if out is None or w + rest > out:
-                out = w + rest
-        return out
-
-    return best(0, 0)
+            if rest is not None and element.contains_items(itemset):
+                here = rest + sum(element.quantity_of(i) * utable.of(i) for i in itemset)
+                if out is None or here > out:
+                    out = here
+            best[e] = out
+        after = best
+    return after[0]
 
 
 def pattern_utility(pattern: Pattern, db: QSDatabase, utable: UtilityTable) -> Money:

@@ -291,7 +291,7 @@ def test_c09_uniform_threshold_reduction(corpus):
 def test_c10_scalability_smoke(synth10k):
     db, utable, mtable = synth10k
     started = time.perf_counter()
-    husps, stats = mine(db, utable, mtable, MiningConfig(collect_stats=True))
+    husps, stats = mine(db, utable, mtable, MiningConfig())
     elapsed = time.perf_counter() - started
     assert 10 <= len(husps) <= 100_000
     assert elapsed < 60.0

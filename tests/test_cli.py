@@ -481,9 +481,9 @@ def test_bench_single_point_matches_mine_stats(tmp_path, capsys):
     assert int(row[5]) == int(stats_fields["husps"])
 
 
-def test_bench_times_an_untraced_run(monkeypatch, fixture_files, capsys):
-    """tracemalloc slows mining down, so ``runtime_s`` must come from a
-    ``collect_stats=False`` run and ``peak_mem_bytes`` from a traced one."""
+def test_bench_mines_each_point_once(monkeypatch, fixture_files, capsys):
+    """Each (variant, point) is mined once, and its row takes ``runtime_s``
+    and ``peak_mem_bytes`` from that run's statistics."""
     import huspmine.cli as cli_module
 
     real_mine = cli_module.mine
@@ -491,24 +491,24 @@ def test_bench_times_an_untraced_run(monkeypatch, fixture_files, capsys):
 
     def fake_mine(db, utable, mtable, config):
         husps, stats = real_mine(db, utable, mtable, config)
-        calls.append(config.collect_stats)
-        stats.wall_time = 7.0 if config.collect_stats else 1.0
-        if config.collect_stats:
-            stats.peak_memory_estimate = 4242
+        calls.append(config.variant)
+        stats.wall_time = 7.0 * len(calls)
+        stats.peak_memory_estimate = 4242 * len(calls)
         return husps, stats
 
     monkeypatch.setattr(cli_module, "mine", fake_mine)
     data, utility, _ = fixture_files
     code, out, _ = run_main(
         ["bench", "--data", str(data), "--utility-table", str(utility),
-         "--beta", "1.0", "--lmu-sweep", "0.05", "--variants", "uspt"],
+         "--beta", "1.0", "--lmu-sweep", "0.05,0.1", "--variants", "uspt1,uspt"],
         capsys,
     )
     assert code == 0
-    assert sorted(calls) == [False, True]
-    row = out.splitlines()[1].split("\t")
-    assert row[3] == "1.000"
-    assert row[6] == "4242"
+    assert calls == ["uspt1", "uspt1", "uspt", "uspt"]
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [(row[3], row[6]) for row in rows] == [
+        (f"{7.0 * n:.3f}", str(4242 * n)) for n in (1, 2, 3, 4)
+    ]
 
 
 def test_bench_requires_exactly_one_sweep(tmp_path, capsys):

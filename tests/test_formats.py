@@ -297,13 +297,12 @@ def test_write_results_tsv(example_db, example_utable, example_mtable):
 def test_write_results_json(example_db, example_utable, example_mtable):
     import json
 
-    husps, stats = mine(
-        example_db, example_utable, example_mtable, MiningConfig(collect_stats=True)
-    )
+    husps, stats = mine(example_db, example_utable, example_mtable, MiningConfig())
     payload = json.loads(write_results(husps, stats, "json", example_db.symbols))
     assert payload["husps"][0] == {"pattern": "[b],[c e]", "utility": 200, "miu": 200}
     assert payload["stats"]["husps_found"] == 4
     assert payload["stats"]["candidates_visited"] >= 4
+    assert payload["stats"]["peak_memory_estimate"] == stats.peak_memory_estimate > 0
     empty = json.loads(write_results([], None, "json", example_db.symbols))
     assert empty == {"husps": [], "stats": None}
 

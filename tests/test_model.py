@@ -1,5 +1,7 @@
 """Core model: exact utilities, containment, matching."""
 
+import io
+
 import pytest
 
 from huspmine import (
@@ -11,10 +13,12 @@ from huspmine import (
     SymbolTable,
     UnknownItem,
     UtilityTable,
+    bind_unit_utilities,
     database_utility,
     find_matches,
     item_utility,
     miu,
+    parse_dataset,
     pattern_utility,
     pattern_utility_in_sequence,
     qitemset_utility,
@@ -137,6 +141,19 @@ def test_pattern_utility(example_db, example_utable, ids):
         Pattern(((ids["b"],), (ids["c"],))), example_db, example_utable
     ) == 160
     assert pattern_utility(Pattern(((ids["b"],),)), example_db, example_utable) == 130
+
+
+def test_pattern_utility_of_a_long_chain():
+    """One sequence of 1,100 distinct single-item elements worth 1 each: the
+    whole sequence, a pattern of 1,100 itemsets, is worth 1,100.  The table
+    does not recurse per itemset, so the default recursion limit of 1,000 is
+    no obstacle."""
+    n = 1100
+    names = [f"i{k}" for k in range(n)]
+    db = parse_dataset(io.StringIO(" -1 ".join(f"{name}[1]" for name in names) + " -2\n"))
+    utable = bind_unit_utilities({name: 1 for name in names}, db.symbols)
+    whole = Pattern(tuple((db.symbols.id_of(name),) for name in names))
+    assert pattern_utility(whole, db, utable) == n
 
 
 def test_pattern_utility_absent_pattern(example_db, example_utable, ids):
