@@ -14,7 +14,21 @@ Tokens are separated by one or more spaces; any other character, a tab
 included, belongs to a token.  A line of whitespace only is skipped.
 Utility-table and threshold-table files hold one ``ITEM VALUE`` pair per
 line with ``#`` starting a comment.  Every integer in an input or result
-file is ASCII digits.
+file is ASCII digits, and a quantity, SUtility or table value has at most
+``MAX_DIGITS`` (1,000) of them.
+
+Each parser has a fast path for canonical input and a token loop for the
+rest.  A canonical dataset line has single spaces, no space at either end
+and no leading zero in a quantity; :func:`parse_dataset` splits it with
+C-level calls.  A canonical table is ``ITEM VALUE`` lines with one space
+and no comment, blank line or ``\r``, the last ended by ``\n``;
+:func:`parse_item_values` reads it with one ``split``.  Any other dataset
+line goes through the token loop, and any other table through the line
+loop; so does canonical input with a duplicate item.  Only these loops
+report malformed text, so every :class:`ParseError` has the message, line
+and column it would have without the fast paths, which give equal
+results.  A wrong SUtility trailer is reported only once every line has
+parsed.
 
 Lines end at ``\n`` only, and a ``\r`` just before it is dropped, so CRLF
 files read as LF files.  Other Unicode line boundaries (``\x0b``, ``\x0c``,
@@ -31,7 +45,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import lt, mul
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -50,11 +64,35 @@ from .miner import ConfigError, Husp
 
 Source = Union[str, Path, TextIO]
 
+# The most digits an integer in a dataset or table may have.  A product of
+# two such integers has at most twice as many, and summing them over any
+# database adds only a few more, so every utility stays far below the 4,300
+# digits that CPython converts to text by default.
+MAX_DIGITS = 1000
+
+_NAME_SYNTAX = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
 # ASCII: ``\d`` alone, like ``int``, takes every Unicode digit
-_ITEM_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)\[(\d+)\]$", re.ASCII)
-_NAME = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)$", re.ASCII)
+_ITEM_TOKEN = re.compile(rf"^({_NAME_SYNTAX})\[(\d+)\]$", re.ASCII)
+_NAME = re.compile(rf"^({_NAME_SYNTAX})$", re.ASCII)
 _SUTILITY = re.compile(r"^SUtility:(\d+)$", re.ASCII)
 _INTEGER = re.compile(r"[0-9]+")
+
+# The fast paths.  A canonical dataset line has single spaces, no leading
+# or trailing space, and quantities without leading zeros; group 1 is the
+# line up to `` -2`` and group 2 the SUtility digits.  A canonical table is
+# ``NAME DIGITS`` lines, each ended by ``\n``.  Neither admits an integer
+# of more than MAX_DIGITS digits.
+_CANONICAL_TOKEN = rf"(?:{_NAME_SYNTAX})\[[1-9][0-9]{{0,{MAX_DIGITS - 1}}}\]"
+_CANONICAL_ELEMENT = rf"{_CANONICAL_TOKEN}(?: {_CANONICAL_TOKEN})*"
+_CANONICAL_LINE = re.compile(
+    rf"({_CANONICAL_ELEMENT}(?: -1 {_CANONICAL_ELEMENT})*) -2"
+    rf"(?: SUtility:([0-9]{{1,{MAX_DIGITS}}}))?",
+    re.ASCII,
+)
+_CANONICAL_PAIR = re.compile(r"([^ \[]+)\[([0-9]+)\]")
+_NAME_BEFORE_BRACKET = re.compile(r"([A-Za-z0-9_]+)\[", re.ASCII)
+_CANONICAL_TABLE = re.compile(rf"(?:(?:{_NAME_SYNTAX}) [0-9]{{1,{MAX_DIGITS}}}\n)*",
+                              re.ASCII)
 
 
 class ParseError(ValueError):
@@ -94,91 +132,132 @@ def _column(line: str, index: int) -> int:
     return [m.start() for m in re.finditer("[^ ]+", line)][index] + 1
 
 
+def _parse_line(line: str, lineno: int) -> tuple:
+    """The token loop: parse one non-blank dataset line into its elements,
+    each a list of (name, quantity digits) pairs in line order, and its
+    SUtility trailer ``(value, token index)`` or None; or raise the line's
+    first error."""
+    tokens = [t for t in line.split(" ") if t]
+    elements = []
+    element: dict = {}
+    for k, tok in enumerate(tokens):
+        if tok == "-1":
+            if not element:
+                raise ParseError("empty element before -1", lineno, _column(line, k))
+            elements.append(list(element.items()))
+            element = {}
+        elif tok == "-2":
+            if not element:
+                message = "empty element before -2" if elements else "empty sequence"
+                raise ParseError(message, lineno, _column(line, k))
+            elements.append(list(element.items()))
+            break
+        else:
+            m = _ITEM_TOKEN.match(tok)
+            if m is None:
+                raise ParseError(f"bad token {tok!r}", lineno, _column(line, k))
+            name, qty = m.groups()
+            if len(qty) > MAX_DIGITS:
+                raise ParseError(f"quantity of {name!r} has more than {MAX_DIGITS} "
+                                 f"digits", lineno, _column(line, k))
+            if int(qty) < 1:
+                raise ParseError(f"quantity must be >= 1 in {tok!r}", lineno,
+                                 _column(line, k))
+            if name in element:
+                raise ParseError(f"duplicate item {name!r} in element", lineno,
+                                 _column(line, k))
+            element[name] = qty
+    else:
+        raise ParseError("sequence not terminated by -2", lineno, 1)
+    declared = None
+    for j in range(k + 1, len(tokens)):
+        m = _SUTILITY.match(tokens[j])
+        if m is None or declared is not None:
+            raise ParseError(f"unexpected token {tokens[j]!r} after -2", lineno,
+                             _column(line, j))
+        if len(m.group(1)) > MAX_DIGITS:
+            raise ParseError(f"SUtility has more than {MAX_DIGITS} digits", lineno,
+                             _column(line, j))
+        declared = (int(m.group(1)), j)
+    return elements, declared
+
+
 def parse_dataset(
     source: Source, unit_utilities: Optional[dict] = None
 ) -> QSDatabase:
     """Parse a dataset file into a database with interned items.
 
     When ``unit_utilities`` (name -> unit utility) is given, any SUtility
-    trailer is verified against the recomputed sequence utility, once every
-    line has parsed.
+    trailer is verified against the recomputed sequence utility; a mismatch
+    or a missing unit utility is raised once every line has parsed.
     """
-    match_item = _ITEM_TOKEN.match
-    raw_sequences = []  # (lineno, elements, declared); an element maps name -> qty
-    names_seen: set = set()
-    for lineno, line in enumerate(_lines(_read_text(source)), start=1):
-        if not line or line.isspace():
-            continue
-        tokens = [t for t in line.split(" ") if t]
-        elements = []
-        element: dict = {}
-        for k, tok in enumerate(tokens):
-            if tok == "-1":
-                if not element:
-                    raise ParseError("empty element before -1", lineno, _column(line, k))
-                elements.append(element)
-                names_seen.update(element)
-                element = {}
-            elif tok == "-2":
-                if not element:
-                    message = "empty element before -2" if elements else "empty sequence"
-                    raise ParseError(message, lineno, _column(line, k))
-                elements.append(element)
-                names_seen.update(element)
-                break
-            else:
-                m = match_item(tok)
-                if m is None:
-                    raise ParseError(f"bad token {tok!r}", lineno, _column(line, k))
-                name, qty = m.groups()
-                qty = int(qty)
-                if qty < 1:
-                    raise ParseError(f"quantity must be >= 1 in {tok!r}", lineno,
-                                     _column(line, k))
-                if name in element:
-                    raise ParseError(f"duplicate item {name!r} in element", lineno,
-                                     _column(line, k))
-                element[name] = qty
-        else:
-            raise ParseError("sequence not terminated by -2", lineno, 1)
-        declared = None  # (value, line, token index)
-        for j in range(k + 1, len(tokens)):
-            m = _SUTILITY.match(tokens[j])
-            if m is None or declared is not None:
-                raise ParseError(f"unexpected token {tokens[j]!r} after -2", lineno,
-                                 _column(line, j))
-            declared = (int(m.group(1)), line, j)
-        raw_sequences.append((lineno, elements, declared))
-
-    symbols = SymbolTable.from_names(names_seen)
+    text = _read_text(source)
+    # in a file that parses, every '[' ends the name of an item token, so
+    # the names, and with them the ids, are known before any line is read
+    symbols = SymbolTable.from_names(set(_NAME_BEFORE_BRACKET.findall(text)))
     ids = symbols._ids
+    intern = ids.__getitem__
+    if unit_utilities is not None:
+        # None for an item without a unit utility, which fails the product
+        unit_of = [unit_utilities.get(name) for name in symbols.names].__getitem__
+    canonical = _CANONICAL_LINE.fullmatch
+    find_pairs = _CANONICAL_PAIR.findall
+    # the checks of QItemset and QSequence hold by construction here
+    new = object.__new__
+    set_field = object.__setattr__
     sequences = []
-    for ordinal, (lineno, elements, declared) in enumerate(raw_sequences, start=1):
+    unverified = None  # (lineno, line, token index, declared, recomputed or None)
+    for lineno, line in enumerate(_lines(text), start=1):
+        m = canonical(line)
+        if m is not None:
+            body, trailer = m.groups()
+            elements = map(find_pairs, body.split(" -1 "))
+            # the trailer, when present, is the last token
+            declared = None if trailer is None else (int(trailer), -1)
+        elif not line or line.isspace():
+            continue
+        else:
+            elements, declared = _parse_line(line, lineno)
         qitemsets = []
-        for element in elements:
-            if len(element) == 1:
-                [(name, qty)] = element.items()
-                qitemsets.append(QItemset((ids[name],), (qty,)))
+        for pairs in elements:
+            if len(pairs) == 1:
+                [(name, qty)] = pairs
+                items, quantities = (ids[name],), (int(qty),)
             else:
-                pairs = sorted(zip(map(ids.__getitem__, element), element.values()))
-                qitemsets.append(QItemset(*zip(*pairs)))
-        if declared is not None and unit_utilities is not None:
-            value, line, k = declared
-            unit_of = unit_utilities.__getitem__
+                names, digits = zip(*pairs)
+                items = tuple(map(intern, names))
+                quantities = tuple(map(int, digits))
+                if not all(map(lt, items, items[1:])):
+                    items, quantities = zip(*sorted(zip(items, quantities)))
+                    if not all(map(lt, items, items[1:])):
+                        _parse_line(line, lineno)  # raises the duplicate item
+            qitemset = new(QItemset)
+            set_field(qitemset, "items", items)
+            set_field(qitemset, "quantities", quantities)
+            qitemsets.append(qitemset)
+        if declared is not None and unit_utilities is not None and unverified is None:
+            value, k = declared
             actual = 0
             try:
-                for element in elements:
-                    actual += sum(map(mul, element.values(), map(unit_of, element)))
-            except KeyError as exc:
-                raise ConfigError(
-                    f"utility table is missing items: {exc.args[0]}"
-                ) from None
+                for e in qitemsets:
+                    actual += sum(map(mul, e.quantities, map(unit_of, e.items)))
+            except TypeError:
+                actual = None
             if actual != value:
-                raise SUtilityMismatch(
-                    f"declared SUtility {value} but recomputed {actual}", lineno,
-                    _column(line, k),
-                )
-        sequences.append(QSequence(str(ordinal), tuple(qitemsets)))
+                unverified = (lineno, line, k, value, actual)
+        qsequence = new(QSequence)
+        set_field(qsequence, "sid", str(len(sequences) + 1))
+        set_field(qsequence, "elements", tuple(qitemsets))
+        sequences.append(qsequence)
+    if unverified is not None:
+        lineno, line, k, value, actual = unverified
+        if actual is None:
+            elements, _ = _parse_line(line, lineno)
+            missing = next(name for pairs in elements for name, _ in pairs
+                           if name not in unit_utilities)
+            raise ConfigError(f"utility table is missing items: {missing}")
+        raise SUtilityMismatch(f"declared SUtility {value} but recomputed {actual}",
+                               lineno, _column(line, k))
     return QSDatabase(sequences=tuple(sequences), symbols=symbols)
 
 
@@ -206,9 +285,22 @@ def serialize_dataset(db: QSDatabase, utable: Optional[UtilityTable] = None) -> 
 
 def parse_item_values(source: Source) -> dict:
     """Parse ``ITEM VALUE`` lines into a name -> value dict."""
+    text = _read_text(source)
+    if _CANONICAL_TABLE.fullmatch(text):
+        fields = text.split()
+        out = dict(zip(fields[::2], map(int, fields[1::2])))
+        if 2 * len(out) == len(fields):
+            return out
+        # a duplicate item: the line loop reports it
+    return _parse_item_lines(text)
+
+
+def _parse_item_lines(text: str) -> dict:
+    """The line loop of :func:`parse_item_values`: parse ``text`` line by
+    line, or raise the first line's error."""
     out: dict = {}
-    for lineno, line in enumerate(_lines(_read_text(source)), start=1):
-        line = line.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
@@ -221,6 +313,9 @@ def parse_item_values(source: Source) -> dict:
             raise ParseError(f"bad value {value!r}", lineno)
         if value.startswith("-"):
             raise ParseError(f"negative value {value!r}", lineno)
+        if len(value) > MAX_DIGITS:
+            raise ParseError(f"value of {name!r} has more than {MAX_DIGITS} digits",
+                             lineno, raw.index(value, raw.index(name) + len(name)) + 1)
         out[name] = int(value)
     return out
 

@@ -35,10 +35,13 @@ def symbol_sort_key(name: str) -> tuple:
     names of equal value (``7``, ``07``) fall back to the name itself, so
     the order is total and never depends on set iteration order.  Only
     ASCII digits make a name numeric: ``"²"`` is a digit to ``isdigit`` but
-    not to ``int``, so it sorts as an identifier.
+    not to ``int``, so it sorts as an identifier.  A numeric name is
+    compared by its significant digits, shorter first, rather than
+    converted with ``int``, which refuses more than 4,300 digits.
     """
     if name.isascii() and name.isdigit():
-        return (0, int(name), name)
+        digits = name.lstrip("0")
+        return (0, len(digits), digits, name)
     return (1, 0, name)
 
 

@@ -126,6 +126,75 @@ def test_parse_error_exits_3(tmp_path, fixture_files, capsys):
     assert "duplicate" in err
 
 
+LONG = "1" * 5000
+WIDE = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "data,units,position",
+    [
+        (f"a[{LONG}] -2\n", "a 1\n", "line 1, col 1"),
+        (f"a[1] -2 SUtility:{LONG}\n", "a 1\n", "line 1, col 9"),
+        ("a[1] -2\n", f"a {LONG}\n", "line 1, col 3"),
+        # the table is read first, so its value is the one reported
+        (f"a[{WIDE}] -2\n", f"a {WIDE}\n", "line 1, col 3"),
+    ],
+    ids=["quantity", "sutility", "table-value", "product"],
+)
+def test_long_integers_exit_3(tmp_path, data, units, position):
+    """An integer of more than 1,000 digits is a parse error: ``int`` and
+    ``str`` refuse more than 4,300 digits, so a longer quantity, or a
+    product of two long ones, would otherwise end in a traceback."""
+    (tmp_path / "long.qsd").write_text(data)
+    (tmp_path / "long.ut").write_text(units)
+    package_root = str(Path(huspmine.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "huspmine.cli", "mine", "--data", "long.qsd",
+         "--utility-table", "long.ut", "--beta", "0", "--lmu", "0"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"parse error: {position}: ")
+    assert "more than 1000 digits" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_the_largest_integers_mine_and_print(tmp_path, capsys):
+    """A 1,000-digit quantity at a 1,000-digit price is accepted: its
+    utility has 2,000 digits, which still prints."""
+    big = "9" * 1000
+    data = tmp_path / "big.qsd"
+    data.write_text(f"a[{big}] -2\n")
+    utility = tmp_path / "big.ut"
+    utility.write_text(f"a {big}\n")
+    code, out, err = run_main(
+        ["mine", "--data", str(data), "--utility-table", str(utility),
+         "--beta", "0", "--lmu", "0"],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.splitlines()[1:] == [f"[a]\t{int(big) ** 2}\t0"]
+
+
+def test_long_numeric_names_mine(tmp_path, capsys):
+    """Item names are not integers: a numeric name of any length is
+    ordered by value without being converted."""
+    long_name = "7" * 5000
+    data = tmp_path / "names.qsd"
+    data.write_text(f"{long_name}[1] 8[2] -2\n")
+    utility = tmp_path / "names.ut"
+    utility.write_text(f"8 1\n{long_name} 1\n")
+    code, out, err = run_main(
+        ["mine", "--data", str(data), "--utility-table", str(utility),
+         "--beta", "0", "--lmu", "0"],
+        capsys,
+    )
+    assert code == 0, err
+    assert f"[8 {long_name}]\t3\t0" in out.splitlines()
+
+
 @pytest.mark.parametrize("kind", ["directory", "latin-1"])
 def test_unreadable_data_exits_3(kind, tmp_path, fixture_files, capsys):
     _, utility, mtable = fixture_files

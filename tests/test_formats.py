@@ -1,6 +1,7 @@
 """Parsing, serialization, threshold generation, synthetic data."""
 
 import io
+import re
 
 import pytest
 
@@ -9,7 +10,9 @@ from huspmine import (
     MiningConfig,
     ParseError,
     Pattern,
+    QItemset,
     QSDatabase,
+    QSequence,
     SUtilityMismatch,
     SymbolTable,
     UnknownItem,
@@ -74,6 +77,10 @@ PARSE_ERRORS = [
     ("a[1] -2 SUtility:4\n  a[2]  -1  b[1]  -2   SUtility:14\n",
      "declared SUtility 14", 2, 24),
     ("a[1] -2 SUtility:5\nb[x] -2\n", "bad token", 2, 1),
+    # an integer has at most 1,000 digits, leading zeros included
+    ("a[1] b[" + "7" * 1001 + "] -2\n", "more than 1000 digits", 1, 6),
+    ("a[" + "0" * 1000 + "1] -2\n", "more than 1000 digits", 1, 1),
+    ("a[1] -2 SUtility:" + "4" * 1001 + "\n", "more than 1000 digits", 1, 9),
 ]
 
 
@@ -157,6 +164,59 @@ def test_item_values_parsing():
         parse_item_values(io.StringIO("a b c\n"))
     round_trip = parse_item_values(io.StringIO(serialize_item_values(values)))
     assert round_trip == values
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        ("a " + "9" * 1001 + "\n", 1, 3),
+        ("a 1\n  b\t" + "0" * 1001 + "  # long\n", 2, 5),
+        ("a 4\nb " + "5" * 5000, 2, 3),
+    ],
+    ids=["value", "zero-padded", "unterminated"],
+)
+def test_item_values_reject_long_integers(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_item_values(io.StringIO(text))
+    assert "more than 1000 digits" in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_integers_of_1000_digits_parse():
+    big = "9" * 1000
+    assert parse_item_values(io.StringIO(f"a {big}\nb 0{big[1:]}\n")) == {
+        "a": int(big), "b": int(big[1:])}
+    db = parse_dataset(io.StringIO(f"a[{big}] -1 b[1] -2 SUtility:{big}\n"),
+                       unit_utilities={"a": 1, "b": 0})
+    assert db.sequences[0].elements[0].quantities == (int(big),)
+
+
+def _parsed_layouts(text):
+    """``text``, a dataset without SUtility trailers, parsed as it is, with
+    the items of each element in reverse order, and from CRLF lines with
+    doubled spaces, which the token loop reads."""
+    reversed_items = "".join(
+        " -1 ".join(" ".join(element.split(" ")[::-1]) for element in line.split(" -1 "))
+        + " -2\n"
+        for line in text.replace(" -2", "").splitlines()
+    )
+    loose = text.replace(" ", "  ").replace("\n", " \r\n")
+    return [parse_dataset(io.StringIO(t)) for t in (text, reversed_items, loose)]
+
+
+def test_parsed_objects_equal_checked_ones():
+    """The parser builds its q-itemsets and q-sequences without running
+    their checks; each equals, and hashes like, the checked object."""
+    data, _ = generate_synthetic(GenParams(n_sequences=300, n_items=40, seed=11))
+    dbs = _parsed_layouts(re.sub(" SUtility:[0-9]+", "", data))
+    assert dbs[0] == dbs[1] == dbs[2]
+    for db in dbs:
+        for s in db.sequences:
+            checked = QSequence(s.sid, s.elements)
+            assert s == checked and hash(s) == hash(checked)
+            for e in s.elements:
+                checked = QItemset(e.items, e.quantities)
+                assert e == checked and hash(e) == hash(checked)
 
 
 NOT_ASCII_INTEGERS = [

@@ -2,13 +2,17 @@
 
 import io
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from huspmine import (
+    ConfigError,
     MiningConfig,
+    ParseError,
     bind_unit_utilities,
     Pattern,
     QSDatabase,
@@ -22,12 +26,14 @@ from huspmine import (
     mine,
     brute_force_mine,
     parse_dataset,
+    parse_item_values,
     pattern_utility,
     pattern_utility_in_sequence,
     project,
     qsequence_utility,
     serialize_dataset,
 )
+from huspmine import formats
 from huspmine.model import match_utility
 from huspmine.uarray import I_STEP, S_STEP, SequenceArrays
 from huspmine.miner import (
@@ -129,6 +135,126 @@ def test_dataset_serialization_round_trip(seqs):
         assert rendered == reparsed
     else:
         assert len(again) == 0
+
+
+# names of every kind: numeric, numeric with leading zeros, identifiers
+_LAYOUT_NAMES = ["0", "7", "07", "12", "a", "b", "_x", "Z9", "SUtility"]
+_JUNK_LINES = ["a[1] -1 -2", "a[x] -2", "-2", "a[1]", "a[1] -2 b[1]", "a[1]\t-2", "a[-1] -2"]
+# fullmatches nothing, so every line and table takes the loops
+_NEVER = re.compile(r"(?!)")
+
+
+@st.composite
+def _dataset_layouts(draw):
+    """A dataset text, and unit utilities or None.  A text is canonical, or
+    has one kind of deviation on some of its lines: doubled, leading or
+    trailing spaces, CRLF, blank lines, zero or zero-padded quantities,
+    duplicate items, or malformed lines.  A SUtility trailer may be right,
+    zero-padded or wrong, and an item may lack a unit utility."""
+    deviation = draw(st.sampled_from([
+        "none", "doubled", "leading", "trailing", "crlf", "blank", "zero",
+        "zero-padded", "duplicate", "junk"]))
+    units = dict(zip(_LAYOUT_NAMES, draw(st.lists(
+        st.integers(0, 9), min_size=len(_LAYOUT_NAMES), max_size=len(_LAYOUT_NAMES)))))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if deviation in ("blank", "junk") and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(
+                ["", " ", "   "] if deviation == "blank" else _JUNK_LINES)))
+            continue
+        deviates = draw(st.booleans())
+        elements = []
+        for _ in range(draw(st.integers(1, 4))):
+            names = draw(st.lists(st.sampled_from(_LAYOUT_NAMES), min_size=1, max_size=3,
+                                  unique=True))
+            if deviation == "duplicate" and deviates:
+                names.insert(draw(st.integers(0, len(names))), names[0])
+            element = [(n, str(draw(st.integers(1, 40)))) for n in names]
+            if deviation in ("zero", "zero-padded") and deviates:
+                k = draw(st.integers(0, len(element) - 1))
+                n, q = element[k]
+                element[k] = (n, "0" * len(q) if deviation == "zero" else "0" + q)
+            elements.append(element)
+        tokens = []
+        for element in elements:
+            tokens += ["-1"] * bool(tokens) + [f"{n}[{q}]" for n, q in element]
+        tokens.append("-2")
+        right = sum(int(q) * units[n] for element in elements for n, q in element)
+        trailer = draw(st.sampled_from(["none", "right", "wrong"]))
+        if trailer != "none":
+            value = right + (trailer == "wrong")
+            padding = "0" if deviation == "zero-padded" and deviates else ""
+            tokens.append(f"SUtility:{padding}{value}")
+        line = ("  " if deviation == "doubled" and deviates else " ").join(tokens)
+        if deviates and deviation in ("leading", "trailing"):
+            line = " " + line if deviation == "leading" else line + " "
+        lines.append(line)
+    newline = "\r\n" if deviation == "crlf" else "\n"
+    text = newline.join(lines) + newline * draw(st.booleans())
+    for name in draw(st.sampled_from([(), (), ("a",), ("07", "b")])):
+        del units[name]
+    return text, draw(st.sampled_from([units, None]))
+
+
+def _outcome(parse, *args):
+    """What ``parse(*args)`` gives: its result, or its error's type and text
+    (a ParseError's text holds its line and column)."""
+    try:
+        return parse(*args)
+    except (ParseError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_dataset_layouts())
+@settings(max_examples=400, deadline=None)
+def test_fast_path_parses_datasets_like_the_token_loop(layout):
+    text, units = layout
+    with mock.patch.object(formats, "_CANONICAL_LINE", _NEVER):
+        want = _outcome(parse_dataset, io.StringIO(text), units)
+    assert _outcome(parse_dataset, io.StringIO(text), units) == want
+
+
+@st.composite
+def _table_layouts(draw):
+    """A table text.  A text is canonical, or has one kind of deviation on
+    some of its lines: a sign, a zero-padded value, a tab, doubled, leading
+    or trailing spaces, comments, blank lines, too many fields, CRLF, or
+    no final newline.  Names repeat in all of them."""
+    deviation = draw(st.sampled_from([
+        "none", "sign", "zero-padded", "tab", "doubled", "leading", "trailing",
+        "comment", "blank", "junk", "crlf", "unterminated"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        deviates = draw(st.booleans())
+        if deviates and deviation in ("comment", "blank", "junk"):
+            lines.append(draw(st.sampled_from({
+                "comment": ["# prices", "a 1 # note"],
+                "blank": ["", " "],
+                "junk": ["a b c", "a", "a[1] 3", "a 1_0"],
+            }[deviation])))
+            continue
+        name = draw(st.sampled_from(_LAYOUT_NAMES))
+        value = str(draw(st.integers(0, 40)))
+        if deviates and deviation == "sign":
+            value = draw(st.sampled_from(["-", "+"])) + value
+        if deviates and deviation == "zero-padded":
+            value = "0" + value
+        separator = {"tab": "\t", "doubled": "  "}.get(deviation, " ") if deviates else " "
+        line = f"{name}{separator}{value}"
+        if deviates and deviation in ("leading", "trailing"):
+            line = " " + line if deviation == "leading" else line + " "
+        lines.append(line)
+    newline = "\r\n" if deviation == "crlf" else "\n"
+    ended = deviation != "unterminated" or draw(st.booleans())
+    return newline.join(lines) + newline * ended
+
+
+@given(_table_layouts())
+@settings(max_examples=400, deadline=None)
+def test_fast_path_parses_tables_like_the_line_loop(text):
+    with mock.patch.object(formats, "_CANONICAL_TABLE", _NEVER):
+        want = _outcome(parse_item_values, io.StringIO(text))
+    assert _outcome(parse_item_values, io.StringIO(text)) == want
 
 
 _MONO_DB = parse_dataset(io.StringIO("a[2] b[1] -1 c[3] -2\nb[4] -1 a[1] -2\n"))
