@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +43,16 @@ def _ratio(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid ratio: {text!r}") from None
+
+
+def _ratio_text(value: Fraction) -> str:
+    """A ratio as a float, or, when too large for one, exactly as ``str``
+    prints the fraction; ``Decimal`` writes integers of any length."""
+    try:
+        return str(float(value))
+    except OverflowError:
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _positive_int(text: str) -> int:
@@ -113,10 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args, parser):
+def _load_database(args):
     units = formats.parse_item_values(args.utility_table)
     db = formats.parse_dataset(args.data, unit_utilities=units)
-    utable = formats.bind_unit_utilities(units, db.symbols)
+    return db, formats.bind_unit_utilities(units, db.symbols)
+
+
+def _load_inputs(args, parser):
+    db, utable = _load_database(args)
     have_mtable = args.mtable is not None
     have_function = args.beta is not None or args.lmu is not None
     if have_mtable == have_function:
@@ -228,9 +243,7 @@ def _cmd_bench(args, parser) -> int:
     if args.mtable is not None:
         parser.error("bench derives thresholds from the sweep; --mtable "
                      "is not supported here")
-    units = formats.parse_item_values(args.utility_table)
-    db = formats.parse_dataset(args.data, unit_utilities=units)
-    utable = formats.bind_unit_utilities(units, db.symbols)
+    db, utable = _load_database(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         parser.error("--variants names no variant")
@@ -260,7 +273,7 @@ def _cmd_bench(args, parser) -> int:
             config = MiningConfig(variant=variant, node_bound=args.node_bound)
             husps, stats = mine(db, utable, mtable, config)
             lines.append(
-                f"{variant}\t{float(beta)}\t{float(lmu)}\t{stats.wall_time:.3f}"
+                f"{variant}\t{_ratio_text(beta)}\t{_ratio_text(lmu)}\t{stats.wall_time:.3f}"
                 f"\t{stats.candidates_visited}\t{len(husps)}"
                 f"\t{stats.peak_memory_estimate}"
             )

@@ -23,22 +23,23 @@ only the third, ``uspt`` enables all three.  All variants produce the same
 pattern set; only the visited-candidate counts differ.
 
 Children are evaluated without being projected: one scan over an expanded
-node's projection yields every child's utility, PEU, SEU, SWU and threshold
-pool, which decide whether the child is a result and whether it is
-expanded.  Only an expanded child gets its own projection, from which its
-own children are decided in turn.  The 1-patterns are the S-children of
-the empty pattern, whose projection has one entry without pivots per
-sequence: the empty prefix, worth 0 before every position.  Its scan gives
-the set-up statistics, the item removals and the roots' sums.  The scan
-keeps, per sequence, each child item's best match and its anchor, since an
-item may be met at several positions.  Where it can be met only once the
-per-sequence state is skipped and each position is folded into the node
-sums directly, which gives the same sums: after a projection entry of one
-pivot, at the positions later in the pivot's element, since an element
-holds an item at most once, and from the next element on when the
-sequence holds no item twice; and after an entry without pivots, over a
-sequence that holds no item twice.  The choice reads only the entry's
-pivot count and the sequence's distinct-item count.
+node's projection returns every child's utility, PEU, SEU, SWU and
+threshold pool, in one dict per concatenation kind, which decide whether
+the child is a result and whether it is expanded.  Only an expanded child
+gets its own projection, from which its own children are decided in turn.
+The 1-patterns are the S-children of the empty pattern, whose projection
+has one entry without pivots per sequence: the empty prefix, worth 0 before
+every position.  The S-sums its scan returns give the set-up statistics,
+the item removals and the roots' bounds, and are rescanned after a removal.
+The scan keeps, per sequence, each child item's best match and its anchor,
+since an item may be met at several positions.  Where it can be met only
+once the per-sequence state is skipped and each position is folded into the
+node sums directly, which gives the same sums: after a projection entry of
+one pivot, at the positions later in the pivot's element, since an element
+holds an item at most once, and from the next element on when the sequence
+holds no item twice; and after an entry without pivots, over a sequence
+that holds no item twice.  The choice reads only the entry's pivot count
+and the sequence's distinct-item count.
 
 One loop, ``_Engine._walk``, visits the tree in pre-order, the roots
 included.  It decides each child where it meets it: emits it if it is a
@@ -261,18 +262,12 @@ class _Engine:
         cap = config.max_pattern_length
         self.max_size = sys.maxsize if cap is None else cap
         self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
-        self.stats = MiningStats()
         # the empty pattern: one entry without pivots per sequence
         self.root_proj = Projection([ProjEntry(si, (), ()) for si in range(len(db))])
         self.item_seqs: dict[int, list[int]] = {}
         for si, seq in enumerate(self.arrays):
             for item in seq.positions_of:
                 self.item_seqs.setdefault(item, []).append(si)
-        self.global_item_peu: dict[int, int] = {}
-        self.least_item_peu = 0
-        self.one_seq_info: dict[int, OneSeqInfo] = {}
-        # the results of size k + 1, in pattern_sort_key order, at index k
-        self.by_size: list[list[Husp]] = [[]]
         # scratch state of the candidate scan, one per concatenation kind
         self.acc_i = _ItemAccumulator()
         self.acc_s = _ItemAccumulator()
@@ -281,81 +276,75 @@ class _Engine:
 
     # -- set-up -------------------------------------------------------
 
-    def _scan_root(self) -> None:
-        """Candidate scan of the empty pattern: its S-children into ``acc_s``."""
-        self._scan_candidates(self.root_proj)
-
-    def _remove_items(self, items: set) -> None:
-        """Delete ``items`` from every sequence, then rescan the 1-patterns."""
+    def _remove_items(self, roots: dict, items: set) -> dict:
+        """Delete ``items`` from every sequence and return the rescanned root
+        sums, or ``roots`` unchanged when there are no ``items``."""
         if not items:
-            return
+            return roots
         for seq in self.arrays:
             seq.drop(items, self.mtable)
-        self._scan_root()
-
-    def _swu_strategy(self) -> None:
-        """Remove items that cannot appear in any result pattern: the item's
-        SWU upper-bounds the utility of every pattern containing it, while
-        the least threshold of any item co-occurring with it lower-bounds
-        those patterns' MIU values."""
-        arrays = self.arrays
-        self._remove_items({
-            item
-            for item, info in self.one_seq_info.items()
-            if info.swu < min(arrays[si].suffix_min_mu[0] for si in self.item_seqs[item])
-        })
+        return self._scan_candidates(self.root_proj)[1]
 
     # -- search -------------------------------------------------------
 
-    def run(self) -> list[Husp]:
+    def run(self) -> tuple[list[Husp], MiningStats]:
         """Set-up statistics and root bounds all come from the scan of the
         empty pattern, redone after every removal phase that removed items."""
-        mu = self.mtable.mu
+        mu, arrays, item_seqs = self.mtable.mu, self.arrays, self.item_seqs
         observer = self.observer
-        acc = self.acc_s
-        self._scan_root()
+        roots = self._scan_candidates(self.root_proj)[1]
         # prefilter: an item whose SWU falls below the least threshold of
         # any item belongs to no result
-        floor = min((mu[i] for i in acc.node), default=0)
-        self._remove_items({i for i, row in acc.node.items() if row[3] < floor})
-        # a removal rescans into a new ``acc.node``: read it after each phase
-        self.one_seq_info = {
+        floor = min((mu[i] for i in roots), default=0)
+        roots = self._remove_items(roots, {i for i, row in roots.items() if row[3] < floor})
+        one_seq_info = {
             i: OneSeqInfo(swu=swu, utility=utility, pmiu=int(min(mu[i], pool)), miu=mu[i])
-            for i, (utility, _, _, swu, pool) in sorted(acc.node.items())
+            for i, (utility, _, _, swu, pool) in sorted(roots.items())
         }
         if observer:
-            observer.on_one_sequence_stats(dict(self.one_seq_info))
+            observer.on_one_sequence_stats(dict(one_seq_info))
         if self.config.variant != USPT1:
-            self._swu_strategy()
-        self.global_item_peu = {i: row[1] for i, row in sorted(acc.node.items())}
-        self.least_item_peu = min(self.global_item_peu.values(), default=0)
+            # SWU strategy: an item's SWU upper-bounds the utility of every
+            # pattern containing it, while the least threshold of any item
+            # co-occurring with it lower-bounds those patterns' MIU values
+            roots = self._remove_items(roots, {
+                item
+                for item, info in one_seq_info.items()
+                if info.swu < min(arrays[si].suffix_min_mu[0] for si in item_seqs[item])
+            })
+        global_peu = {i: row[1] for i, row in sorted(roots.items())}
         if observer:
-            observer.on_item_extension_bounds(dict(self.global_item_peu))
-        hist = [0, len(self.global_item_peu)]
-        self._walk(hist)
-        stats = self.stats
-        stats.candidates_visited = sum(hist)
-        stats.depth_histogram = {depth: n for depth, n in enumerate(hist) if n}
-        husps = [husp for bucket in self.by_size for husp in bucket]
-        stats.husps_found = len(husps)
-        return husps
+            observer.on_item_extension_bounds(dict(global_peu))
+        hist, by_size = self._walk(roots, one_seq_info, global_peu)
+        husps = [husp for bucket in by_size for husp in bucket]
+        stats = MiningStats(
+            candidates_visited=sum(hist),
+            husps_found=len(husps),
+            depth_histogram={depth: n for depth, n in enumerate(hist) if n},
+        )
+        return husps, stats
 
-    def _walk(self, hist: list) -> None:
-        """Decide every node, in pre-order, and count the candidates of size
-        ``k`` in ``hist[k]``.
+    def _walk(
+        self, roots: dict, one_seq_info: dict, global_peu: dict
+    ) -> tuple[list, list]:
+        """Decide every node, in pre-order, and return the number of
+        candidates of size ``k`` and the results of size ``k + 1``, in
+        :func:`pattern_sort_key` order, each at index ``k``.
 
-        The roots are decided in item order, from the sums the root scan
-        left in ``acc_s``, once the stack is empty.  Below them the walk
-        keeps one context, the node whose children are being decided: its
-        rows iterator ``it`` and concatenation ``kind``, the S-rows still to
-        come, its projection ``proj`` when it was scanned, the offset ``b``,
-        its MIU, PMIU and SEU, the PUK ``floor``, its itemsets split into
-        ``head`` and ``stem`` for the child patterns, the children's size,
-        their result list and whether they may be expanded.  A child is
-        decided where the loop meets it; descending into an expanded child
-        pushes the context, and an exhausted context pops its parent's.  A
-        childless child, one pivot at its sequence's last position, is not
-        entered: an observer is handed its empty candidates directly.
+        The roots are decided in item order, once the stack is empty, from
+        their sums ``roots``, their first-pass statistics ``one_seq_info``
+        and the global PEUs ``global_peu`` of the items left.  Below them
+        the walk keeps one context, the node whose children are being
+        decided: its rows iterator ``it`` and concatenation ``kind``, the
+        S-rows still to come, its projection ``proj`` when it was scanned,
+        the offset ``b``, its MIU, PMIU and SEU, the PUK ``floor``, its
+        itemsets split into ``head`` and ``stem`` for the child patterns,
+        the children's size, their result list and whether they may be
+        expanded.  A child is decided where the loop meets it; descending
+        into an expanded child pushes the context, and an exhausted context
+        pops its parent's.  A childless child, one pivot at its sequence's
+        last position, is not entered: an observer is handed its empty
+        candidates directly.
 
         A node that is a lone pivot takes the rows cached for its key,
         filled by one scan the first time the key is met, with its offset
@@ -366,14 +355,11 @@ class _Engine:
         every row's PEU, when even the least global item PEU reaches it.
         """
         observer, arrays, mu = self.observer, self.arrays, self.mtable.mu
-        scan, acc_i, acc_s = self._scan_candidates, self.acc_i, self.acc_s
-        rows_by_key, item_seqs, by_size = self.rows_by_key, self.item_seqs, self.by_size
-        global_peu, least_peu = self.global_item_peu, self.least_item_peu
+        scan, rows_by_key, item_seqs = self._scan_candidates, self.rows_by_key, self.item_seqs
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
         pattern_of, new = Pattern._unchecked, tuple.__new__
-        # the root scan's sums, which later scans leave alone: each binds a
-        # new node dict
-        roots, one_seq_info = acc_s.node, self.one_seq_info
+        least_peu = min(global_peu.values(), default=0)
+        hist, by_size = [0, len(global_peu)], [[]]
         pending = iter(global_peu)
         stack = []
         it, s_rows = iter(()), None
@@ -444,7 +430,7 @@ class _Engine:
                             continue
                         break
                 else:
-                    return
+                    return hist, by_size
                 b, size = 0, 1
             # descend into ``child``
             if type(ext) is tuple:
@@ -457,8 +443,8 @@ class _Engine:
                 proj = None
             else:
                 proj = ext
-                scan(proj)
-                i_rows, s_rows = _acc_rows(acc_i), _acc_rows(acc_s)
+                i_sums, s_sums = scan(proj)
+                i_rows, s_rows = _acc_rows(i_sums), _acc_rows(s_sums)
             itemsets, min_mu, pmiu, node_seu = child, miu, child_pmiu, seu
             head, stem, kind = child[:-1], child[-1], I_STEP
             size += 1
@@ -488,10 +474,9 @@ class _Engine:
         from the next element on.  Every pivot is worth its own utility.
         """
         si, p = key
-        self._scan_candidates(Projection([ProjEntry(si, [p], [0])]))
+        i_node, s_node = self._scan_candidates(Projection([ProjEntry(si, [p], [0])]))
         seq = self.arrays[si]
         u, item_ = seq.u, seq.item
-        i_node, s_node = self.acc_i.node, self.acc_s.node
         e = seq.eid[p]
         nxt = seq.elem_first[e] if e < len(seq.elem_first) else seq.n
         # an element's items increase, so its positions after ``p`` list
@@ -510,12 +495,14 @@ class _Engine:
             s_rows.append((i, *s_node[i], ext))
         return i_rows, s_rows
 
-    def _scan_candidates(self, proj: Projection) -> None:
+    def _scan_candidates(self, proj: Projection) -> tuple[dict, dict]:
         """One pass over the projected arrays that evaluates every would-be
         child of both kinds: its utility, PEU, SEU, SWU and threshold pool.
 
-        The bounds of the I- and S-children stay in ``acc_i``/``acc_s``
-        until the next scan.
+        Returns the I- and S-children's sums, each a dict from item to
+        ``[utility, peu, seu, swu, pool]``.  The scratch accumulators
+        ``acc_i`` and ``acc_s`` gather them into fresh dicts, which no later
+        scan changes.
 
         An entry of one pivot ``p`` worth ``b`` makes every position it
         visits a match worth ``b`` plus the position's utility.  Its
@@ -529,8 +516,8 @@ class _Engine:
         pivot in an earlier element: ``b`` after one pivot, 0 after none.
         """
         acc_i, acc_s = self.acc_i, self.acc_s
-        acc_i.reset_node()
-        acc_s.reset_node()
+        acc_i.node = i_sums = {}
+        acc_s.node = s_sums = {}
         feed_i, feed_s = acc_i.feed, acc_s.feed
         fold_i, fold_s = acc_i.fold_matches, acc_s.fold_matches
         arrays = self.arrays
@@ -579,13 +566,13 @@ class _Engine:
                     ptr += 1
                 feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
             acc_s.end_sequence(seq.useq)
+        return i_sums, s_sums
 
 
-def _acc_rows(acc: _ItemAccumulator) -> list:
-    """``(item, utility, peu, seu, swu, pool, None)`` for every item of the
-    accumulator's current node, sorted by item."""
-    node = acc.node
-    return [(i, *node[i], None) for i in sorted(node)]
+def _acc_rows(sums: dict) -> list:
+    """``(item, utility, peu, seu, swu, pool, None)`` for every item of a
+    scan's ``sums``, sorted by item."""
+    return [(i, *sums[i], None) for i in sorted(sums)]
 
 
 def _lone_key(proj: Projection):
@@ -637,9 +624,7 @@ def mine(
         gc.collect(1)
     gc.disable()
     try:
-        engine = _Engine(db, utable, mtable, config, observer)
-        husps = engine.run()
-        stats = engine.stats
+        husps, stats = _Engine(db, utable, mtable, config, observer).run()
         stats.wall_time = time.perf_counter() - started
         if resource is not None:
             # kilobytes, except on macOS, which gives bytes

@@ -13,9 +13,9 @@ A pattern's projection stores, per containing sequence, the pivot positions
 the best achievable match utility ending at each pivot.  Projections share
 the parent arrays read-only; child projections are derived from parent
 projections, never from the raw database.  The candidate scan gathers the
-bounds of a node's children by item, in one dict per sequence and one per node;
-a position that is its item's only match in the sequence goes to the node's
-dict directly.
+bounds of a node's children by item, in one dict per sequence and one per node,
+which it returns; a position that is its item's only match in the sequence goes
+to the node's dict directly.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class SequenceArrays:
     rebuilds the arrays without them, field for field as if the sequence had
     been built without those items, so no reader needs to know that items
     were ever removed.  ``suffix_min_mu[p]`` is the least threshold among
-    the items at position ``p`` and after; it is infinite throughout when no
-    M-table is given.
+    the items at position ``p`` and after, and infinite at ``p = n``.
     """
 
     __slots__ = (
@@ -56,9 +55,7 @@ class SequenceArrays:
         "suffix_min_mu",
     )
 
-    def __init__(
-        self, qseq: QSequence, utable: UtilityTable, mtable: Optional[MTable] = None
-    ):
+    def __init__(self, qseq: QSequence, utable: UtilityTable, mtable: MTable):
         unit = utable.unit
         n_units = len(unit)
         item: list[int] = []
@@ -76,7 +73,7 @@ class SequenceArrays:
                 u.append(qty * unit[it])
         self._derive(item, eid, u, mtable)
 
-    def _derive(self, item: list, eid: list, u: list, mtable: Optional[MTable]) -> None:
+    def _derive(self, item: list, eid: list, u: list, mtable: MTable) -> None:
         """Set every field from the flat item, element-id and utility lists;
         element ids must run densely from 1."""
         n = len(item)
@@ -92,7 +89,7 @@ class SequenceArrays:
             positions_of.setdefault(item[p], []).append(p)
         self.elem_first = elem_first
         self.positions_of = positions_of
-        mu = None if mtable is None else mtable.mu
+        mu = mtable.mu
         ru = [0] * n
         suffix_min_mu = [_INF] * (n + 1)
         rest = 0
@@ -100,14 +97,14 @@ class SequenceArrays:
         for p in range(n - 1, -1, -1):
             ru[p] = rest
             rest += u[p]
-            if mu is not None and mu[item[p]] < least:
+            if mu[item[p]] < least:
                 least = mu[item[p]]
             suffix_min_mu[p] = least
         self.ru = ru
         self.useq = rest
         self.suffix_min_mu = suffix_min_mu
 
-    def drop(self, items: set, mtable: Optional[MTable]) -> bool:
+    def drop(self, items: set, mtable: MTable) -> bool:
         """Remove every occurrence of ``items`` and re-derive all fields.
 
         Element ids are renumbered densely and elements left empty vanish.
@@ -136,7 +133,7 @@ _INF = float("inf")
 
 
 def build_database_arrays(
-    db: QSDatabase, utable: UtilityTable, mtable: Optional[MTable] = None
+    db: QSDatabase, utable: UtilityTable, mtable: MTable
 ) -> list[SequenceArrays]:
     return [SequenceArrays(s, utable, mtable) for s in db.sequences]
 
@@ -262,9 +259,10 @@ class _ItemAccumulator:
     never rises along a sequence, so the earliest ``q`` of a tie already
     has the largest remaining utility, and a later tie never replaces it.
     ``end_sequence`` folds ``seq`` into ``node``, which maps every item fed
-    since ``reset_node`` to ``[utility, peu, seu, swu, pool]``: the sums of
-    utility, PEU, SEU capped per sequence at the sequence utility, and SWU,
-    and the least pool.
+    since the scan bound it to a fresh dict to ``[utility, peu, seu, swu,
+    pool]``: the sums of utility, PEU, SEU capped per sequence at the
+    sequence utility, and SWU, and the least pool.  The scan returns that
+    dict, so a later scan, binding another, leaves it alone.
 
     ``fold_matches`` is the one-match case of ``feed`` and ``end_sequence``:
     when each position it is given is its item's only match in the
@@ -277,9 +275,6 @@ class _ItemAccumulator:
     def __init__(self):
         self.seq: dict[int, list] = {}
         self.node: dict[int, list] = {}
-
-    def reset_node(self) -> None:
-        self.node = {}
 
     def feed(self, item: int, match: int, rest: int, pool: int) -> None:
         term = match + rest

@@ -153,8 +153,8 @@ def test_c02_one_sequence_statistics(traced_run, example_db):
     ok(2, "single-item SWU/PMIU/u/MIU table exact for all six items")
 
 
-def test_c03_utility_array_golden(example_db, example_utable, ids):
-    seq = SequenceArrays(example_db.sequences[2], example_utable)
+def test_c03_utility_array_golden(example_db, example_utable, example_mtable, ids):
+    seq = SequenceArrays(example_db.sequences[2], example_utable, example_mtable)
     a, b, c, d, e = (ids[x] for x in "abcde")
     expected = [
         (1, a, 12, 82, 3, 3),  # ru forced to 82 by the suffix-sum identity

@@ -580,6 +580,30 @@ def test_bench_mines_each_point_once(monkeypatch, fixture_files, capsys):
     ]
 
 
+HUGE = "1" + "0" * 5000          # 1e5000, past float's range and str's digit limit
+HALF_HUGE = "1" + "0" * 400 + ".5"
+
+
+@pytest.mark.parametrize("flags, columns", [
+    (["--lmu", "0.1", "--beta-sweep", f"0.5,1e5000,{HALF_HUGE}"],
+     [("0.5", "0.1"), (HUGE, "0.1"), (f"{2 * 10 ** 400 + 1}/2", "0.1")]),
+    (["--beta", "1e5000", "--lmu-sweep", "0.1,0.2"], [(HUGE, "0.1"), (HUGE, "0.2")]),
+], ids=["beta-sweep", "lmu-sweep"])
+def test_bench_prints_ratios_too_large_for_a_float(fixture_files, capsys, flags, columns):
+    """A beta or LMU that fits a float prints as one, as before; a larger one
+    prints exactly, as its fraction, and the sweep exits 0."""
+    data, utility, _ = fixture_files
+    code, out, err = run_main(
+        ["bench", "--data", str(data), "--utility-table", str(utility),
+         "--variants", "uspt"] + flags,
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "variant\tbeta\tlmu\truntime_s\tcandidates\thusps\tpeak_mem_bytes"
+    assert [tuple(line.split("\t")[1:3]) for line in lines[1:]] == columns
+
+
 def test_bench_requires_exactly_one_sweep(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--data", "x", "--utility-table", "y", "--beta", "1"])

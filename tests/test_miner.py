@@ -231,15 +231,16 @@ def _is_lone(proj):
 
 def _watch_scans(monkeypatch, record):
     """Patch ``_Engine._scan_candidates`` to pass every projection it scans
-    but the empty pattern's, and the engine, after the scan, to ``record``.
-    The engine scans a lone pivot only to fill the rows cached for it, worth
-    zero."""
+    but the empty pattern's, and the I- and S-sums the scan returns, to
+    ``record``.  The engine scans a lone pivot only to fill the rows cached
+    for it, worth zero."""
     real_scan = miner_module._Engine._scan_candidates
 
     def watched_scan(self, proj):
-        real_scan(self, proj)
+        sums = real_scan(self, proj)
         if proj is not self.root_proj:
-            record(proj, self)
+            record(proj, sums)
+        return sums
 
     monkeypatch.setattr(miner_module._Engine, "_scan_candidates", watched_scan)
 
@@ -312,7 +313,7 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
         built.append(_pivots(proj))
         return proj
 
-    def record_scan(proj, engine):
+    def record_scan(proj, sums):
         if _is_lone(proj):
             assert proj.entries[0].best == [0]
         else:
@@ -362,10 +363,10 @@ def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
     offsets = {"zero": 0, "lone": 0, "several": 0}
     pending = []
 
-    def record_scan(proj, engine):
+    def record_scan(proj, sums):
         if not _is_lone(proj):
-            pending.append((proj, [{i: row[1] for i, row in acc.node.items()}
-                                   for acc in (engine.acc_i, engine.acc_s)]))
+            pending.append((proj, [{i: row[1] for i, row in node.items()}
+                                   for node in sums]))
 
     class Offsets(MiningObserver):
         def on_candidates(self, prefix, i_items, s_items, kept_i, kept_s):
@@ -706,12 +707,13 @@ def test_folded_scans_equal_the_fed_ones(monkeypatch):
     as feeding every position, and the root scan the same as feeding every
     position worth its own utility."""
     real_scan = miner_module._Engine._scan_candidates
-    real_root = miner_module._Engine._scan_root
     shapes = set()
 
     def scan(self, proj):
-        real_scan(self, proj)
-        assert (self.acc_i.node, self.acc_s.node) == _fed_scan(self.arrays, proj)
+        sums = real_scan(self, proj)
+        assert sums == _fed_scan(self.arrays, proj)
+        if proj is self.root_proj:
+            assert sums[1] == _fed_root(self.arrays)
         for entry in proj.entries:
             seq = self.arrays[entry.seq_index]
             twice = "no item twice" if len(seq.positions_of) == seq.n else "an item twice"
@@ -721,13 +723,9 @@ def test_folded_scans_equal_the_fed_ones(monkeypatch):
                 shapes.add("one pivot, " + twice)
             else:
                 shapes.add("no pivot, " + twice)
-
-    def root(self):
-        real_root(self)
-        assert self.acc_s.node == _fed_root(self.arrays)
+        return sums
 
     monkeypatch.setattr(miner_module._Engine, "_scan_candidates", scan)
-    monkeypatch.setattr(miner_module._Engine, "_scan_root", root)
     # a recurs after b's element worth more than before: b's S-child a is
     # worth its best match, not the sum of its matches
     db = parse_dataset(io.StringIO(
@@ -741,6 +739,27 @@ def test_folded_scans_equal_the_fed_ones(monkeypatch):
     assert shapes == {"several pivots", "one pivot, no item twice",
                       "one pivot, an item twice", "no pivot, no item twice",
                       "no pivot, an item twice"}
+
+
+def test_scan_sums_outlive_later_scans(example_db, example_utable, example_mtable):
+    """The sums a candidate scan returns belong to it: a later scan of another
+    projection, through the same scratch accumulators, over children the
+    first one also met, leaves them as they were."""
+    engine = miner_module._Engine(example_db, example_utable, example_mtable,
+                                  MiningConfig(), None)
+    arrays = engine.arrays
+    projs = [engine.root_proj] + [initial_projection(arrays, i) for i in sorted(engine.item_seqs)]
+    for first_proj in projs:
+        first = engine._scan_candidates(first_proj)
+        kept = [{i: list(row) for i, row in sums.items()} for sums in first]
+        assert first == _fed_scan(arrays, first_proj)
+        for second_proj in projs:
+            if second_proj is first_proj:
+                continue
+            second = engine._scan_candidates(second_proj)
+            assert second == _fed_scan(arrays, second_proj)
+            assert list(first) == kept
+    assert any(_fed_scan(arrays, proj)[0] for proj in projs)
 
 
 def test_a_long_chain_of_lone_pivots_never_recurses():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from huspmine import (
     ConfigError,
     MiningConfig,
+    MTable,
     ParseError,
     bind_unit_utilities,
     Pattern,
@@ -103,7 +104,7 @@ def test_match_enumeration_agrees_with_max_recursion(qseq, pattern):
 @given(qsequences())
 @settings(max_examples=200, deadline=None)
 def test_array_suffix_sums_and_reconstruction(qseq):
-    seq = SequenceArrays(qseq, UNIT)
+    seq = SequenceArrays(qseq, UNIT, MTable((0,) * N_ITEMS))
     assert seq.ru[seq.n - 1] == 0
     for p in range(seq.n - 1):
         assert seq.ru[p] == seq.ru[p + 1] + seq.u[p + 1]

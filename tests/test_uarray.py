@@ -61,13 +61,14 @@ def b_then_c(ids):
     return Pattern(((ids["b"],), (ids["c"],)))
 
 
-def test_third_sequence_records_match_reference(example_db, example_utable, ids):
+def test_third_sequence_records_match_reference(example_db, example_utable, example_mtable,
+                                                ids):
     """Field-by-field golden check of the flat array of the third sequence.
 
     Position 1 carries ru = 82: the suffix-sum identity with u(s) = 94 and
     u(position 1) = 12 admits no other value.
     """
-    seq = SequenceArrays(example_db.sequences[2], example_utable)
+    seq = SequenceArrays(example_db.sequences[2], example_utable, example_mtable)
     a, b, c, d, e = (ids[x] for x in "abcde")
     expected = [
         (1, a, 12, 82, 3, 3),
@@ -86,17 +87,18 @@ def test_third_sequence_records_match_reference(example_db, example_utable, ids)
     assert first_occurrence == {a: 1, b: 2, c: 5, d: 9, e: 8}
 
 
-def test_suffix_sum_identity_and_reconstruction(example_db, example_utable):
+def test_suffix_sum_identity_and_reconstruction(example_db, example_utable, example_mtable):
     for qseq in example_db.sequences:
-        seq = SequenceArrays(qseq, example_utable)
+        seq = SequenceArrays(qseq, example_utable, example_mtable)
         assert seq.ru[seq.n - 1] == 0
         for p in range(seq.n - 1):
             assert seq.ru[p] == seq.ru[p + 1] + seq.u[p + 1]
         assert sum(seq.u) == qsequence_utility(qseq, example_utable)
 
 
-def test_next_pointers(example_db, example_utable, ids):
-    records = paper_records(SequenceArrays(example_db.sequences[2], example_utable))
+def test_next_pointers(example_db, example_utable, example_mtable, ids):
+    seq = SequenceArrays(example_db.sequences[2], example_utable, example_mtable)
+    records = paper_records(seq)
     for p, (eid, item, _, _, next_pos, next_eid) in enumerate(records, start=1):
         if next_pos is not None:
             assert next_pos > p
