@@ -46,13 +46,18 @@ def _ratio(text: str) -> Fraction:
 
 
 def _ratio_text(value: Fraction) -> str:
-    """A ratio as a float, or, when too large for one, exactly as ``str``
-    prints the fraction; ``Decimal`` writes integers of any length."""
+    """A ratio as a float when it is 0 or a normal float, or else exactly as
+    ``str`` prints the fraction, so that no ratio too large or too small for
+    a float prints as another; ``Decimal`` writes integers of any length."""
     try:
-        return str(float(value))
+        as_float = float(value)
     except OverflowError:
-        text = str(Decimal(value.numerator))
-        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+        pass
+    else:
+        if not value or abs(as_float) >= sys.float_info.min:
+            return str(as_float)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _positive_int(text: str) -> int:

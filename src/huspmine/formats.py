@@ -60,7 +60,7 @@ from .model import (
     UtilityTable,
     qsequence_utility,
 )
-from .miner import ConfigError, Husp
+from .miner import ConfigError, Husp, _collector_paused
 
 Source = Union[str, Path, TextIO]
 
@@ -191,74 +191,75 @@ def parse_dataset(
     trailer is verified against the recomputed sequence utility; a mismatch
     or a missing unit utility is raised once every line has parsed.
     """
-    text = _read_text(source)
-    # in a file that parses, every '[' ends the name of an item token, so
-    # the names, and with them the ids, are known before any line is read
-    symbols = SymbolTable.from_names(set(_NAME_BEFORE_BRACKET.findall(text)))
-    ids = symbols._ids
-    intern = ids.__getitem__
-    if unit_utilities is not None:
-        # None for an item without a unit utility, which fails the product
-        unit_of = [unit_utilities.get(name) for name in symbols.names].__getitem__
-    canonical = _CANONICAL_LINE.fullmatch
-    find_pairs = _CANONICAL_PAIR.findall
-    # the checks of QItemset and QSequence hold by construction here
-    new = object.__new__
-    set_field = object.__setattr__
-    sequences = []
-    unverified = None  # (lineno, line, token index, declared, recomputed or None)
-    for lineno, line in enumerate(_lines(text), start=1):
-        m = canonical(line)
-        if m is not None:
-            body, trailer = m.groups()
-            elements = map(find_pairs, body.split(" -1 "))
-            # the trailer, when present, is the last token
-            declared = None if trailer is None else (int(trailer), -1)
-        elif not line or line.isspace():
-            continue
-        else:
-            elements, declared = _parse_line(line, lineno)
-        qitemsets = []
-        for pairs in elements:
-            if len(pairs) == 1:
-                [(name, qty)] = pairs
-                items, quantities = (ids[name],), (int(qty),)
+    with _collector_paused():
+        text = _read_text(source)
+        # in a file that parses, every '[' ends the name of an item token, so
+        # the names, and with them the ids, are known before any line is read
+        symbols = SymbolTable.from_names(set(_NAME_BEFORE_BRACKET.findall(text)))
+        ids = symbols._ids
+        intern = ids.__getitem__
+        if unit_utilities is not None:
+            # None for an item without a unit utility, which fails the product
+            unit_of = [unit_utilities.get(name) for name in symbols.names].__getitem__
+        canonical = _CANONICAL_LINE.fullmatch
+        find_pairs = _CANONICAL_PAIR.findall
+        # the checks of QItemset and QSequence hold by construction here
+        new = object.__new__
+        set_field = object.__setattr__
+        sequences = []
+        unverified = None  # (lineno, line, token index, declared, recomputed or None)
+        for lineno, line in enumerate(_lines(text), start=1):
+            m = canonical(line)
+            if m is not None:
+                body, trailer = m.groups()
+                elements = map(find_pairs, body.split(" -1 "))
+                # the trailer, when present, is the last token
+                declared = None if trailer is None else (int(trailer), -1)
+            elif not line or line.isspace():
+                continue
             else:
-                names, digits = zip(*pairs)
-                items = tuple(map(intern, names))
-                quantities = tuple(map(int, digits))
-                if not all(map(lt, items, items[1:])):
-                    items, quantities = zip(*sorted(zip(items, quantities)))
+                elements, declared = _parse_line(line, lineno)
+            qitemsets = []
+            for pairs in elements:
+                if len(pairs) == 1:
+                    [(name, qty)] = pairs
+                    items, quantities = (ids[name],), (int(qty),)
+                else:
+                    names, digits = zip(*pairs)
+                    items = tuple(map(intern, names))
+                    quantities = tuple(map(int, digits))
                     if not all(map(lt, items, items[1:])):
-                        _parse_line(line, lineno)  # raises the duplicate item
-            qitemset = new(QItemset)
-            set_field(qitemset, "items", items)
-            set_field(qitemset, "quantities", quantities)
-            qitemsets.append(qitemset)
-        if declared is not None and unit_utilities is not None and unverified is None:
-            value, k = declared
-            actual = 0
-            try:
-                for e in qitemsets:
-                    actual += sum(map(mul, e.quantities, map(unit_of, e.items)))
-            except TypeError:
-                actual = None
-            if actual != value:
-                unverified = (lineno, line, k, value, actual)
-        qsequence = new(QSequence)
-        set_field(qsequence, "sid", str(len(sequences) + 1))
-        set_field(qsequence, "elements", tuple(qitemsets))
-        sequences.append(qsequence)
-    if unverified is not None:
-        lineno, line, k, value, actual = unverified
-        if actual is None:
-            elements, _ = _parse_line(line, lineno)
-            missing = next(name for pairs in elements for name, _ in pairs
-                           if name not in unit_utilities)
-            raise ConfigError(f"utility table is missing items: {missing}")
-        raise SUtilityMismatch(f"declared SUtility {value} but recomputed {actual}",
-                               lineno, _column(line, k))
-    return QSDatabase(sequences=tuple(sequences), symbols=symbols)
+                        items, quantities = zip(*sorted(zip(items, quantities)))
+                        if not all(map(lt, items, items[1:])):
+                            _parse_line(line, lineno)  # raises the duplicate item
+                qitemset = new(QItemset)
+                set_field(qitemset, "items", items)
+                set_field(qitemset, "quantities", quantities)
+                qitemsets.append(qitemset)
+            if declared is not None and unit_utilities is not None and unverified is None:
+                value, k = declared
+                actual = 0
+                try:
+                    for e in qitemsets:
+                        actual += sum(map(mul, e.quantities, map(unit_of, e.items)))
+                except TypeError:
+                    actual = None
+                if actual != value:
+                    unverified = (lineno, line, k, value, actual)
+            qsequence = new(QSequence)
+            set_field(qsequence, "sid", str(len(sequences) + 1))
+            set_field(qsequence, "elements", tuple(qitemsets))
+            sequences.append(qsequence)
+        if unverified is not None:
+            lineno, line, k, value, actual = unverified
+            if actual is None:
+                elements, _ = _parse_line(line, lineno)
+                missing = next(name for pairs in elements for name, _ in pairs
+                               if name not in unit_utilities)
+                raise ConfigError(f"utility table is missing items: {missing}")
+            raise SUtilityMismatch(f"declared SUtility {value} but recomputed {actual}",
+                                   lineno, _column(line, k))
+        return QSDatabase(sequences=tuple(sequences), symbols=symbols)
 
 
 def serialize_dataset(db: QSDatabase, utable: Optional[UtilityTable] = None) -> str:
@@ -546,36 +547,37 @@ def parse_results(source: Source, symbols: SymbolTable) -> list:
     a list of objects, each with a string ``pattern`` and non-negative
     integer (not boolean) ``utility`` and ``miu``.
     """
-    text = _read_text(source)
-    rows = []
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        husps = json.loads(text).get("husps")
-        if not isinstance(husps, list):
-            raise ValueError("'husps' must be a list of results")
-        for entry in husps:
-            if not isinstance(entry, dict):
-                raise ValueError(f"result is not an object: {entry!r}")
-            pattern_s, utility, miu_v = (entry.get("pattern"), entry.get("utility"),
-                                         entry.get("miu"))
-            # bool is an int subclass, and a float would be truncated
-            if not (isinstance(pattern_s, str) and type(utility) is int
-                    and type(miu_v) is int and utility >= 0 and miu_v >= 0):
-                raise ValueError(f"result needs a string pattern and non-negative "
-                                 f"integer utility and miu: {entry!r}")
-            rows.append((pattern_s, utility, miu_v))
-    else:
-        lines = _lines(text)
-        if lines[0] != RESULT_HEADER:
-            raise ValueError("missing result header")
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            pattern_s, utility, miu_v = line.split("\t")
-            if not (_INTEGER.fullmatch(utility) and _INTEGER.fullmatch(miu_v)):
-                raise ValueError(
-                    f"utility and miu must be non-negative integers: {line!r}")
-            rows.append((pattern_s, int(utility), int(miu_v)))
-    return [
-        Husp(parse_pattern_string(p, symbols), u, m) for p, u, m in rows
-    ]
+    with _collector_paused():
+        text = _read_text(source)
+        rows = []
+        stripped = text.lstrip()
+        if stripped.startswith("{"):
+            husps = json.loads(text).get("husps")
+            if not isinstance(husps, list):
+                raise ValueError("'husps' must be a list of results")
+            for entry in husps:
+                if not isinstance(entry, dict):
+                    raise ValueError(f"result is not an object: {entry!r}")
+                pattern_s, utility, miu_v = (entry.get("pattern"), entry.get("utility"),
+                                             entry.get("miu"))
+                # bool is an int subclass, and a float would be truncated
+                if not (isinstance(pattern_s, str) and type(utility) is int
+                        and type(miu_v) is int and utility >= 0 and miu_v >= 0):
+                    raise ValueError(f"result needs a string pattern and non-negative "
+                                     f"integer utility and miu: {entry!r}")
+                rows.append((pattern_s, utility, miu_v))
+        else:
+            lines = _lines(text)
+            if lines[0] != RESULT_HEADER:
+                raise ValueError("missing result header")
+            for line in lines[1:]:
+                if not line.strip():
+                    continue
+                pattern_s, utility, miu_v = line.split("\t")
+                if not (_INTEGER.fullmatch(utility) and _INTEGER.fullmatch(miu_v)):
+                    raise ValueError(
+                        f"utility and miu must be non-negative integers: {line!r}")
+                rows.append((pattern_s, int(utility), int(miu_v)))
+        return [
+            Husp(parse_pattern_string(p, symbols), u, m) for p, u, m in rows
+        ]

@@ -85,20 +85,6 @@ Children are decided in sorted order, I-children first, and in pre-order,
 which meets the nodes of one size in :func:`pattern_sort_key` order; so
 every list receives its patterns sorted, and the lists joined shortest
 first are the sorted output.
-
-:func:`mine` pauses the cyclic garbage collector while it runs: the search
-makes no reference cycles, so the collector would free nothing, yet it would
-keep re-traversing the growing list of results.  Everything allocated in
-the pause still counts as young, so the caller's next allocation would
-start one young collection over all of it.  :func:`mine` therefore first
-collects the young generations, which frees the caller's young garbage and
-empties them, and before resuming the collector moves every tracked object
-to the oldest generation with ``gc.freeze()`` and ``gc.unfreeze()``, which
-also resets the young count.  So what is moved is what the run allocated
-and kept, with anything an observer allocated; a later full collection
-still sees it, though the trigger of full collections does not count it.
-When any objects are frozen, by the caller or by the interpreter itself,
-both steps are skipped, since ``gc.unfreeze()`` would release them.
 """
 
 from __future__ import annotations
@@ -107,6 +93,7 @@ import gc
 import sys
 import time
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -599,6 +586,46 @@ def _validate(db, utable, mtable, config) -> None:
         raise ConfigError("max_pattern_length must be >= 1")
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while a bulk builder runs.
+
+    :func:`mine`, :func:`~huspmine.formats.parse_dataset` and
+    :func:`~huspmine.formats.parse_results` each build one tracked container
+    or more per input record and make no reference cycles, so the collector
+    would free nothing, yet it would keep re-traversing the growing set of
+    objects they keep.  Everything allocated in the pause still counts as
+    young, so the caller's next allocation would start one young collection
+    over all of it.  So, when the collector is on, the guard first collects
+    the young generations, which frees the caller's young garbage and
+    empties them, and before resuming the collector it moves every tracked
+    object to the oldest generation with ``gc.freeze()`` and
+    ``gc.unfreeze()``, which also resets the young count.  What is moved is
+    what the body allocated and kept, with anything an observer allocated;
+    a later full collection still sees it, though the trigger of full
+    collections does not count it.  When any objects are frozen, by the
+    caller or by the interpreter itself, both steps are skipped, since
+    ``gc.unfreeze()`` would release them.  The caller's setting is restored
+    whether the body returns or raises.
+    """
+    collecting = gc.isenabled()
+    # the young garbage of the caller is freed first, so that it is not
+    # moved with the body's objects
+    hand_back = collecting and not gc.get_freeze_count()
+    if hand_back:
+        gc.collect(1)
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            # a frozen set, which unfreeze() would release, is left alone
+            if hand_back and not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+
 def mine(
     db: QSDatabase,
     utable: UtilityTable,
@@ -614,30 +641,11 @@ def mine(
     """
     _validate(db, utable, mtable, config)
     started = time.perf_counter()
-    # the search makes no reference cycles, but the results it keeps alive
-    # would have the cyclic collector traverse an ever larger heap
-    collecting = gc.isenabled()
-    # the run's objects are handed to the oldest generation at the end; the
-    # young garbage of the caller is freed first, so that it is not moved too
-    hand_back = collecting and not gc.get_freeze_count()
-    if hand_back:
-        gc.collect(1)
-    gc.disable()
-    try:
+    with _collector_paused():
         husps, stats = _Engine(db, utable, mtable, config, observer).run()
         stats.wall_time = time.perf_counter() - started
         if resource is not None:
             # kilobytes, except on macOS, which gives bytes
             peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             stats.peak_memory_estimate = peak if sys.platform == "darwin" else peak * 1024
-        return husps, stats
-    finally:
-        if collecting:
-            # every object allocated while the collector was paused is still
-            # counted as young: move them all to the oldest generation, so
-            # the next young collection does not traverse the results; a
-            # frozen set, which unfreeze() would release, is left alone
-            if hand_back and not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
+    return husps, stats

@@ -588,10 +588,14 @@ HALF_HUGE = "1" + "0" * 400 + ".5"
     (["--lmu", "0.1", "--beta-sweep", f"0.5,1e5000,{HALF_HUGE}"],
      [("0.5", "0.1"), (HUGE, "0.1"), (f"{2 * 10 ** 400 + 1}/2", "0.1")]),
     (["--beta", "1e5000", "--lmu-sweep", "0.1,0.2"], [(HUGE, "0.1"), (HUGE, "0.2")]),
-], ids=["beta-sweep", "lmu-sweep"])
+    (["--beta", "1", "--lmu-sweep", "1e-400,1e-500,1e-310"],
+     [("1.0", f"1/{10 ** 400}"), ("1.0", f"1/{10 ** 500}"), ("1.0", f"1/{10 ** 310}")]),
+], ids=["beta-sweep", "lmu-sweep", "underflow"])
 def test_bench_prints_ratios_too_large_for_a_float(fixture_files, capsys, flags, columns):
-    """A beta or LMU that fits a float prints as one, as before; a larger one
-    prints exactly, as its fraction, and the sweep exits 0."""
+    """A beta or LMU that fits a normal float prints as one, as before; a
+    larger one, and a positive one below the least normal float, which would
+    print as ``0.0`` or a rounded subnormal, print exactly, as their
+    fractions, and the sweep exits 0."""
     data, utility, _ = fixture_files
     code, out, err = run_main(
         ["bench", "--data", str(data), "--utility-table", str(utility),

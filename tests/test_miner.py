@@ -26,9 +26,10 @@ from huspmine import (
     parse_item_values,
     parse_results,
     pattern_sort_key,
+    serialize_dataset,
     write_results,
 )
-from huspmine.formats import GenParams, generate_synthetic
+from huspmine.formats import GenParams, ParseError, generate_synthetic
 from huspmine.oracle import brute_force_bounds, brute_force_mine
 import huspmine.miner as miner_module
 from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
@@ -42,6 +43,7 @@ from huspmine.uarray import (
     project,
 )
 
+from conftest import DATASET_TEXT
 from support import engine_bounds, mixed_instances, zero_priced_instances
 
 
@@ -816,127 +818,160 @@ def test_cached_rows_extend_their_pivot_as_project_does(monkeypatch):
     assert kinds == {(I_STEP, tuple), (S_STEP, tuple), (S_STEP, Projection)}
 
 
-def _result_heavy():
-    """A generated set of more than 10,000 results."""
-    return _generated(GenParams(n_sequences=2000, n_items=100, max_elements=5,
-                                max_element_size=3, seed=3), "1", "0.002")
+def _guarded_calls(params, beta, lmu):
+    """Each entry point that pauses the cyclic collector, with a call of it
+    that returns what it built: mining a generated set, parsing its dataset
+    text and parsing its TSV results back."""
+    data, units = generate_synthetic(params)
+    db = parse_dataset(io.StringIO(data))
+    utable = bind_unit_utilities(parse_item_values(io.StringIO(units)), db.symbols)
+    mtable = generate_mtable(db, utable, Fraction(beta), Fraction(lmu))
+    results = write_results(mine(db, utable, mtable)[0], None, "tsv", db.symbols)
+    return [
+        (mine, lambda: mine(db, utable, mtable)[0]),
+        (parse_dataset, lambda: parse_dataset(io.StringIO(data)).sequences),
+        (parse_results, lambda: parse_results(io.StringIO(results), db.symbols)),
+    ]
 
 
-def test_no_collection_runs_inside_mine():
-    """``mine`` pauses the cyclic collector: on a set where a search left
-    with the collector on starts it about a hundred times, no collection
-    starts while ``mine`` is on the stack but the one of the young
-    generations that ``mine`` runs at its entry, before the search, unless
-    objects are frozen."""
-    db, utable, mtable = _result_heavy()
-    inside = []
-
-    def watch(phase, info):
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code is miner_module.mine.__code__:
-                inside.append((phase, info["generation"]))
-                return
-            frame = frame.f_back
-
-    assert gc.isenabled()
-    gc.callbacks.append(watch)
-    try:
-        husps, _ = mine(db, utable, mtable)
-    finally:
-        gc.callbacks.remove(watch)
-    assert len(husps) > 10_000
-    assert inside == ([] if gc.get_freeze_count() else [("start", 1), ("stop", 1)])
+@pytest.fixture(scope="module")
+def heavy_calls():
+    """The guarded calls on a generated set of 2,000 sequences and more
+    than 10,000 results: each call builds more than 10,000 containers."""
+    calls = _guarded_calls(GenParams(n_sequences=2000, n_items=100, max_elements=5,
+                                     max_element_size=3, seed=3), "1", "0.002")
+    _, read_back = calls[-1]
+    assert len(read_back()) > 10_000
+    return calls
 
 
-def test_mine_hands_its_objects_out_of_the_young_generation():
-    """What ``mine`` allocated with the collector paused leaves it in the
-    oldest generation, none of it frozen: the caller's next young
-    collection does not start at once over the results, but only after as
-    many new containers as the threshold counts.  An interpreter that
-    starts with frozen objects of its own (CPython 3.12.1) keeps them, and
-    there ``mine`` hands nothing back."""
+def test_no_collection_runs_inside_mine(heavy_calls):
+    """``mine``, ``parse_dataset`` and ``parse_results`` pause the cyclic
+    collector: on a set where a call left with the collector on starts it
+    about a hundred times, no collection starts while the entry point is on
+    the stack but the one of the young generations that it runs at its
+    entry, before its work, unless objects are frozen."""
+    for entry, call in heavy_calls:
+        inside = []
+
+        def watch(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is entry.__code__:
+                    inside.append((phase, info["generation"]))
+                    return
+                frame = frame.f_back
+
+        assert gc.isenabled()
+        # the guard allocates before it pauses the collector: with the young
+        # counts at zero, that starts no collection
+        gc.collect()
+        gc.callbacks.append(watch)
+        try:
+            built = call()
+        finally:
+            gc.callbacks.remove(watch)
+        assert len(built) >= 2000, entry.__name__
+        assert inside == ([] if gc.get_freeze_count() else [("start", 1), ("stop", 1)]), \
+            entry.__name__
+
+
+def test_mine_hands_its_objects_out_of_the_young_generation(heavy_calls):
+    """What ``mine``, ``parse_dataset`` and ``parse_results`` allocated with
+    the collector paused leaves it in the oldest generation, none of it
+    frozen: the caller's next young collection does not start at once over
+    what they built, but only after as many new containers as the threshold
+    counts.  An interpreter that starts with frozen objects of its own
+    (CPython 3.12.1) keeps them, and there nothing is handed back."""
     frozen = gc.get_freeze_count()
-    db, utable, mtable = _result_heavy()
-    starts = []
+    for entry, call in heavy_calls:
+        starts = []
 
-    def watch(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
+        def watch(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
 
-    assert gc.isenabled()
-    threshold = gc.get_threshold()
-    # a young collection is due only after 10,000 new containers, and none
-    # is before ``mine`` pauses the collector
-    gc.set_threshold(10_000, *threshold[1:])
-    gc.collect()
-    gc.callbacks.append(watch)
-    try:
-        husps, _ = mine(db, utable, mtable)
-        young = [[] for _ in range(5_000)]
-    finally:
-        gc.callbacks.remove(watch)
-        gc.set_threshold(*threshold)
-    assert len(husps) > 10_000 and len(young) == 5_000
-    assert gc.get_freeze_count() == frozen
-    # handed back, the one collection is that of the young generations at
-    # mine's entry; else the first allocation after mine starts one
-    assert starts == ([0] if frozen else [1])
+        assert gc.isenabled()
+        threshold = gc.get_threshold()
+        # a young collection is due only after 10,000 new containers, and
+        # none is before the entry point pauses the collector
+        gc.set_threshold(10_000, *threshold[1:])
+        gc.collect()
+        gc.callbacks.append(watch)
+        try:
+            built = call()
+            young = [[] for _ in range(5_000)]
+        finally:
+            gc.callbacks.remove(watch)
+            gc.set_threshold(*threshold)
+        assert len(built) >= 2000 and len(young) == 5_000, entry.__name__
+        assert gc.get_freeze_count() == frozen, entry.__name__
+        # handed back, the one collection is that of the young generations
+        # at the entry; else the first allocation after the call starts one
+        assert starts == ([0] if frozen else [1]), entry.__name__
 
 
 class _Cycle:
     pass
 
 
+def _small_calls():
+    """The guarded calls on a generated set of 20 sequences."""
+    return _guarded_calls(GenParams(n_sequences=20, n_items=10, max_elements=4,
+                                    max_element_size=2, seed=3), "1", "0.05")
+
+
 def test_mine_frees_the_callers_young_garbage_before_handing_back():
     """The caller's young garbage is not moved to the oldest generation with
-    the run's objects, where only a full collection would free it: a caller
-    that makes cycles between calls finds every one freed by a young
-    collection."""
-    db, utable, mtable = _generated(GenParams(n_sequences=20, n_items=10, max_elements=4,
-                                              max_element_size=2, seed=3), "1", "0.05")
-    assert gc.isenabled()
-    gc.collect()
-    refs = []
-    for _ in range(200):
-        # no collection meets a cycle still alive and moves it on: each
-        # one is young garbage when mine is called
-        gc.disable()
-        try:
-            for _ in range(50):
-                cycle = _Cycle()
-                cycle.me = cycle
-                refs.append(weakref.ref(cycle))
-            del cycle
-        finally:
-            gc.enable()
-        husps, _ = mine(db, utable, mtable)
-    assert husps
-    gc.collect(1)
-    assert [ref for ref in refs if ref() is not None] == []
+    the objects ``mine``, ``parse_dataset`` or ``parse_results`` built,
+    where only a full collection would free it: a caller that makes cycles
+    between calls finds every one freed by a young collection."""
+    for entry, call in _small_calls():
+        assert gc.isenabled()
+        gc.collect()
+        refs = []
+        for _ in range(200):
+            # no collection meets a cycle still alive and moves it on: each
+            # one is young garbage when the entry point is called
+            gc.disable()
+            try:
+                for _ in range(50):
+                    cycle = _Cycle()
+                    cycle.me = cycle
+                    refs.append(weakref.ref(cycle))
+                del cycle
+            finally:
+                gc.enable()
+            built = call()
+        assert built, entry.__name__
+        gc.collect(1)
+        assert [ref for ref in refs if ref() is not None] == [], entry.__name__
 
 
-def test_mine_leaves_the_callers_frozen_objects_frozen(example_db, example_utable,
-                                                       example_mtable):
+def test_mine_leaves_the_callers_frozen_objects_frozen():
     """A caller who froze objects finds them still frozen after ``mine``,
-    which then skips moving its own objects out of the young generation.
-    An interpreter that starts with frozen objects stands in for the caller,
-    and its frozen set is left alone."""
-    assert gc.isenabled()
-    expected, _ = mine(example_db, example_utable, example_mtable)
-    ours = not gc.get_freeze_count()
-    if ours:
-        gc.freeze()
-    try:
-        frozen = gc.get_freeze_count()
-        # rebinds no name, so no frozen object is freed and leaves the set
-        husps, stats = mine(example_db, example_utable, example_mtable)
-        assert gc.get_freeze_count() == frozen
-    finally:
+    ``parse_dataset`` or ``parse_results``, which then skip moving their own
+    objects out of the young generation.  An interpreter that starts with
+    frozen objects stands in for the caller, and its frozen set is left
+    alone."""
+    for entry, call in _small_calls():
+        assert gc.isenabled()
+        expected = call()
+        ours = not gc.get_freeze_count()
         if ours:
-            gc.unfreeze()
-    assert frozen > 0
-    assert husps == expected
+            gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            # rebinds no name, so no frozen object is freed and leaves the set
+            built = call()
+            assert gc.get_freeze_count() == frozen, entry.__name__
+        finally:
+            if ours:
+                gc.unfreeze()
+        assert frozen > 0
+        assert built == expected, entry.__name__
+        # the next call's freeze must not take these
+        del built, expected
 
 
 def test_childless_lone_pivots_are_not_entered(monkeypatch):
@@ -1002,19 +1037,35 @@ class _Raising(MiningObserver):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_mine_restores_the_callers_collector_state(example_db, example_utable, enabled):
-    """The collector's state after ``mine`` is the caller's, whether the
-    run returns or an observer raises mid-walk; observers run with the
-    collector paused."""
+    """The collector's state after ``mine``, ``parse_dataset`` or
+    ``parse_results`` is the caller's, whether the call returns or raises
+    midway: an observer of ``mine`` mid-walk, and a parser at a malformed
+    last line.  Observers run with the collector paused."""
     mtable = MTable((1,) * len(example_db.symbols))
+    observer = _Raising()
+    husps, _ = mine(example_db, example_utable, mtable)
+    results = write_results(husps, None, "tsv", example_db.symbols)
+    calls = [
+        (lambda: mine(example_db, example_utable, mtable)[0],
+         lambda: mine(example_db, example_utable, mtable, observer=observer),
+         RuntimeError, "observer failed"),
+        (lambda: parse_dataset(io.StringIO(DATASET_TEXT)).sequences,
+         lambda: parse_dataset(io.StringIO(DATASET_TEXT + "a[1] -1\n")),
+         ParseError, "not terminated by -2"),
+        (lambda: parse_results(io.StringIO(results), example_db.symbols),
+         lambda: parse_results(io.StringIO(results + "[a]\t1\tx\n"), example_db.symbols),
+         ValueError, "must be non-negative integers"),
+    ]
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        husps, _ = mine(example_db, example_utable, mtable)
-        assert gc.isenabled() is enabled
-        observer = _Raising()
-        with pytest.raises(RuntimeError, match="observer failed"):
-            mine(example_db, example_utable, mtable, observer=observer)
-        assert gc.isenabled() is enabled
+        for returning, raising, error, message in calls:
+            built = returning()
+            assert gc.isenabled() is enabled
+            assert len(built) > 5
+            with pytest.raises(error, match=message):
+                raising()
+            assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
     assert any(h.pattern.size > 3 for h in husps)
@@ -1025,7 +1076,9 @@ def test_the_search_makes_no_reference_cycles():
     """With the collector off, reference counting frees everything a run
     allocated once its results are dropped, so pausing the collector in
     ``mine`` leaves it nothing to find later: in every variant and node
-    bound, with or without an observer."""
+    bound, with or without an observer.  The same holds for
+    ``parse_dataset`` on canonical and non-canonical text, its SUtility
+    trailers verified, and for ``parse_results`` on both formats."""
     configs = [MiningConfig(variant=variant, node_bound=node_bound)
                for variant in (USPT1, USPT2, USPT)
                for node_bound in (BOUND_PEU, BOUND_SEU)]
@@ -1036,8 +1089,20 @@ def test_the_search_makes_no_reference_cycles():
         gc.collect()
         for k, (db, utable, mtable) in enumerate(instances):
             for config in configs:
-                mine(db, utable, mtable, config)
+                husps, stats = mine(db, utable, mtable, config)
                 mine(db, utable, mtable, config, observer=_Recorder(hashlib.sha256()))
+            assert gc.collect() == 0, k
+            units = dict(zip(db.symbols.names, utable.unit))
+            canonical = serialize_dataset(db, utable)
+            # double spaces, leading zeros and CRLF take the token loop
+            loose = canonical.replace(" -1 ", "  -1 ").replace("[", "[0").replace("\n", "\r\n")
+            results = [write_results(husps, stats, fmt, db.symbols) for fmt in ("tsv", "json")]
+            # the JSON encoder's indenting closures are cycles of its own
+            gc.collect()
+            for text in (canonical, loose):
+                assert parse_dataset(io.StringIO(text), units).sequences == db.sequences
+            for text in results:
+                assert parse_results(io.StringIO(text), db.symbols) == husps
             assert gc.collect() == 0, k
     finally:
         if was:
