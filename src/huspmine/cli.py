@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -204,17 +205,20 @@ def _cmd_oracle(args, parser) -> int:
             return EXIT_PARSE
         mine_keyed = {h.pattern: h for h in husps}
         theirs_keyed = {h.pattern: h for h in theirs}
+        # a pattern listed twice is a mismatch even when both rows agree
+        rows = Counter(h.pattern for h in theirs)
         diffs = []
         for pattern in sorted(
             set(mine_keyed) | set(theirs_keyed),
             key=lambda p: p.itemsets,
         ):
             a, b = mine_keyed.get(pattern), theirs_keyed.get(pattern)
-            if a != b:
+            if a != b or rows[pattern] > 1:
                 diffs.append(
                     f"{pattern.render(db.symbols)}: "
                     f"oracle={a and (a.utility, a.miu)} "
                     f"checked={b and (b.utility, b.miu)}"
+                    + (f" in {rows[pattern]} rows" if rows[pattern] > 1 else "")
                 )
         if diffs:
             print("MISMATCH", file=sys.stderr)

@@ -41,14 +41,18 @@ holds no item twice; and after an entry without pivots, over a sequence
 that holds no item twice.  The choice reads only the entry's pivot count
 and the sequence's distinct-item count.
 
-One loop, ``_Engine._walk``, visits the tree in pre-order, the roots
-included.  It decides each child where it meets it: emits it if it is a
-result, reports it to ``on_node`` and, if it is expanded, descends into it
-by pushing the context of the node whose children it was deciding.  A
-context is the rows iterator and its concatenation kind, the offset ``b``,
-the node's MIU, PMIU and SEU, its itemsets, the children's size and their
-result list.  No call, tuple or list is made per node beyond that push,
-and pattern length is not limited by the interpreter's recursion depth.
+One loop, ``_Engine._walk``, visits the tree in pre-order.  It decides
+each child where it meets it: emits it if it is a result, reports it to
+``on_node`` and, if it is expanded, descends into it by pushing the
+context of the node whose children it was deciding.  A context is the rows
+iterator and its concatenation kind, the offset ``b``, the node's MIU, PMIU
+and SEU, its itemsets, the children's size and their result list.  The
+bottom context is the empty pattern, whose S-rows are the roots, so the
+same loop decides them; only a root's expansion gate is its own, its
+first-pass SWU against its first-pass PMIU, and an expanded root is
+projected from the item's positions.  No call, tuple or list is made per
+node beyond that push, and pattern length is not limited by the
+interpreter's recursion depth.
 An expanded child that is one pivot at its sequence's last position has no
 children, so the walk does not enter it; an observer receives its empty
 candidates where it is decided.
@@ -95,6 +99,7 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import inf
 from typing import NamedTuple, Optional
 
 try:
@@ -284,25 +289,26 @@ class _Engine:
         # any item belongs to no result
         floor = min((mu[i] for i in roots), default=0)
         roots = self._remove_items(roots, {i for i, row in roots.items() if row[3] < floor})
-        one_seq_info = {
-            i: OneSeqInfo(swu=swu, utility=utility, pmiu=int(min(mu[i], pool)), miu=mu[i])
-            for i, (utility, _, _, swu, pool) in sorted(roots.items())
-        }
         if observer:
-            observer.on_one_sequence_stats(dict(one_seq_info))
+            observer.on_one_sequence_stats({
+                i: OneSeqInfo(swu=swu, utility=utility, pmiu=min(mu[i], pool), miu=mu[i])
+                for i, (utility, _, _, swu, pool) in sorted(roots.items())
+            })
+        # a root's expansion gate is its first-pass whole-sequence weight
+        opened = {i for i, (_, _, _, swu, pool) in roots.items() if swu >= min(mu[i], pool)}
         if self.config.variant != USPT1:
             # SWU strategy: an item's SWU upper-bounds the utility of every
             # pattern containing it, while the least threshold of any item
             # co-occurring with it lower-bounds those patterns' MIU values
             roots = self._remove_items(roots, {
                 item
-                for item, info in one_seq_info.items()
-                if info.swu < min(arrays[si].suffix_min_mu[0] for si in item_seqs[item])
+                for item, row in roots.items()
+                if row[3] < min(arrays[si].suffix_min_mu[0] for si in item_seqs[item])
             })
         global_peu = {i: row[1] for i, row in sorted(roots.items())}
         if observer:
             observer.on_item_extension_bounds(dict(global_peu))
-        hist, by_size = self._walk(roots, one_seq_info, global_peu)
+        hist, by_size = self._walk(roots, opened, global_peu)
         husps = [husp for bucket in by_size for husp in bucket]
         stats = MiningStats(
             candidates_visited=sum(hist),
@@ -311,17 +317,12 @@ class _Engine:
         )
         return husps, stats
 
-    def _walk(
-        self, roots: dict, one_seq_info: dict, global_peu: dict
-    ) -> tuple[list, list]:
+    def _walk(self, roots: dict, opened: set, global_peu: dict) -> tuple[list, list]:
         """Decide every node, in pre-order, and return the number of
         candidates of size ``k`` and the results of size ``k + 1``, in
         :func:`pattern_sort_key` order, each at index ``k``.
 
-        The roots are decided in item order, once the stack is empty, from
-        their sums ``roots``, their first-pass statistics ``one_seq_info``
-        and the global PEUs ``global_peu`` of the items left.  Below them
-        the walk keeps one context, the node whose children are being
+        The walk keeps one context, the node whose children are being
         decided: its rows iterator ``it`` and concatenation ``kind``, the
         S-rows still to come, its projection ``proj`` when it was scanned,
         the offset ``b``, its MIU, PMIU and SEU, the PUK ``floor``, its
@@ -333,23 +334,36 @@ class _Engine:
         last position, is not entered: an observer is handed its empty
         candidates directly.
 
+        The bottom context is the empty pattern.  Its S-rows are the roots,
+        from their sums ``roots``; its MIU, PMIU and SEU are unbounded and
+        its offset and ``floor`` are 0, so the one loop decides the roots
+        too.  Two things are the roots' own, selected by the children's
+        size 1: a root is expanded when it is in ``opened``, the roots whose
+        first-pass SWU reaches their first-pass PMIU, and an expanded root
+        is projected by ``initial_projection``.
+
         A node that is a lone pivot takes the rows cached for its key,
         filled by one scan the first time the key is met, with its offset
         plus its best utility; any other node is scanned with its offset.
         An expanded child of a scanned row is projected when the walk
         descends into it.  PUK drops a row only when its item's global PEU
-        is below the prefix's PMIU, so it is off, with ``floor`` 0 below
-        every row's PEU, when even the least global item PEU reaches it.
+        ``global_peu`` is below the prefix's PMIU, so it is off, with
+        ``floor`` 0 below every row's PEU, when even the least global item
+        PEU reaches it.
         """
         observer, arrays, mu = self.observer, self.arrays, self.mtable.mu
         scan, rows_by_key, item_seqs = self._scan_candidates, self.rows_by_key, self.item_seqs
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
         pattern_of, new = Pattern._unchecked, tuple.__new__
         least_peu = min(global_peu.values(), default=0)
-        hist, by_size = [0, len(global_peu)], [[]]
-        pending = iter(global_peu)
+        root_rows = _acc_rows(roots)
+        hist, by_size = [0, len(root_rows)], [[]]
         stack = []
-        it, s_rows = iter(()), None
+        # the empty pattern, whose S-children are the roots
+        it, kind, s_rows, proj = iter(root_rows), S_STEP, None, None
+        b, min_mu, pmiu, node_seu, floor = 0, inf, inf, inf, 0
+        itemsets = head = stem = ()
+        size, results, deeper = 1, by_size[0], max_size >= 2
         while True:
             for item, utility, peu, seu, swu, pool, ext in it:
                 if peu < floor and global_peu[item] < pmiu:
@@ -363,7 +377,9 @@ class _Engine:
                 if seu > node_seu:
                     seu = node_seu
                 child_pmiu = pool if pool < miu else miu
-                expand = deeper and (peu if peu_gate else seu) >= child_pmiu
+                expand = deeper and (
+                    item in opened if size == 1 else (peu if peu_gate else seu) >= child_pmiu
+                )
                 result = utility >= miu
                 if not (expand or result or observer):
                     continue
@@ -375,7 +391,10 @@ class _Engine:
                     observer.on_node(pattern_of(child), bounds, expand)
                 if expand:
                     if ext is None:
-                        ext = _lone_key(project(proj, arrays, item, kind))
+                        ext = _lone_key(
+                            initial_projection(arrays, item, item_seqs[item]) if size == 1
+                            else project(proj, arrays, item, kind)
+                        )
                     if type(ext) is tuple and ext[0][1] == arrays[ext[0][0]].n - 1:
                         if observer:
                             observer.on_candidates(Pattern(child), {}, {}, {}, {})
@@ -390,35 +409,11 @@ class _Engine:
                     it, kind, s_rows = iter(s_rows), S_STEP, None
                     head, stem = itemsets, ()
                     continue
-                if stack:
-                    (it, kind, s_rows, proj, b, min_mu, pmiu, node_seu, floor,
-                     itemsets, head, stem, size, results, deeper) = stack.pop()
-                    continue
-                results, deeper = by_size[0], max_size >= 2
-                for item in pending:
-                    utility, peu, seu, swu, pool = roots[item]
-                    first = one_seq_info[item]
-                    miu = first.miu
-                    child = ((item,),)
-                    if utility >= miu:
-                        results.append(new(Husp, (pattern_of(child), utility, miu)))
-                    # a root's expansion gate is its first-pass whole-sequence
-                    # weight
-                    expand = deeper and first.swu >= first.pmiu
-                    child_pmiu = pool if pool < miu else miu
-                    if observer:
-                        bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
-                        observer.on_node(pattern_of(child), bounds, expand)
-                    if expand:
-                        ext = _lone_key(initial_projection(arrays, item, item_seqs[item]))
-                        if type(ext) is tuple and ext[0][1] == arrays[ext[0][0]].n - 1:
-                            if observer:
-                                observer.on_candidates(Pattern(child), {}, {}, {}, {})
-                            continue
-                        break
-                else:
+                if not stack:
                     return hist, by_size
-                b, size = 0, 1
+                (it, kind, s_rows, proj, b, min_mu, pmiu, node_seu, floor,
+                 itemsets, head, stem, size, results, deeper) = stack.pop()
+                continue
             # descend into ``child``
             if type(ext) is tuple:
                 key, best = ext

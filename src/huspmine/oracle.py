@@ -18,6 +18,7 @@ from .model import (
     QSequence,
     UtilityTable,
     find_matches,
+    miu,
     pattern_utility_in_sequence,
 )
 from .miner import Bounds, Husp, pattern_sort_key
@@ -104,7 +105,7 @@ def brute_force_mine(
     among its items, sorted like the engine's output."""
     out = []
     for pattern, utility in enumerate_occurring(db, utable, max_len, node_budget):
-        threshold = min(mtable.of(i) for i in pattern.distinct_items())
+        threshold = miu(pattern, mtable)
         if utility >= threshold:
             out.append(Husp(pattern, utility, threshold))
     out.sort(key=lambda h: pattern_sort_key(h.pattern))
@@ -182,6 +183,6 @@ def brute_force_bounds(
     if mtable is None:
         pmiu_v = miu_v = None
     else:
-        miu_v = min(mtable.of(i) for i in pattern.distinct_items())
+        miu_v = miu(pattern, mtable)
         pmiu_v = min([miu_v] + [mtable.of(i) for i in rest_items])
     return Bounds(swu=swu, seu=seu, peu=peu, pmiu=pmiu_v, miu=miu_v, utility=utility)

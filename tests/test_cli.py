@@ -404,23 +404,40 @@ def test_oracle_check_roundtrip(tmp_path, fixture_files, capsys):
     assert code == 0
 
 
-def test_oracle_check_detects_mutation(tmp_path, fixture_files, capsys):
+def _repeat_last_tsv_row(text):
+    return text + text.splitlines(keepends=True)[-1]
+
+
+def _repeat_first_json_result(text):
+    payload = json.loads(text)
+    payload["husps"].insert(0, payload["husps"][0])
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("fmt, mutate, named", [
+    ("tsv", lambda text: text.replace("\t200\t200", "\t201\t200"), "[b],[c e]"),
+    ("tsv", _repeat_last_tsv_row, "[f],[b c],[b e]"),
+    ("json", _repeat_first_json_result, "[b],[c e]"),
+], ids=["changed-utility", "tsv-repeated-row", "json-repeated-row"])
+def test_oracle_check_detects_mutation(tmp_path, fixture_files, capsys, fmt,
+                                       mutate, named):
+    """A check file that differs from the oracle's results, by a value or by
+    a pattern listed twice, is a mismatch that names the pattern."""
     data, utility, mtable = fixture_files
-    result = tmp_path / "mined.tsv"
+    result = tmp_path / f"mined.{fmt}"
     run_main(
         ["mine", "--data", str(data), "--utility-table", str(utility),
-         "--mtable", str(mtable), "--out", str(result)],
+         "--mtable", str(mtable), "--format", fmt, "--out", str(result)],
         capsys,
     )
-    mutated = result.read_text().replace("\t200\t200", "\t201\t200")
-    result.write_text(mutated)
+    result.write_text(mutate(result.read_text()))
     code, _, err = run_main(
         ["oracle", "--data", str(data), "--utility-table", str(utility),
          "--mtable", str(mtable), "--max-len", "9", "--check", str(result)],
         capsys,
     )
     assert code == 1
-    assert "[b],[c e]" in err
+    assert named in err
 
 
 def test_oracle_budget_exits_5(fixture_files, capsys):

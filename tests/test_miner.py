@@ -592,6 +592,27 @@ def test_observer_stream_is_pinned(example_db, example_utable, example_mtable):
     )
 
 
+def test_observer_stream_is_pinned_under_length_caps():
+    """The same hash under ``max_pattern_length`` 1, 2 and 3, over
+    ``mixed_instances(50)`` and ``zero_priced_instances(30)``: a cap decides
+    which nodes, the roots included, may be expanded."""
+    digest = hashlib.sha256()
+    obs = _Recorder(digest)
+    for db, utable, mtable in mixed_instances(50) + zero_priced_instances(30):
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                for cap in (1, 2, 3):
+                    config = MiningConfig(variant=variant, node_bound=node_bound,
+                                          max_pattern_length=cap)
+                    husps, stats = mine(db, utable, mtable, config, observer=obs)
+                    digest.update(repr((husps, stats.candidates_visited,
+                                        stats.depth_histogram)).encode())
+    assert obs.events == 37637
+    assert digest.hexdigest() == (
+        "65fad810069eaa4d18595ff50a911df1261e474b4716bb14157dd5bc00ab4419"
+    )
+
+
 def test_engine_built_patterns_equal_validated_ones(example_db, example_utable,
                                                     example_mtable):
     """The search builds its patterns without re-validating them; each result
