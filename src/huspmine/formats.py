@@ -475,19 +475,20 @@ RESULT_HEADER = "pattern\tutility\tmiu"
 
 def write_results(husps: list, stats, fmt: str, symbols: SymbolTable) -> str:
     """Render mined patterns as TSV or JSON text; ``stats`` may be None."""
-    render = _pattern_renderer(symbols)
+    text_of, join = _ItemsetTexts(symbols.names).__getitem__, ",".join
     if fmt == "tsv":
-        rows = [f"{render(h.pattern)}\t{h.utility}\t{h.miu}\n" for h in husps]
+        rows = [f"{join(map(text_of, pattern.itemsets))}\t{utility}\t{miu}\n"
+                for pattern, utility, miu in husps]
         return RESULT_HEADER + "\n" + "".join(rows)
     if fmt == "json":
         payload = {
             "husps": [
                 {
-                    "pattern": render(h.pattern),
-                    "utility": h.utility,
-                    "miu": h.miu,
+                    "pattern": join(map(text_of, pattern.itemsets)),
+                    "utility": utility,
+                    "miu": miu,
                 }
-                for h in husps
+                for pattern, utility, miu in husps
             ],
             "stats": None
             if stats is None
@@ -504,40 +505,65 @@ def write_results(husps: list, stats, fmt: str, symbols: SymbolTable) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _pattern_renderer(symbols: SymbolTable):
-    """A function giving ``pattern.render(symbols)``, which renders each
-    distinct itemset once and keeps its text for the later patterns.
+class _ItemsetTexts(dict):
+    """Itemset -> its text in a rendered pattern, ``(1, 2)`` -> ``[b c]``
+    when ``names`` are ``("a", "b", "c")``; an itemset is rendered the
+    first time it is looked up, and its text kept for the later patterns,
+    so ``",".join(map(texts.__getitem__, pattern.itemsets))`` is
+    ``pattern.render(symbols)``.
 
-    An id outside the symbol table raises :class:`UnknownItem`, as
+    An id outside ``names`` raises :class:`UnknownItem`, as
     :meth:`SymbolTable.name_of` does.
     """
-    names = symbols.names
-    n_names = len(names)
-    rendered: dict[tuple, str] = {}
 
-    def itemset_text(itemset: tuple) -> str:
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, itemset: tuple) -> str:
+        names = self.names
+        n_names = len(names)
         for item in itemset:
             if not 0 <= item < n_names:
                 raise UnknownItem(item)
-        text = rendered[itemset] = "[" + " ".join([names[i] for i in itemset]) + "]"
+        text = self[itemset] = "[" + " ".join([names[i] for i in itemset]) + "]"
         return text
 
-    def render(pattern: Pattern) -> str:
-        return ",".join([rendered.get(w) or itemset_text(w) for w in pattern.itemsets])
 
-    return render
+class _ItemsetIds(dict):
+    """Itemset text -> its item ids in increasing order, ``c b`` -> ``(1, 2)``
+    when ``symbols`` name ``a``, ``b`` and ``c``; a text is read the first
+    time it is looked up, and its ids kept for the later patterns.
+
+    A name outside ``symbols`` raises :class:`UnknownItem`, as
+    :meth:`SymbolTable.id_of` does, and nothing is kept for its text.
+    """
+
+    __slots__ = ("id_of",)
+
+    def __init__(self, symbols: SymbolTable):
+        super().__init__()
+        self.id_of = symbols.id_of
+
+    def __missing__(self, chunk: str) -> tuple:
+        ids = self[chunk] = tuple(sorted(map(self.id_of, chunk.split())))
+        return ids
+
+
+def _read_pattern(text: str, ids_of) -> Pattern:
+    """The pattern of ``text``, ``[b],[c e]``, with ``ids_of`` giving each
+    itemset's sorted ids from its text; the pattern is validated."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"bad pattern string {text!r}")
+    return Pattern(tuple(map(ids_of, text[1:-1].split("],["))))
 
 
 def parse_pattern_string(text: str, symbols: SymbolTable) -> Pattern:
     """Inverse of Pattern.render, e.g. ``[b],[c e]``."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"bad pattern string {text!r}")
-    itemsets = []
-    for chunk in text[1:-1].split("],["):
-        items = tuple(sorted(symbols.id_of(n) for n in chunk.split()))
-        itemsets.append(items)
-    return Pattern(tuple(itemsets))
+    return _read_pattern(text, _ItemsetIds(symbols).__getitem__)
 
 
 def parse_results(source: Source, symbols: SymbolTable) -> list:
@@ -578,6 +604,7 @@ def parse_results(source: Source, symbols: SymbolTable) -> list:
                     raise ValueError(
                         f"utility and miu must be non-negative integers: {line!r}")
                 rows.append((pattern_s, int(utility), int(miu_v)))
-        return [
-            Husp(parse_pattern_string(p, symbols), u, m) for p, u, m in rows
-        ]
+        # consecutive results share most of their itemsets, so each
+        # itemset's text is read once per call
+        ids_of = _ItemsetIds(symbols).__getitem__
+        return [Husp(_read_pattern(p, ids_of), u, m) for p, u, m in rows]

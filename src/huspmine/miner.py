@@ -78,6 +78,18 @@ the offset is added, and the node SEU is still exact: the prefix's SEU,
 which caps it, is at most the sequence utility.  Both sources give the same
 children with the same bounds.
 
+A scanned node keeps only the rows that can pass.  A child is a result only
+when its utility reaches its MIU, and expanded only when its gate bound,
+PEU or SEU, reaches its PMIU, which is at most its MIU; since utility,
+PEU and SEU never decrease in that order, both need the gate's sum plus
+``b`` to reach the least of the item's threshold, its pool and the node's
+MIU, and at the last size, where nothing is expanded, the utility's sum to.
+The other rows are never built, but they are still candidates: the node's
+count is every scanned child less the ones PUK drops, among the kept rows
+in the loop and among the others where the rows are built.  With an
+observer every row is kept, since ``on_node`` sees every candidate, and a
+lone pivot's cached rows are kept whole, since they serve every offset.
+
 A :class:`Pattern` is built only for a result and for an observer call,
 and :class:`Bounds` only for ``on_node``.  The walk builds its patterns
 with ``Pattern._unchecked``, which skips the validation: a child only ever
@@ -255,7 +267,8 @@ class _Engine:
         self.max_size = sys.maxsize if cap is None else cap
         self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
         # the empty pattern: one entry without pivots per sequence
-        self.root_proj = Projection([ProjEntry(si, (), ()) for si in range(len(db))])
+        new = tuple.__new__
+        self.root_proj = Projection([new(ProjEntry, (si, (), ())) for si in range(len(db))])
         self.item_seqs: dict[int, list[int]] = {}
         for si, seq in enumerate(self.arrays):
             for item in seq.positions_of:
@@ -345,8 +358,17 @@ class _Engine:
         A node that is a lone pivot takes the rows cached for its key,
         filled by one scan the first time the key is met, with its offset
         plus its best utility; any other node is scanned with its offset.
-        An expanded child of a scanned row is projected when the walk
-        descends into it.  PUK drops a row only when its item's global PEU
+        A scanned node, once its offset, MIU, PMIU, ``floor`` and
+        ``deeper`` are set, keeps only the rows whose gate sum (index
+        ``gate``, or the utility's when not ``deeper``) plus the offset
+        reaches the least of the item's threshold, its pool and the node's
+        MIU: any other child is neither a result nor expanded.  It counts
+        every scanned child as a candidate less the dropped rows that PUK
+        would drop; the loop subtracts the kept ones PUK drops.  With an
+        observer every row is kept.  An expanded child of a scanned row is
+        projected when the walk descends into it.
+
+        PUK drops a row only when its item's global PEU
         ``global_peu`` is below the prefix's PMIU, so it is off, with
         ``floor`` 0 below every row's PEU, when even the least global item
         PEU reaches it.
@@ -354,9 +376,11 @@ class _Engine:
         observer, arrays, mu = self.observer, self.arrays, self.mtable.mu
         scan, rows_by_key, item_seqs = self._scan_candidates, self.rows_by_key, self.item_seqs
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
-        pattern_of, new = Pattern._unchecked, tuple.__new__
+        pattern_of, new, live = Pattern._unchecked, tuple.__new__, _live_rows
+        # the index of the expansion gate's bound in a scan's sums
+        gate = 1 if peu_gate else 2
         least_peu = min(global_peu.values(), default=0)
-        root_rows = _acc_rows(roots)
+        root_rows = [(i, *roots[i], None) for i in sorted(roots)]
         hist, by_size = [0, len(root_rows)], [[]]
         stack = []
         # the empty pattern, whose S-children are the roots
@@ -426,7 +450,6 @@ class _Engine:
             else:
                 proj = ext
                 i_sums, s_sums = scan(proj)
-                i_rows, s_rows = _acc_rows(i_sums), _acc_rows(s_sums)
             itemsets, min_mu, pmiu, node_seu = child, miu, child_pmiu, seu
             head, stem, kind = child[:-1], child[-1], I_STEP
             size += 1
@@ -436,7 +459,16 @@ class _Engine:
             results = by_size[size - 1]
             deeper = size < max_size
             floor = pmiu - b if puk and least_peu < pmiu else 0
-            hist[size] += len(i_rows) + len(s_rows)
+            if proj is None:
+                hist[size] += len(i_rows) + len(s_rows)
+            else:
+                # only the rows of children that can be a result or be
+                # expanded are built; an observer is shown every row
+                least = -inf if observer else min_mu
+                g = gate if deeper else 0
+                i_rows, i_cut = live(i_sums, g, b, least, mu, floor, pmiu, global_peu)
+                s_rows, s_cut = live(s_sums, g, b, least, mu, floor, pmiu, global_peu)
+                hist[size] += len(i_sums) + len(s_sums) - i_cut - s_cut
             if observer:
                 both = (i_rows, s_rows)
                 peus = [{r[0]: b + r[2] for r in rows} for rows in both]
@@ -456,7 +488,8 @@ class _Engine:
         from the next element on.  Every pivot is worth its own utility.
         """
         si, p = key
-        i_node, s_node = self._scan_candidates(Projection([ProjEntry(si, [p], [0])]))
+        new = tuple.__new__
+        i_node, s_node = self._scan_candidates(Projection([new(ProjEntry, (si, [p], [0]))]))
         seq = self.arrays[si]
         u, item_ = seq.u, seq.item
         e = seq.eid[p]
@@ -473,7 +506,7 @@ class _Engine:
                 q = pivots[0]
                 ext = (si, q), u[q]
             else:
-                ext = Projection([ProjEntry(si, pivots, [u[q] for q in pivots])])
+                ext = Projection([new(ProjEntry, (si, pivots, [u[q] for q in pivots]))])
             s_rows.append((i, *s_node[i], ext))
         return i_rows, s_rows
 
@@ -503,12 +536,11 @@ class _Engine:
         feed_i, feed_s = acc_i.feed, acc_s.feed
         fold_i, fold_s = acc_i.fold_matches, acc_s.fold_matches
         arrays = self.arrays
-        for entry in proj.entries:
-            seq = arrays[entry.seq_index]
+        for si, pivots, best in proj.entries:
+            seq = arrays[si]
             item_, eid_, u_, ru_ = seq.item, seq.eid, seq.u, seq.ru
             pool_ = seq.suffix_min_mu
             n = seq.n
-            pivots, best = entry.pivots, entry.best
             if len(pivots) == 1:
                 p, b = pivots[0], best[0]
                 useq, elem_first = seq.useq, seq.elem_first
@@ -551,19 +583,32 @@ class _Engine:
         return i_sums, s_sums
 
 
-def _acc_rows(sums: dict) -> list:
-    """``(item, utility, peu, seu, swu, pool, None)`` for every item of a
-    scan's ``sums``, sorted by item."""
-    return [(i, *sums[i], None) for i in sorted(sums)]
+def _live_rows(sums, g, b, least, mu, floor, pmiu, global_peu) -> tuple[list, int]:
+    """The rows ``(item, utility, peu, seu, swu, pool, None)`` of a scan's
+    ``sums`` whose ``g``-th sum plus ``b`` reaches the least of ``least``,
+    the item's threshold and its pool, sorted by item, and the number of
+    the other rows that PUK would drop: PEU below ``floor`` and the item's
+    ``global_peu`` below ``pmiu``."""
+    live = []
+    cut = 0
+    for i, r in sums.items():
+        v = r[g] + b
+        if v >= least or v >= mu[i] or v >= r[4]:
+            live.append(i)
+        elif r[1] < floor and global_peu[i] < pmiu:
+            cut += 1
+    live.sort()
+    return [(i, *sums[i], None) for i in live], cut
 
 
 def _lone_key(proj: Projection):
     """``((sequence, pivot), best)`` when ``proj`` is one pivot of one
     sequence, else ``proj`` itself."""
     entries = proj.entries
-    if len(entries) == 1 and len(entries[0].pivots) == 1:
-        entry = entries[0]
-        return (entry.seq_index, entry.pivots[0]), entry.best[0]
+    if len(entries) == 1:
+        si, pivots, best = entries[0]
+        if len(pivots) == 1:
+            return (si, pivots[0]), best[0]
     return proj
 
 

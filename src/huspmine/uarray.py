@@ -21,7 +21,7 @@ to the node's dict directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     Item,
@@ -138,15 +138,19 @@ def build_database_arrays(
     return [SequenceArrays(s, utable, mtable) for s in db.sequences]
 
 
-@dataclass(slots=True)
-class ProjEntry:
+class ProjEntry(NamedTuple):
     """Pivots of one sequence: positions of the pattern's last item across
     matches (ascending, 0-based) and the best match utility ending at each.
 
     An entry without pivots is the empty prefix, worth 0 before every
     position; only the candidate scan of the empty pattern reads one, and
     ``project`` is never given one, since a 1-pattern's projection is built
-    by :func:`initial_projection`."""
+    by :func:`initial_projection`.
+
+    The engine builds entries with ``tuple.__new__(ProjEntry, (seq_index,
+    pivots, best))``, which runs in C, rather than through the class's
+    generated ``__new__``, and reads them by unpacking:
+    ``for si, pivots, best in proj.entries``."""
 
     seq_index: int
     pivots: list[int]
@@ -171,16 +175,17 @@ def initial_projection(
     """Projection of the 1-pattern of ``item``: every occurrence is a pivot
     and its own best prefix.  ``seq_indices`` restricts the scan to the
     sequences known to contain the item."""
-    proj = Projection()
+    entries = []
+    new = tuple.__new__
     indices = range(len(arrays)) if seq_indices is None else seq_indices
     for si in indices:
         seq = arrays[si]
         pivots = seq.positions_of.get(item)
         if pivots:
-            proj.entries.append(
-                ProjEntry(si, pivots, [seq.u[p] for p in pivots])
-            )
-    return proj
+            u = seq.u
+            best = [u[pivots[0]]] if len(pivots) == 1 else [u[p] for p in pivots]
+            entries.append(new(ProjEntry, (si, pivots, best)))
+    return Projection(entries)
 
 
 I_STEP = "I"
@@ -201,16 +206,15 @@ def project(
     pivot's best utility is the best compatible parent pivot plus the item's
     utility there; sequences with no surviving pivot drop out.
     """
-    proj = Projection()
-    for entry in parent.entries:
-        seq = arrays[entry.seq_index]
+    entries = []
+    new = tuple.__new__
+    for si, pivots, best in parent.entries:
+        seq = arrays[si]
         positions = seq.positions_of.get(item)
         if not positions:
             continue
         eid = seq.eid
         u = seq.u
-        pivots = entry.pivots
-        best = entry.best
         new_pivots: list[int] = []
         new_best: list[int] = []
         if kind == I_STEP:
@@ -240,8 +244,8 @@ def project(
         else:
             raise ValueError(f"unknown concatenation kind: {kind!r}")
         if new_pivots:
-            proj.entries.append(ProjEntry(entry.seq_index, new_pivots, new_best))
-    return proj
+            entries.append(new(ProjEntry, (si, new_pivots, new_best)))
+    return Projection(entries)
 
 
 class _ItemAccumulator:

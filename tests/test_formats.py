@@ -1,6 +1,7 @@
 """Parsing, serialization, threshold generation, synthetic data."""
 
 import io
+import json
 import re
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from huspmine import (
     Husp,
     MiningConfig,
+    ModelError,
     ParseError,
     Pattern,
     QItemset,
@@ -375,6 +377,41 @@ def test_results_round_trip(example_db, example_utable, example_mtable):
         assert again == husps
         crlf = io.StringIO(text.replace("\n", "\r\n"))
         assert parse_results(crlf, example_db.symbols) == husps
+
+
+BAD_RESULT_ROWS = {
+    "unknown name": ("[a],[b c]\n[a],[b zz]\n", UnknownItem, ("zz",)),
+    "repeated item": ("[a],[b]\n[a],[b b]\n", ModelError,
+                      ("pattern itemset not strictly increasing",)),
+    "empty itemset": ("[a]\n[]\n", ModelError, ("pattern contains an empty itemset",)),
+    # the second ``b b`` of the second row, and the third row's, are read
+    # from the itemsets already met
+    "bad itemset met again": ("[a],[c b]\n[c b],[b b],[b b]\n[b b]\n", ModelError,
+                              ("pattern itemset not strictly increasing",)),
+}
+
+
+@pytest.mark.parametrize("patterns,error,args", BAD_RESULT_ROWS.values(),
+                         ids=list(BAD_RESULT_ROWS))
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_results_read_back_raise_as_single_patterns(patterns, error, args, fmt):
+    """``parse_results`` reads each itemset's text once per call, and a bad
+    pattern still raises what ``parse_pattern_string`` raises for it, of
+    the same type with the same message, whether or not its itemsets were
+    met before."""
+    symbols = SymbolTable(("a", "b", "c"))
+    rows = [(p, 5, 1) for p in patterns.splitlines()]
+    if fmt == "tsv":
+        text = "pattern\tutility\tmiu\n" + "".join(f"{p}\t{u}\t{m}\n" for p, u, m in rows)
+    else:
+        text = json.dumps({"husps": [{"pattern": p, "utility": u, "miu": m}
+                                     for p, u, m in rows]})
+    with pytest.raises(error) as raised:
+        parse_results(io.StringIO(text), symbols)
+    assert type(raised.value) is error and raised.value.args == args
+    with pytest.raises(error) as single:
+        parse_pattern_string(rows[1][0], symbols)
+    assert type(single.value) is error and single.value.args == args
 
 
 def _mixed_names(n):

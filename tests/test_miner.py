@@ -613,6 +613,55 @@ def test_observer_stream_is_pinned_under_length_caps():
     )
 
 
+def test_observer_free_run_is_pinned():
+    """The results and candidate counts of runs without an observer, over
+    ``mixed_instances(50)`` and ``zero_priced_instances(30)``, for each
+    variant, node bound and length cap, hashed in order.  Without an
+    observer a scanned node keeps only the rows that can pass, which the
+    observed runs above never do."""
+    digest = hashlib.sha256()
+    for db, utable, mtable in mixed_instances(50) + zero_priced_instances(30):
+        for variant in (USPT1, USPT2, USPT):
+            for node_bound in (BOUND_PEU, BOUND_SEU):
+                for cap in (None, 1, 2, 3):
+                    config = MiningConfig(variant=variant, node_bound=node_bound,
+                                          max_pattern_length=cap)
+                    husps, stats = mine(db, utable, mtable, config)
+                    digest.update(repr((husps, stats.candidates_visited,
+                                        stats.depth_histogram)).encode())
+    assert digest.hexdigest() == (
+        "b8fa550aa6c2e3d0db5ef290b5d8890c5d70b8c56d36b4c594a6dc74e07c9910"
+    )
+
+
+@pytest.mark.parametrize("node_bound", [BOUND_PEU, BOUND_SEU])
+def test_dropped_rows_are_neither_results_nor_expanded(monkeypatch, node_bound):
+    """Every row a scanned node drops is a child that would be neither a
+    result nor expanded: its utility is below its MIU, and its gate bound,
+    PEU or SEU, below its PMIU, with the node's offset ``b`` added."""
+    real_live = miner_module._live_rows
+    rows = {"kept": 0, "dropped": 0}
+
+    def live(sums, g, b, least, mu, floor, pmiu, global_peu):
+        out = real_live(sums, g, b, least, mu, floor, pmiu, global_peu)
+        kept = {row[0] for row in out[0]}
+        for item, (utility, peu, seu, _, pool) in sums.items():
+            if item in kept:
+                continue
+            miu = min(mu[item], least)
+            assert utility + b < miu
+            assert (peu if node_bound == BOUND_PEU else seu) + b < min(pool, miu)
+            rows["dropped"] += 1
+        rows["kept"] += len(kept)
+        return out
+
+    monkeypatch.setattr(miner_module, "_live_rows", live)
+    for db, utable, mtable in mixed_instances(30) + zero_priced_instances(30):
+        for variant in (USPT1, USPT2, USPT):
+            mine(db, utable, mtable, MiningConfig(variant=variant, node_bound=node_bound))
+    assert rows["dropped"] and rows["kept"]
+
+
 def test_engine_built_patterns_equal_validated_ones(example_db, example_utable,
                                                     example_mtable):
     """The search builds its patterns without re-validating them; each result
