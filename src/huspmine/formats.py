@@ -481,27 +481,28 @@ def write_results(husps: list, stats, fmt: str, symbols: SymbolTable) -> str:
                 for pattern, utility, miu in husps]
         return RESULT_HEADER + "\n" + "".join(rows)
     if fmt == "json":
-        payload = {
-            "husps": [
-                {
-                    "pattern": join(map(text_of, pattern.itemsets)),
-                    "utility": utility,
-                    "miu": miu,
-                }
-                for pattern, utility, miu in husps
-            ],
-            "stats": None
-            if stats is None
-            else {
-                "candidates_visited": stats.candidates_visited,
-                "husps_found": stats.husps_found,
-                "wall_time": stats.wall_time,
-                "peak_memory_estimate": stats.peak_memory_estimate,
-                "depth_histogram": {str(k): v for k, v in
-                                    sorted(stats.depth_histogram.items())},
-            },
+        # the text of json.dumps(payload, indent=2) + "\n", where payload is
+        # {"husps": [{"pattern": ..., "utility": ..., "miu": ...}, ...],
+        # "stats": ...}; an indent sends json.dumps to its pure-Python
+        # encoder, so only the small stats block goes through it
+        dumps = json.dumps
+        rows = ",\n".join([
+            f'    {{\n      "pattern": {dumps(join(map(text_of, pattern.itemsets)))},\n'
+            f'      "utility": {utility},\n      "miu": {miu}\n    }}'
+            for pattern, utility, miu in husps
+        ])
+        listed = f"[\n{rows}\n  ]" if rows else "[]"
+        summary = None if stats is None else {
+            "candidates_visited": stats.candidates_visited,
+            "husps_found": stats.husps_found,
+            "wall_time": stats.wall_time,
+            "peak_memory_estimate": stats.peak_memory_estimate,
+            "depth_histogram": {str(k): v for k, v in
+                                sorted(stats.depth_histogram.items())},
         }
-        return json.dumps(payload, indent=2) + "\n"
+        # the block sits one level deep: no JSON string holds a raw newline
+        nested = dumps(summary, indent=2).replace("\n", "\n  ")
+        return f'{{\n  "husps": {listed},\n  "stats": {nested}\n}}\n'
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -535,35 +536,54 @@ class _ItemsetTexts(dict):
 class _ItemsetIds(dict):
     """Itemset text -> its item ids in increasing order, ``c b`` -> ``(1, 2)``
     when ``symbols`` name ``a``, ``b`` and ``c``; a text is read the first
-    time it is looked up, and its ids kept for the later patterns.
+    time it is looked up, and its ids kept for the later patterns.  A text
+    whose ids are no pattern itemset, none or a repeated one, is also kept
+    in ``invalid``.
 
     A name outside ``symbols`` raises :class:`UnknownItem`, as
     :meth:`SymbolTable.id_of` does, and nothing is kept for its text.
     """
 
-    __slots__ = ("id_of",)
+    __slots__ = ("id_of", "invalid")
 
     def __init__(self, symbols: SymbolTable):
         super().__init__()
         self.id_of = symbols.id_of
+        self.invalid: set = set()
 
     def __missing__(self, chunk: str) -> tuple:
-        ids = self[chunk] = tuple(sorted(map(self.id_of, chunk.split())))
+        ids = tuple(sorted(map(self.id_of, chunk.split())))
+        if not ids or not all(map(lt, ids, ids[1:])):
+            self.invalid.add(chunk)
+        self[chunk] = ids
         return ids
 
 
-def _read_pattern(text: str, ids_of) -> Pattern:
-    """The pattern of ``text``, ``[b],[c e]``, with ``ids_of`` giving each
-    itemset's sorted ids from its text; the pattern is validated."""
+# how _read_pattern builds a pattern without Pattern's checks
+_new_pattern, _set_itemsets = object.__new__, Pattern.itemsets.__set__
+
+
+def _read_pattern(text: str, ids: _ItemsetIds) -> Pattern:
+    """The pattern of ``text``, ``[b],[c e]``, with ``ids`` giving each
+    itemset's sorted ids from its text.  Every itemset is read before any
+    is checked, and a pattern with an invalid itemset is built by
+    ``Pattern``, which raises its error; any other is built without the
+    checks, which it passes."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"bad pattern string {text!r}")
-    return Pattern(tuple(map(ids_of, text[1:-1].split("],["))))
+    chunks = text[1:-1].split("],[")
+    itemsets = tuple(map(ids.__getitem__, chunks))
+    if ids.invalid and not ids.invalid.isdisjoint(chunks):
+        return Pattern(itemsets)
+    pattern = _new_pattern(Pattern)
+    _set_itemsets(pattern, itemsets)
+    return pattern
 
 
 def parse_pattern_string(text: str, symbols: SymbolTable) -> Pattern:
     """Inverse of Pattern.render, e.g. ``[b],[c e]``."""
-    return _read_pattern(text, _ItemsetIds(symbols).__getitem__)
+    return _read_pattern(text, _ItemsetIds(symbols))
 
 
 def parse_results(source: Source, symbols: SymbolTable) -> list:
@@ -605,6 +625,7 @@ def parse_results(source: Source, symbols: SymbolTable) -> list:
                         f"utility and miu must be non-negative integers: {line!r}")
                 rows.append((pattern_s, int(utility), int(miu_v)))
         # consecutive results share most of their itemsets, so each
-        # itemset's text is read once per call
-        ids_of = _ItemsetIds(symbols).__getitem__
-        return [Husp(_read_pattern(p, ids_of), u, m) for p, u, m in rows]
+        # itemset's text is read and checked once per call
+        ids = _ItemsetIds(symbols)
+        new = tuple.__new__
+        return [new(Husp, (_read_pattern(p, ids), u, m)) for p, u, m in rows]

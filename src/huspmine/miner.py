@@ -54,8 +54,10 @@ projected from the item's positions.  No call, tuple or list is made per
 node beyond that push, and pattern length is not limited by the
 interpreter's recursion depth.
 An expanded child that is one pivot at its sequence's last position has no
-children, so the walk does not enter it; an observer receives its empty
-candidates where it is decided.
+children.  That is decided once, where the child's projection is made: its
+``ext`` is then the one marker ``CHILDLESS``, which the walk tests by
+identity and does not enter; an observer receives its empty candidates
+where it is decided.
 
 A node's children are decided from child rows ``(item, utility, peu, seu,
 swu, pool, ext)``, one list per concatenation kind sorted by item: a
@@ -68,7 +70,8 @@ one candidate scan of ``p`` worth zero the first time the key is met and
 kept for the rest of the run.  A cached row's ``ext`` is its child's
 projection from ``p`` worth zero, read off the arrays without ``project``:
 a child that is itself a lone pivot ``q`` is kept as ``((s, q), best)``,
-any other as its :class:`Projection`, scanned when the child is expanded.
+or as ``CHILDLESS`` when ``q`` is the sequence's last position, and any
+other as its :class:`Projection`, scanned when the child is expanded.
 Descending adds ``best``, or nothing, to the offset.  Every other node is
 scanned with its offset, and its rows' ``ext`` is None: an expanded child's
 projection is built by ``project`` when the walk descends into it.  An
@@ -91,12 +94,13 @@ observer every row is kept, since ``on_node`` sees every candidate, and a
 lone pivot's cached rows are kept whole, since they serve every offset.
 
 A :class:`Pattern` is built only for a result and for an observer call,
-and :class:`Bounds` only for ``on_node``.  The walk builds its patterns
-with ``Pattern._unchecked``, which skips the validation: a child only ever
-appends a larger item to the last itemset or a new singleton, so it is
-valid whenever its parent is.  A result is a :class:`Husp` named tuple,
-built by ``tuple.__new__`` without the class's generated ``__new__``.
-Results are kept in one list per size.
+and :class:`Bounds` only for ``on_node``.  The walk builds each pattern
+with two C calls, ``object.__new__(Pattern)`` and the ``itemsets`` slot's
+``__set__``, without the class's validation: a child only ever appends a
+larger item to the last itemset or a new singleton, so it is valid
+whenever its parent is.  A result is a :class:`Husp` named tuple, built
+by ``tuple.__new__`` without the class's generated ``__new__``.  Results
+are kept in one list per size.
 Children are decided in sorted order, I-children first, and in pre-order,
 which meets the nodes of one size in :func:`pattern_sort_key` order; so
 every list receives its patterns sorted, and the lists joined shortest
@@ -313,10 +317,11 @@ class _Engine:
             # SWU strategy: an item's SWU upper-bounds the utility of every
             # pattern containing it, while the least threshold of any item
             # co-occurring with it lower-bounds those patterns' MIU values
+            least = [seq.suffix_min_mu[0] for seq in arrays].__getitem__
             roots = self._remove_items(roots, {
                 item
                 for item, row in roots.items()
-                if row[3] < min(arrays[si].suffix_min_mu[0] for si in item_seqs[item])
+                if row[3] < min(map(least, item_seqs[item]))
             })
         global_peu = {i: row[1] for i, row in sorted(roots.items())}
         if observer:
@@ -344,8 +349,9 @@ class _Engine:
         expanded.  A child is decided where the loop meets it; descending
         into an expanded child pushes the context, and an exhausted context
         pops its parent's.  A childless child, one pivot at its sequence's
-        last position, is not entered: an observer is handed its empty
-        candidates directly.
+        last position, has ``ext`` ``CHILDLESS``, set by
+        :func:`_lone_pivot` for a cached and a scanned row alike; it is not
+        entered, and an observer is handed its empty candidates directly.
 
         The bottom context is the empty pattern.  Its S-rows are the roots,
         from their sums ``roots``; its MIU, PMIU and SEU are unbounded and
@@ -376,7 +382,10 @@ class _Engine:
         observer, arrays, mu = self.observer, self.arrays, self.mtable.mu
         scan, rows_by_key, item_seqs = self._scan_candidates, self.rows_by_key, self.item_seqs
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
-        pattern_of, new, live = Pattern._unchecked, tuple.__new__, _live_rows
+        new, live = tuple.__new__, _live_rows
+        # a child pattern is built without Pattern's checks, which it passes:
+        # it extends a valid pattern by a larger item or a new singleton
+        new_pattern, set_itemsets = object.__new__, Pattern.itemsets.__set__
         # the index of the expansion gate's bound in a scan's sums
         gate = 1 if peu_gate else 2
         least_peu = min(global_peu.values(), default=0)
@@ -408,20 +417,24 @@ class _Engine:
                 if not (expand or result or observer):
                     continue
                 child = head + (stem + (item,),)
-                if result:
-                    results.append(new(Husp, (pattern_of(child), utility, miu)))
-                if observer:
-                    bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
-                    observer.on_node(pattern_of(child), bounds, expand)
+                if result or observer:
+                    pattern = new_pattern(Pattern)
+                    set_itemsets(pattern, child)
+                    if result:
+                        results.append(new(Husp, (pattern, utility, miu)))
+                    if observer:
+                        bounds = Bounds(swu, seu, peu, child_pmiu, miu, utility)
+                        observer.on_node(pattern, bounds, expand)
                 if expand:
                     if ext is None:
                         ext = _lone_key(
                             initial_projection(arrays, item, item_seqs[item]) if size == 1
-                            else project(proj, arrays, item, kind)
+                            else project(proj, arrays, item, kind),
+                            arrays,
                         )
-                    if type(ext) is tuple and ext[0][1] == arrays[ext[0][0]].n - 1:
+                    if ext is CHILDLESS:
                         if observer:
-                            observer.on_candidates(Pattern(child), {}, {}, {}, {})
+                            observer.on_candidates(pattern, {}, {}, {}, {})
                         continue
                     stack.append((it, kind, s_rows, proj, b, min_mu, pmiu, node_seu,
                                   floor, itemsets, head, stem, size, results, deeper))
@@ -451,7 +464,6 @@ class _Engine:
                 proj = ext
                 i_sums, s_sums = scan(proj)
             itemsets, min_mu, pmiu, node_seu = child, miu, child_pmiu, seu
-            head, stem, kind = child[:-1], child[-1], I_STEP
             size += 1
             if len(by_size) < size:
                 by_size.append([])
@@ -475,8 +487,10 @@ class _Engine:
                 kept = [{r[0]: b + r[2] for r in rows
                          if not (r[2] < floor and global_peu[r[0]] < pmiu)}
                         for rows in both]
-                observer.on_candidates(Pattern(itemsets), *peus, *kept)
-            it = iter(i_rows)
+                observer.on_candidates(pattern, *peus, *kept)
+            # ``head`` is the child's itemsets but its last, which its
+            # I-children extend
+            it, kind, stem = iter(i_rows), I_STEP, child[-1]
 
     def _fill(self, key: tuple[int, int]) -> tuple[list, list]:
         """The I- and S-child rows of the lone pivot ``p`` of sequence ``s``
@@ -485,18 +499,21 @@ class _Engine:
 
         An I-child's item occurs once after ``p`` in ``p``'s element, and
         that is its one pivot.  An S-child's pivots are its item's positions
-        from the next element on.  Every pivot is worth its own utility.
+        from the next element on.  Every pivot is worth its own utility.  A
+        child that is one pivot at the sequence's last position has no
+        children, and its ``ext`` is ``CHILDLESS``.
         """
         si, p = key
         new = tuple.__new__
         i_node, s_node = self._scan_candidates(Projection([new(ProjEntry, (si, [p], [0]))]))
         seq = self.arrays[si]
-        u, item_ = seq.u, seq.item
+        u, item_, n = seq.u, seq.item, seq.n
         e = seq.eid[p]
-        nxt = seq.elem_first[e] if e < len(seq.elem_first) else seq.n
+        nxt = seq.elem_first[e] if e < len(seq.elem_first) else n
         # an element's items increase, so its positions after ``p`` list
         # the I-children in item order
-        i_rows = [(item_[q], *i_node[item_[q]], ((si, q), u[q])) for q in range(p + 1, nxt)]
+        i_rows = [(item_[q], *i_node[item_[q]], _lone_pivot(si, q, u[q], n))
+                  for q in range(p + 1, nxt)]
         s_rows = []
         positions_of = seq.positions_of
         for i in sorted(s_node):
@@ -504,7 +521,7 @@ class _Engine:
             pivots = at[bisect_left(at, nxt):]
             if len(pivots) == 1:
                 q = pivots[0]
-                ext = (si, q), u[q]
+                ext = _lone_pivot(si, q, u[q], n)
             else:
                 ext = Projection([new(ProjEntry, (si, pivots, [u[q] for q in pivots]))])
             s_rows.append((i, *s_node[i], ext))
@@ -601,14 +618,26 @@ def _live_rows(sums, g, b, least, mu, floor, pmiu, global_peu) -> tuple[list, in
     return [(i, *sums[i], None) for i in live], cut
 
 
-def _lone_key(proj: Projection):
-    """``((sequence, pivot), best)`` when ``proj`` is one pivot of one
-    sequence, else ``proj`` itself."""
+# the ``ext`` of a child that is one pivot at its sequence's last position,
+# which has no children
+CHILDLESS = object()
+
+
+def _lone_pivot(si: int, q: int, best: int, n: int):
+    """The ``ext`` of a child that is the one pivot ``q``, worth ``best``, of
+    sequence ``si`` of length ``n``: ``((si, q), best)``, or ``CHILDLESS``
+    when ``q`` is the sequence's last position."""
+    return CHILDLESS if q == n - 1 else ((si, q), best)
+
+
+def _lone_key(proj: Projection, arrays: list):
+    """:func:`_lone_pivot` of ``proj``'s pivot when ``proj`` is one pivot of
+    one sequence, else ``proj`` itself."""
     entries = proj.entries
     if len(entries) == 1:
         si, pivots, best = entries[0]
         if len(pivots) == 1:
-            return (si, pivots[0]), best[0]
+            return _lone_pivot(si, pivots[0], best[0], arrays[si].n)
     return proj
 
 

@@ -216,16 +216,6 @@ class Pattern:
     def single(cls, item: Item) -> "Pattern":
         return cls(((item,),))
 
-    @classmethod
-    def _unchecked(cls, itemsets: tuple) -> "Pattern":
-        """A pattern over ``itemsets`` built without the checks above, for
-        the search engine, which only ever extends a valid pattern by a
-        larger item or a new singleton.  Equal to, and hashed like,
-        ``Pattern(itemsets)``."""
-        pattern = object.__new__(cls)
-        object.__setattr__(pattern, "itemsets", itemsets)
-        return pattern
-
     @property
     def size(self) -> int:
         """Total number of item occurrences (the pattern's length)."""

@@ -492,7 +492,7 @@ def test_single_pivot_children_match_the_oracle(monkeypatch, text, units, childr
         for rows in engine.rows_by_key.values():
             for row in rows[0] + rows[1]:
                 ext = row[6]
-                if type(ext) is tuple:
+                if ext is miner_module.CHILDLESS or type(ext) is tuple:
                     built.append(1)
                 else:
                     assert len(ext.entries) == 1 and len(ext.entries[0].pivots) > 1
@@ -726,7 +726,7 @@ def test_scanned_and_cached_rows_agree(monkeypatch):
 
     # no projection reads as a lone pivot, so every node is scanned
     engines.clear()
-    monkeypatch.setattr(miner_module, "_lone_key", lambda proj: proj)
+    monkeypatch.setattr(miner_module, "_lone_key", lambda proj, arrays: proj)
     scanned = [run(*inst, config) for inst in instances for config in configs]
     assert engines and not any(engine.rows_by_key for engine in engines)
     assert scanned == cached
@@ -867,7 +867,8 @@ def _generated(params, beta, lmu):
 def test_cached_rows_extend_their_pivot_as_project_does(monkeypatch):
     """Every cached row's ``ext``, read off the arrays, is the child's
     projection that ``project`` builds from the lone pivot worth zero, kept
-    as its key and best utility when it is one pivot."""
+    as its key and best utility when it is one pivot; exactly when that one
+    pivot is its sequence's last position, it is the ``CHILDLESS`` marker."""
     engines = _keep_engines(monkeypatch)
     # a few long sequences over many items, as well as the usual corpus
     long = _generated(GenParams(n_sequences=3, n_items=40, max_elements=40,
@@ -882,10 +883,17 @@ def test_cached_rows_extend_their_pivot_as_project_does(monkeypatch):
             lone = Projection([ProjEntry(si, [p], [0])])
             for step, step_rows in zip((I_STEP, S_STEP), rows):
                 for row in step_rows:
-                    want = miner_module._lone_key(project(lone, engine.arrays, row[0], step))
-                    assert row[6] == want, (si, p, step, row)
-                    kinds.add((step, type(want)))
-    assert kinds == {(I_STEP, tuple), (S_STEP, tuple), (S_STEP, Projection)}
+                    plain = project(lone, engine.arrays, row[0], step)
+                    entries = plain.entries
+                    if len(entries) == 1 and entries[0].pivots == [engine.arrays[si].n - 1]:
+                        assert row[6] is miner_module.CHILDLESS, (si, p, step, row)
+                        kinds.add((step, "childless"))
+                    else:
+                        want = miner_module._lone_key(plain, engine.arrays)
+                        assert row[6] == want, (si, p, step, row)
+                        kinds.add((step, type(want)))
+    assert kinds == {(I_STEP, tuple), (S_STEP, tuple), (S_STEP, Projection),
+                     (I_STEP, "childless"), (S_STEP, "childless")}
 
 
 def _guarded_calls(params, beta, lmu):

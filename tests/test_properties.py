@@ -1,6 +1,7 @@
 """Property suites: randomized cross-validation of the two computation paths."""
 
 import io
+import json
 import random
 import re
 from decimal import Decimal
@@ -33,8 +34,10 @@ from huspmine import (
     project,
     qsequence_utility,
     serialize_dataset,
+    write_results,
 )
 from huspmine import formats
+from huspmine.miner import Husp, MiningStats
 from huspmine.model import match_utility
 from huspmine.uarray import I_STEP, S_STEP, SequenceArrays
 from huspmine.miner import (
@@ -314,6 +317,52 @@ def test_mtable_generation_reads_floats_as_their_decimal_form(beta, f):
     assert generate_mtable(_MONO_DB, _MONO_UT, beta, f) == generate_mtable(
         _MONO_DB, _MONO_UT, repr(beta), repr(f)
     )
+
+
+# names that JSON must escape, names beyond ASCII, and any other text
+_NAME_CHARACTERS = st.one_of(st.sampled_from('"\\/\n\t\x00\x7f\u2028é€😀'),
+                             st.characters())
+
+
+@st.composite
+def _result_sets(draw):
+    """A symbol table built directly, results over its items and a stats
+    block or None."""
+    names = draw(st.lists(st.text(_NAME_CHARACTERS, min_size=1, max_size=4),
+                          min_size=1, max_size=6, unique=True))
+    itemset = st.lists(st.integers(0, len(names) - 1), min_size=1,
+                       unique=True).map(lambda ids: tuple(sorted(ids)))
+    amount = st.integers(0, 10 ** 30)
+    husps = draw(st.lists(st.builds(
+        lambda itemsets, u, m: Husp(Pattern(tuple(itemsets)), u, m),
+        st.lists(itemset, min_size=1, max_size=3), amount, amount), max_size=5))
+    stats = draw(st.none() | st.builds(
+        MiningStats, st.integers(0, 10 ** 9), st.integers(0, 10 ** 9),
+        st.floats(allow_nan=False), st.none() | st.integers(0, 10 ** 12),
+        st.dictionaries(st.integers(1, 50), st.integers(1, 10 ** 6), max_size=4)))
+    return SymbolTable(tuple(names)), husps, stats
+
+
+@given(_result_sets())
+@settings(max_examples=300, deadline=None)
+def test_json_results_are_the_library_encoders_bytes(case):
+    """``write_results(..., "json")`` renders the result rows itself, and
+    its bytes equal ``json.dumps(payload, indent=2)`` plus a newline."""
+    symbols, husps, stats = case
+    payload = {
+        "husps": [{"pattern": h.pattern.render(symbols), "utility": h.utility,
+                   "miu": h.miu} for h in husps],
+        "stats": None if stats is None else {
+            "candidates_visited": stats.candidates_visited,
+            "husps_found": stats.husps_found,
+            "wall_time": stats.wall_time,
+            "peak_memory_estimate": stats.peak_memory_estimate,
+            "depth_histogram": {str(k): v for k, v in
+                                sorted(stats.depth_histogram.items())},
+        },
+    }
+    want = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    assert write_results(husps, stats, "json", symbols).encode("utf-8") == want
 
 
 def test_projection_utilities_match_model_on_random_instances():
