@@ -22,12 +22,6 @@ from .model import (
     qitemset_utility,
     qsequence_utility,
 )
-from .uarray import (
-    Projection,
-    build_database_arrays,
-    initial_projection,
-    project,
-)
 from .miner import (
     Bounds,
     ConfigError,

@@ -27,19 +27,22 @@ node's projection returns every child's utility, PEU, SEU, SWU and
 threshold pool, in one dict per concatenation kind, which decide whether
 the child is a result and whether it is expanded.  Only an expanded child
 gets its own projection, from which its own children are decided in turn.
-The 1-patterns are the S-children of the empty pattern, whose projection
-has one entry without pivots per sequence: the empty prefix, worth 0 before
-every position.  The S-sums its scan returns give the set-up statistics,
-the item removals and the roots' bounds, and are rescanned after a removal.
-The scan keeps, per sequence, each child item's best match and its anchor,
-since an item may be met at several positions.  Where it can be met only
-once the per-sequence state is skipped and each position is folded into the
-node sums directly, which gives the same sums: after a projection entry of
-one pivot, at the positions later in the pivot's element, since an element
-holds an item at most once, and from the next element on when the sequence
-holds no item twice; and after an entry without pivots, over a sequence
-that holds no item twice.  The choice reads only the entry's pivot count
-and the sequence's distinct-item count.
+The scan works on the database-wide utility arrays of
+:mod:`huspmine.uarray`, where a pivot is a global position: the pivot's
+element ends at ``nxt[pivot]``, and the projection names the pivot's
+sequence, whose ``stop`` ends it.  The 1-patterns are the S-children of the
+empty pattern, worth 0 before every position; their sums come from one
+pass over the arrays, which gives the set-up statistics, the item removals
+and the roots' bounds, and is redone after a removal.  The scan keeps, per
+sequence, each child item's best match and its anchor, since an item may be
+met at several positions.  Where it can be met only once the per-sequence
+state is skipped and each position is folded into the node sums directly,
+which gives the same sums: after a sequence's one pivot, at the positions
+later in the pivot's element, since an element holds an item at most once,
+and from the next element on when the sequence holds no item twice; and in
+the pass of the empty pattern, over a sequence that holds no item twice.
+The choice reads only whether the projection holds the sequence with one
+pivot and the sequence's ``distinct`` flag.
 
 One loop, ``_Engine._walk``, visits the tree in pre-order.  It decides
 each child where it meets it: emits it if it is a result, reports it to
@@ -64,14 +67,16 @@ swu, pool, ext)``, one list per concatenation kind sorted by item: a
 child's utility, PEU and SEU are its row's plus ``b``, and its node SEU is
 the smaller of that and its prefix's.  The rows have one source per shape
 of the node's projection.  Most expanded nodes of a dense run are one pivot
-``p`` of one sequence ``s``; their children are fixed by the key ``(s, p)``
-up to the pivot's best utility, so their rows are cached per key, filled by
-one candidate scan of ``p`` worth zero the first time the key is met and
-kept for the rest of the run.  A cached row's ``ext`` is its child's
-projection from ``p`` worth zero, read off the arrays without ``project``:
-a child that is itself a lone pivot ``q`` is kept as ``((s, q), best)``,
-or as ``CHILDLESS`` when ``q`` is the sequence's last position, and any
-other as its :class:`Projection`, scanned when the child is expanded.
+``p`` of one sequence; a global position names its sequence too, so their
+children are fixed by the int key ``p`` up to the pivot's best utility, and
+their rows are cached per key, filled by one candidate scan of ``p`` worth
+zero the first time the key is met and kept for the rest of the run.  The
+fill finds ``p``'s sequence by bisecting the sequences' starts.  A cached
+row's ``ext`` is its child's projection from ``p`` worth zero, read off the
+arrays without ``project``: a child that is itself a lone pivot ``q`` is
+kept as ``(q, best)``, or as ``CHILDLESS`` when ``q`` is the sequence's
+last position, and any other as its :class:`Projection`, scanned when the
+child is expanded.
 Descending adds ``best``, or nothing, to the offset.  Every other node is
 scanned with its offset, and its rows' ``ext`` is None: an expanded child's
 projection is built by ``project`` when the walk descends into it.  An
@@ -112,7 +117,7 @@ from __future__ import annotations
 import gc
 import sys
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import inf
@@ -133,9 +138,9 @@ from .model import (
 from .uarray import (
     I_STEP,
     S_STEP,
+    DatabaseArrays,
     ProjEntry,
     Projection,
-    SequenceArrays,
     _ItemAccumulator,
     build_database_arrays,
     initial_projection,
@@ -269,19 +274,16 @@ class _Engine:
         self.peu_gate = config.node_bound == BOUND_PEU
         cap = config.max_pattern_length
         self.max_size = sys.maxsize if cap is None else cap
-        self.arrays: list[SequenceArrays] = build_database_arrays(db, utable, mtable)
-        # the empty pattern: one entry without pivots per sequence
-        new = tuple.__new__
-        self.root_proj = Projection([new(ProjEntry, (si, (), ())) for si in range(len(db))])
-        self.item_seqs: dict[int, list[int]] = {}
-        for si, seq in enumerate(self.arrays):
-            for item in seq.positions_of:
-                self.item_seqs.setdefault(item, []).append(si)
-        # scratch state of the candidate scan, one per concatenation kind
-        self.acc_i = _ItemAccumulator()
-        self.acc_s = _ItemAccumulator()
-        # (sequence, pivot) -> the I- and S-child rows of that lone pivot
-        self.rows_by_key: dict[tuple[int, int], tuple[list, list]] = {}
+        self.arrays: DatabaseArrays = build_database_arrays(db, utable, mtable)
+        self._bind_scratch()
+        # lone pivot -> the I- and S-child rows of that pivot
+        self.rows_by_key: dict[int, tuple[list, list]] = {}
+
+    def _bind_scratch(self) -> None:
+        """Make the scratch state of the candidate scan, one accumulator per
+        concatenation kind, over the current arrays."""
+        self.acc_i = _ItemAccumulator(self.arrays)
+        self.acc_s = _ItemAccumulator(self.arrays)
 
     # -- set-up -------------------------------------------------------
 
@@ -290,18 +292,18 @@ class _Engine:
         sums, or ``roots`` unchanged when there are no ``items``."""
         if not items:
             return roots
-        for seq in self.arrays:
-            seq.drop(items, self.mtable)
-        return self._scan_candidates(self.root_proj)[1]
+        self.arrays.drop(items, self.mtable)
+        self._bind_scratch()
+        return self._root_sums()
 
     # -- search -------------------------------------------------------
 
     def run(self) -> tuple[list[Husp], MiningStats]:
-        """Set-up statistics and root bounds all come from the scan of the
-        empty pattern, redone after every removal phase that removed items."""
-        mu, arrays, item_seqs = self.mtable.mu, self.arrays, self.item_seqs
-        observer = self.observer
-        roots = self._scan_candidates(self.root_proj)[1]
+        """Set-up statistics and root bounds all come from the pass of the
+        empty pattern, ``_root_sums``, redone after every removal phase that
+        removed items."""
+        mu, observer = self.mtable.mu, self.observer
+        roots = self._root_sums()
         # prefilter: an item whose SWU falls below the least threshold of
         # any item belongs to no result
         floor = min((mu[i] for i in roots), default=0)
@@ -317,11 +319,15 @@ class _Engine:
             # SWU strategy: an item's SWU upper-bounds the utility of every
             # pattern containing it, while the least threshold of any item
             # co-occurring with it lower-bounds those patterns' MIU values
-            least = [seq.suffix_min_mu[0] for seq in arrays].__getitem__
+            arrays = self.arrays
+            item_, pool = arrays.item, arrays.pool
+            # a sequence's least threshold: its first item's or any later one's
+            least = [min(mu[item_[a]], pool[a]) if a < z else inf
+                     for a, z in zip(arrays.start, arrays.stop)].__getitem__
             roots = self._remove_items(roots, {
                 item
                 for item, row in roots.items()
-                if row[3] < min(map(least, item_seqs[item]))
+                if row[3] < min(map(least, arrays.where[item]))
             })
         global_peu = {i: row[1] for i, row in sorted(roots.items())}
         if observer:
@@ -380,7 +386,7 @@ class _Engine:
         PEU reaches it.
         """
         observer, arrays, mu = self.observer, self.arrays, self.mtable.mu
-        scan, rows_by_key, item_seqs = self._scan_candidates, self.rows_by_key, self.item_seqs
+        scan, rows_by_key = self._scan_candidates, self.rows_by_key
         puk, peu_gate, max_size = self.puk, self.peu_gate, self.max_size
         new, live = tuple.__new__, _live_rows
         # a child pattern is built without Pattern's checks, which it passes:
@@ -428,7 +434,7 @@ class _Engine:
                 if expand:
                     if ext is None:
                         ext = _lone_key(
-                            initial_projection(arrays, item, item_seqs[item]) if size == 1
+                            initial_projection(arrays, item) if size == 1
                             else project(proj, arrays, item, kind),
                             arrays,
                         )
@@ -492,40 +498,60 @@ class _Engine:
             # I-children extend
             it, kind, stem = iter(i_rows), I_STEP, child[-1]
 
-    def _fill(self, key: tuple[int, int]) -> tuple[list, list]:
-        """The I- and S-child rows of the lone pivot ``p`` of sequence ``s``
-        worth zero, decided by one candidate scan; each row's ``ext``, its
-        child's projection from ``p``, is read off the arrays.
+    def _fill(self, key: int) -> tuple[list, list]:
+        """The I- and S-child rows of the lone pivot ``key`` worth zero,
+        decided by one candidate scan; each row's ``ext``, its child's
+        projection from the pivot, is read off the arrays.
 
-        An I-child's item occurs once after ``p`` in ``p``'s element, and
-        that is its one pivot.  An S-child's pivots are its item's positions
-        from the next element on.  Every pivot is worth its own utility.  A
-        child that is one pivot at the sequence's last position has no
-        children, and its ``ext`` is ``CHILDLESS``.
+        An I-child's item occurs once after the pivot in the pivot's
+        element, and that is its one pivot.  An S-child's pivots are its
+        item's positions from the next element on.  Every pivot is worth its
+        own utility.  A child that is one pivot at its sequence's last
+        position has no children, and its ``ext`` is ``CHILDLESS``.  The
+        pivot's sequence is the last one starting at or before it.
         """
-        si, p = key
-        new = tuple.__new__
-        i_node, s_node = self._scan_candidates(Projection([new(ProjEntry, (si, [p], [0]))]))
-        seq = self.arrays[si]
-        u, item_, n = seq.u, seq.item, seq.n
-        e = seq.eid[p]
-        nxt = seq.elem_first[e] if e < len(seq.elem_first) else n
-        # an element's items increase, so its positions after ``p`` list
+        arrays = self.arrays
+        si = bisect_right(arrays.start, key) - 1
+        i_node, s_node = self._scan_candidates(Projection([si], [key], [0]))
+        item_, u, stop = arrays.item, arrays.u, arrays.stop[si]
+        nxt = arrays.nxt[key]
+        # an element's items increase, so its positions after the pivot list
         # the I-children in item order
-        i_rows = [(item_[q], *i_node[item_[q]], _lone_pivot(si, q, u[q], n))
-                  for q in range(p + 1, nxt)]
+        i_rows = [(item_[q], *i_node[item_[q]], _lone_pivot(q, u[q], stop))
+                  for q in range(key + 1, nxt)]
         s_rows = []
-        positions_of = seq.positions_of
+        where = arrays.where
+        new = tuple.__new__
         for i in sorted(s_node):
-            at = positions_of[i]
-            pivots = at[bisect_left(at, nxt):]
+            at = where[i][si]
+            pivots = [at] if type(at) is int else at[bisect_left(at, nxt):]
             if len(pivots) == 1:
                 q = pivots[0]
-                ext = _lone_pivot(si, q, u[q], n)
+                ext = _lone_pivot(q, u[q], stop)
             else:
-                ext = Projection([new(ProjEntry, (si, pivots, [u[q] for q in pivots]))])
+                entry = new(ProjEntry, (si, pivots, [u[q] for q in pivots]))
+                ext = Projection(several=[entry])
             s_rows.append((i, *s_node[i], ext))
         return i_rows, s_rows
+
+    def _root_sums(self) -> dict:
+        """The S-children's sums of the empty pattern, the 1-patterns', from
+        one pass over the arrays: every position is a match worth its own
+        utility, and in a sequence holding no item twice its item's only
+        one, so it is folded into the sums directly."""
+        arrays, acc = self.arrays, self.acc_s
+        acc.node = sums = {}
+        feed, fold = acc.feed, acc.fold_matches
+        item_, u_, ru_, pool_ = arrays.item, arrays.u, arrays.ru, arrays.pool
+        for a, z, useq, distinct in zip(arrays.start, arrays.stop, arrays.useq,
+                                        arrays.distinct):
+            if distinct:
+                fold(a, z, 0, useq)
+                continue
+            for q in range(a, z):
+                feed(item_[q], u_[q], ru_[q], pool_[q])
+            acc.end_sequence(useq)
+        return sums
 
     def _scan_candidates(self, proj: Projection) -> tuple[dict, dict]:
         """One pass over the projected arrays that evaluates every would-be
@@ -536,67 +562,58 @@ class _Engine:
         ``acc_i`` and ``acc_s`` gather them into fresh dicts, which no later
         scan changes.
 
-        An entry of one pivot ``p`` worth ``b`` makes every position it
-        visits a match worth ``b`` plus the position's utility.  Its
-        I-children, the positions after ``p`` in ``p``'s element, are each
+        A sequence of one pivot ``p`` worth ``b`` makes every position it
+        visits a match worth ``b`` plus the position's utility.  ``p``'s
+        element ends at ``nxt[p]``, and its sequence at the sequence's
+        ``stop``.  Its I-children, the positions after ``p`` in ``p``'s
+        element, are each
         met once, since an element holds an item at most once; so are its
         S-children, the positions from the next element on, when the
-        sequence holds no item twice.  So are the S-children of an entry
-        without pivots, every position worth its own utility, over such a
-        sequence.  Those positions are folded into the node sums directly.
-        Every other S-child match goes through ``feed``, worth the best
-        pivot in an earlier element: ``b`` after one pivot, 0 after none.
+        sequence holds no item twice.  Those positions are folded into the
+        node sums directly.  Every other match goes through ``feed``, an
+        S-child's worth the best pivot in an earlier element.
         """
         acc_i, acc_s = self.acc_i, self.acc_s
         acc_i.node = i_sums = {}
         acc_s.node = s_sums = {}
         feed_i, feed_s = acc_i.feed, acc_s.feed
         fold_i, fold_s = acc_i.fold_matches, acc_s.fold_matches
+        end_s = acc_s.end_sequence
         arrays = self.arrays
-        for si, pivots, best in proj.entries:
-            seq = arrays[si]
-            item_, eid_, u_, ru_ = seq.item, seq.eid, seq.u, seq.ru
-            pool_ = seq.suffix_min_mu
-            n = seq.n
-            if len(pivots) == 1:
-                p, b = pivots[0], best[0]
-                useq, elem_first = seq.useq, seq.elem_first
-                e = eid_[p]
-                nxt = elem_first[e] if e < len(elem_first) else n
-                if p + 1 < nxt:
-                    fold_i(item_, u_, ru_, pool_, p + 1, nxt, b, useq)
-                if nxt == n:
-                    continue
-                if len(seq.positions_of) == n:
-                    fold_s(item_, u_, ru_, pool_, nxt, n, b, useq)
-                    continue
-            elif pivots:
-                for p, b in zip(pivots, best):
-                    e = eid_[p]
-                    q = p + 1
-                    while q < n and eid_[q] == e:
-                        feed_i(item_[q], b + u_[q], ru_[q], pool_[q + 1])
-                        q += 1
-                acc_i.end_sequence(seq.useq)
-                e = eid_[pivots[0]]
-                nxt = seq.elem_first[e] if e < len(seq.elem_first) else n
-            elif len(seq.positions_of) == n:
-                fold_s(item_, u_, ru_, pool_, 0, n, 0, seq.useq)
+        item_, u_, ru_, pool_, nxt = arrays.item, arrays.u, arrays.ru, arrays.pool, arrays.nxt
+        stops, useqs, distinct = arrays.stop, arrays.useq, arrays.distinct
+        for si, p, b in zip(proj.seqs, proj.pivots, proj.best):
+            useq = useqs[si]
+            e = nxt[p]
+            if p + 1 < e:
+                fold_i(p + 1, e, b, useq)
+            stop = stops[si]
+            if e == stop:
                 continue
-            else:
-                nxt = 0
-            # a position from ``nxt`` on is worth its utility plus the best
-            # pivot in an earlier element, or 0 before the first pivot
+            if distinct[si]:
+                fold_s(e, stop, b, useq)
+                continue
+            for q in range(e, stop):
+                feed_s(item_[q], b + u_[q], ru_[q], pool_[q])
+            end_s(useq)
+        for si, pivots, best in proj.several:
+            useq = useqs[si]
+            for p, b in zip(pivots, best):
+                for q in range(p + 1, nxt[p]):
+                    feed_i(item_[q], b + u_[q], ru_[q], pool_[q])
+            acc_i.end_sequence(useq)
+            # a position from the first pivot's next element on is worth its
+            # utility plus the best pivot in an earlier element
             run_max = 0
             ptr = 0
             n_piv = len(pivots)
-            for q in range(nxt, n):
-                while ptr < n_piv and eid_[pivots[ptr]] < eid_[q]:
+            for q in range(nxt[pivots[0]], stops[si]):
+                while ptr < n_piv and nxt[pivots[ptr]] <= q:
                     if best[ptr] > run_max:
                         run_max = best[ptr]
                     ptr += 1
-                feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
-            acc_s.end_sequence(seq.useq)
+                feed_s(item_[q], run_max + u_[q], ru_[q], pool_[q])
+            end_s(useq)
         return i_sums, s_sums
 
 
@@ -623,21 +640,18 @@ def _live_rows(sums, g, b, least, mu, floor, pmiu, global_peu) -> tuple[list, in
 CHILDLESS = object()
 
 
-def _lone_pivot(si: int, q: int, best: int, n: int):
+def _lone_pivot(q: int, best: int, stop: int):
     """The ``ext`` of a child that is the one pivot ``q``, worth ``best``, of
-    sequence ``si`` of length ``n``: ``((si, q), best)``, or ``CHILDLESS``
-    when ``q`` is the sequence's last position."""
-    return CHILDLESS if q == n - 1 else ((si, q), best)
+    the sequence ending at ``stop``: ``(q, best)``, or ``CHILDLESS`` when
+    ``q`` is the sequence's last position."""
+    return CHILDLESS if q + 1 == stop else (q, best)
 
 
-def _lone_key(proj: Projection, arrays: list):
+def _lone_key(proj: Projection, arrays: DatabaseArrays):
     """:func:`_lone_pivot` of ``proj``'s pivot when ``proj`` is one pivot of
     one sequence, else ``proj`` itself."""
-    entries = proj.entries
-    if len(entries) == 1:
-        si, pivots, best = entries[0]
-        if len(pivots) == 1:
-            return _lone_pivot(si, pivots[0], best[0], arrays[si].n)
+    if len(proj.seqs) == 1 and not proj.several:
+        return _lone_pivot(proj.pivots[0], proj.best[0], arrays.stop[proj.seqs[0]])
     return proj
 
 

@@ -1,156 +1,195 @@
-"""Utility-array representation and pattern projections.
+"""Database-wide utility arrays and pattern projections.
 
-Each sequence is flattened into parallel arrays, indexed by 0-based flat
-position, holding for every item occurrence: the 1-based element id, the
-item, its exact utility, and the remaining utility of everything strictly
-after the position.  Two navigation fields complete them: ``positions_of``
-lists every item's positions in order, and ``elem_first`` holds the first
-position of every element.  The arrays let the search compute pattern
-utilities and extension bounds without rescanning the database.
+The sequences of a database are laid end to end, so that every item
+occurrence has one global position: a sequence's positions are consecutive
+and run element by element, and an element's positions run in item order.
+Five lists indexed by global position hold, for every occurrence:
+
+* ``item``: its item;
+* ``u``: its exact utility;
+* ``ru``: the remaining utility, of everything strictly after it within its
+  sequence;
+* ``pool``: the least threshold among the items strictly after it within
+  its sequence, infinite at a sequence's last position;
+* ``nxt``: the start of the next element, which is the end of its own
+  element and, in a sequence's last element, the sequence's end.
+
+Beside them, every sequence, by its 0-based index, keeps its bounds
+``start`` and ``stop`` (its positions are ``range(start, stop)``), its
+utility ``useq`` and whether it holds no item twice (``distinct``).  The
+positions index ``where[item]`` maps every sequence holding the item to its
+one position there, an ``int``, or to the ascending list of its positions
+when it holds the item more than once; ``repeated[item]`` lists the latter
+sequences in order.  Two positions of one sequence lie in one element
+exactly when they share ``nxt``, and position ``p`` lies in an element
+strictly before position ``q``'s exactly when ``nxt[p] <= q``, so no
+element ids are kept.  The arrays let the search compute pattern utilities
+and extension bounds without rescanning the database.
 
 A pattern's projection stores, per containing sequence, the pivot positions
-(the flat position of the pattern's last item across matches) together with
-the best achievable match utility ending at each pivot.  Projections share
-the parent arrays read-only; child projections are derived from parent
-projections, never from the raw database.  The candidate scan gathers the
-bounds of a node's children by item, in one dict per sequence and one per node,
-which it returns; a position that is its item's only match in the sequence goes
-to the node's dict directly.
+(the global positions of the pattern's last item across matches) together
+with the best achievable match utility ending at each.  The sequences
+holding one pivot, nearly all of them, are three parallel lists of the
+sequence, the pivot and its best utility, with no object per sequence; a
+sequence holding more pivots is one :class:`ProjEntry`.  A pivot's element
+ends at ``nxt[pivot]`` and its sequence at ``stop[seq]``.  A 1-pattern's
+projection is read off ``where[item]``, with the best utilities taken from
+``u`` by one ``map``.  Projections share the arrays read-only; child
+projections are derived from parent projections, never from the raw
+database.  The candidate scan gathers the bounds of a node's children by
+item, in one dict per sequence and one per node, which it returns; a
+position that is its item's only match in the sequence goes to the node's
+dict directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from itertools import accumulate, compress
+from operator import mul
+from typing import NamedTuple
 
 from .model import (
     Item,
     MTable,
     QSDatabase,
-    QSequence,
     UnknownItem,
     UtilityTable,
 )
 
+_INF = float("inf")
 
-class SequenceArrays:
-    """Engine-internal flattened arrays for one sequence.
 
-    Every position holds an item of the sequence.  Removing items (``drop``)
-    rebuilds the arrays without them, field for field as if the sequence had
-    been built without those items, so no reader needs to know that items
-    were ever removed.  ``suffix_min_mu[p]`` is the least threshold among
-    the items at position ``p`` and after, and infinite at ``p = n``.
+class DatabaseArrays:
+    """Engine-internal utility arrays of a whole database; the module
+    docstring describes the fields.
+
+    Removing items (``drop``) rebuilds every field without them, field for
+    field as if the database had been built without those items, except
+    that a sequence left without items keeps its index, empty; so no reader
+    needs to know that items were ever removed.
     """
 
     __slots__ = (
-        "n",
         "item",
-        "eid",
         "u",
         "ru",
-        "elem_first",
-        "positions_of",
+        "pool",
+        "nxt",
+        "start",
+        "stop",
         "useq",
-        "suffix_min_mu",
+        "distinct",
+        "where",
+        "repeated",
     )
 
-    def __init__(self, qseq: QSequence, utable: UtilityTable, mtable: MTable):
+    def __init__(self, db: QSDatabase, utable: UtilityTable, mtable: MTable):
         unit = utable.unit
         n_units = len(unit)
         item: list[int] = []
-        eid: list[int] = []
-        u: list[int] = []
-        for element_id, element in enumerate(qseq.elements, start=1):
-            items = element.items
-            # an element's items are strictly increasing, so its ends bound
-            # every id; a negative id would otherwise wrap around ``unit``
-            if items[0] < 0 or items[-1] >= n_units:
-                raise UnknownItem(next(i for i in items if not 0 <= i < n_units))
-            for it, qty in zip(items, element.quantities):
-                item.append(it)
-                eid.append(element_id)
-                u.append(qty * unit[it])
-        self._derive(item, eid, u, mtable)
+        quantity: list[int] = []
+        nxt: list[int] = []
+        start: list[int] = []
+        stop: list[int] = []
+        for qseq in db.sequences:
+            start.append(len(item))
+            for element in qseq.elements:
+                items = element.items
+                # an element's items are strictly increasing, so its ends bound
+                # every id; a negative id would otherwise wrap around ``unit``
+                if items[0] < 0 or items[-1] >= n_units:
+                    raise UnknownItem(next(i for i in items if not 0 <= i < n_units))
+                item += items
+                quantity += element.quantities
+                nxt += [len(item)] * len(items)
+            stop.append(len(item))
+        u = list(map(mul, quantity, map(unit.__getitem__, item)))
+        self._derive(item, u, nxt, start, stop, mtable)
 
-    def _derive(self, item: list, eid: list, u: list, mtable: MTable) -> None:
-        """Set every field from the flat item, element-id and utility lists;
-        element ids must run densely from 1."""
-        n = len(item)
-        self.n = n
+    def _derive(self, item: list, u: list, nxt: list, start: list, stop: list,
+                mtable: MTable) -> None:
+        """Set every field from the item, utility and next-element lists and
+        the sequences' bounds."""
         self.item = item
-        self.eid = eid
         self.u = u
-        elem_first: list[int] = []
-        positions_of: dict[int, list[int]] = {}
-        for p in range(n):
-            if eid[p] > len(elem_first):
-                elem_first.append(p)
-            positions_of.setdefault(item[p], []).append(p)
-        self.elem_first = elem_first
-        self.positions_of = positions_of
+        self.nxt = nxt
+        self.start = start
+        self.stop = stop
         mu = mtable.mu
+        n = len(item)
         ru = [0] * n
-        suffix_min_mu = [_INF] * (n + 1)
-        rest = 0
-        least = _INF
-        for p in range(n - 1, -1, -1):
-            ru[p] = rest
-            rest += u[p]
-            if mu[item[p]] < least:
-                least = mu[item[p]]
-            suffix_min_mu[p] = least
+        pool = [_INF] * n
+        useq: list[int] = []
+        distinct = [True] * len(start)
+        where: list[dict] = [{} for _ in mu]
+        repeated: list[list[int]] = [[] for _ in mu]
+        for si, (a, z) in enumerate(zip(start, stop)):
+            rest = 0
+            least = _INF
+            for g in range(z - 1, a - 1, -1):
+                ru[g] = rest
+                pool[g] = least
+                rest += u[g]
+                i = item[g]
+                if mu[i] < least:
+                    least = mu[i]
+                w = where[i]
+                # positions are met backwards, so ``later`` is ``g`` itself
+                # unless a later position of the item is already in ``w``
+                later = w.setdefault(si, g)
+                if later is not g:
+                    if type(later) is int:
+                        w[si] = [g, later]
+                        repeated[i].append(si)
+                        distinct[si] = False
+                    else:
+                        later.insert(0, g)
+            useq.append(rest)
         self.ru = ru
-        self.useq = rest
-        self.suffix_min_mu = suffix_min_mu
+        self.pool = pool
+        self.useq = useq
+        self.distinct = distinct
+        self.where = where
+        self.repeated = repeated
 
-    def drop(self, items: set, mtable: MTable) -> bool:
+    def drop(self, items: set, mtable: MTable) -> None:
         """Remove every occurrence of ``items`` and re-derive all fields.
 
-        Element ids are renumbered densely and elements left empty vanish.
-        Returns False, changing nothing, when none of ``items`` occurs.
+        Elements left empty vanish; a sequence left empty keeps its index.
+        A kept position's new index is the number of kept positions before
+        it, so each old boundary, a next-element start or a sequence's
+        bound, maps to the number of kept positions before it.
         """
-        if self.positions_of.keys().isdisjoint(items):
-            return False
-        item: list[int] = []
-        eid: list[int] = []
-        u: list[int] = []
-        old_e = new_e = 0
-        for it, e, v in zip(self.item, self.eid, self.u):
-            if it in items:
-                continue
-            if e != old_e:
-                old_e = e
-                new_e += 1
-            item.append(it)
-            eid.append(new_e)
-            u.append(v)
-        self._derive(item, eid, u, mtable)
-        return True
-
-
-_INF = float("inf")
+        keep = list(map([i not in items for i in range(len(mtable.mu))].__getitem__,
+                        self.item))
+        kept_before = list(accumulate(keep, initial=0)).__getitem__
+        self._derive(
+            list(compress(self.item, keep)),
+            list(compress(self.u, keep)),
+            list(map(kept_before, compress(self.nxt, keep))),
+            list(map(kept_before, self.start)),
+            list(map(kept_before, self.stop)),
+            mtable,
+        )
 
 
 def build_database_arrays(
     db: QSDatabase, utable: UtilityTable, mtable: MTable
-) -> list[SequenceArrays]:
-    return [SequenceArrays(s, utable, mtable) for s in db.sequences]
+) -> DatabaseArrays:
+    return DatabaseArrays(db, utable, mtable)
 
 
 class ProjEntry(NamedTuple):
-    """Pivots of one sequence: positions of the pattern's last item across
-    matches (ascending, 0-based) and the best match utility ending at each.
-
-    An entry without pivots is the empty prefix, worth 0 before every
-    position; only the candidate scan of the empty pattern reads one, and
-    ``project`` is never given one, since a 1-pattern's projection is built
-    by :func:`initial_projection`.
+    """Pivots of one sequence holding two or more: positions of the
+    pattern's last item across matches (ascending, global) and the best
+    match utility ending at each.
 
     The engine builds entries with ``tuple.__new__(ProjEntry, (seq_index,
     pivots, best))``, which runs in C, rather than through the class's
     generated ``__new__``, and reads them by unpacking:
-    ``for si, pivots, best in proj.entries``."""
+    ``for si, pivots, best in proj.several``."""
 
     seq_index: int
     pivots: list[int]
@@ -159,33 +198,45 @@ class ProjEntry(NamedTuple):
 
 @dataclass(slots=True)
 class Projection:
-    """Projected database of one pattern: per-sequence pivot sets."""
+    """Projected database of one pattern: per-sequence pivot sets.
 
-    entries: list[ProjEntry] = field(default_factory=list)
+    ``seqs``, ``pivots`` and ``best`` list, in parallel, every sequence
+    holding one pivot, that pivot and its best match utility; ``several``
+    holds an entry for every sequence holding more."""
+
+    seqs: list[int] = field(default_factory=list)
+    pivots: list[int] = field(default_factory=list)
+    best: list[int] = field(default_factory=list)
+    several: list[ProjEntry] = field(default_factory=list)
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.seqs) or bool(self.several)
+
+    @property
+    def entries(self) -> list[ProjEntry]:
+        """Every sequence's pivots as an entry: the one-pivot sequences
+        first, then the others."""
+        new = tuple.__new__
+        lone = [new(ProjEntry, (si, [p], [b]))
+                for si, p, b in zip(self.seqs, self.pivots, self.best)]
+        return lone + self.several
 
 
-def initial_projection(
-    arrays: list[SequenceArrays],
-    item: Item,
-    seq_indices: Optional[list] = None,
-) -> Projection:
+def initial_projection(arrays: DatabaseArrays, item: Item) -> Projection:
     """Projection of the 1-pattern of ``item``: every occurrence is a pivot
-    and its own best prefix.  ``seq_indices`` restricts the scan to the
-    sequences known to contain the item."""
-    entries = []
+    and its own best prefix."""
+    u = arrays.u
+    where = arrays.where[item]
+    repeated = arrays.repeated[item]
+    if repeated:
+        seqs = [si for si, at in where.items() if type(at) is int]
+        pivots = [where[si] for si in seqs]
+    else:
+        seqs = list(where)
+        pivots = list(where.values())
     new = tuple.__new__
-    indices = range(len(arrays)) if seq_indices is None else seq_indices
-    for si in indices:
-        seq = arrays[si]
-        pivots = seq.positions_of.get(item)
-        if pivots:
-            u = seq.u
-            best = [u[pivots[0]]] if len(pivots) == 1 else [u[p] for p in pivots]
-            entries.append(new(ProjEntry, (si, pivots, best)))
-    return Projection(entries)
+    several = [new(ProjEntry, (si, where[si], [u[p] for p in where[si]])) for si in repeated]
+    return Projection(seqs, pivots, list(map(u.__getitem__, pivots)), several)
 
 
 I_STEP = "I"
@@ -194,7 +245,7 @@ S_STEP = "S"
 
 def project(
     parent: Projection,
-    arrays: list[SequenceArrays],
+    arrays: DatabaseArrays,
     item: Item,
     kind: str,
 ) -> Projection:
@@ -204,48 +255,82 @@ def project(
     element as a parent pivot and strictly after it; for an S-step they are
     occurrences in elements strictly after a parent pivot's element.  Each new
     pivot's best utility is the best compatible parent pivot plus the item's
-    utility there; sequences with no surviving pivot drop out.
+    utility there; sequences with no surviving pivot drop out.  A sequence
+    holding the item once is read off ``where`` as that one position.
     """
-    entries = []
+    nxt, u, where = arrays.nxt, arrays.u, arrays.where[item]
+    seqs: list[int] = []
+    pivots: list[int] = []
+    best: list[int] = []
+    several: list[ProjEntry] = []
     new = tuple.__new__
-    for si, pivots, best in parent.entries:
-        seq = arrays[si]
-        positions = seq.positions_of.get(item)
-        if not positions:
+    i_step = kind == I_STEP
+    for si, p, b in zip(parent.seqs, parent.pivots, parent.best):
+        at = where.get(si)
+        if at is None:
             continue
-        eid = seq.eid
-        u = seq.u
-        new_pivots: list[int] = []
-        new_best: list[int] = []
-        if kind == I_STEP:
+        e = nxt[p]
+        if type(at) is int:
+            if (p < at < e) if i_step else at >= e:
+                seqs.append(si)
+                pivots.append(at)
+                best.append(b + u[at])
+        elif i_step:
             # a pivot is an occurrence of the pattern's last item, which an
-            # element holds at most once: one pivot per element
-            at_elem = {eid[p]: (p, b) for p, b in zip(pivots, best)}
-            for q in positions:
-                hit = at_elem.get(eid[q])
+            # element holds at most once: at most one new pivot after it
+            for q in at:
+                if q > p:
+                    if q < e:
+                        seqs.append(si)
+                        pivots.append(q)
+                        best.append(b + u[q])
+                    break
+        else:
+            # every position from the pivot's next element on
+            new_pivots = at[bisect_left(at, e):]
+            if len(new_pivots) == 1:
+                seqs.append(si)
+                pivots.append(new_pivots[0])
+                best.append(b + u[new_pivots[0]])
+            elif new_pivots:
+                several.append(new(ProjEntry, (si, new_pivots, [b + u[q] for q in new_pivots])))
+    for si, parent_pivots, parent_best in parent.several:
+        at = where.get(si)
+        if at is None:
+            continue
+        if type(at) is int:
+            at = [at]
+        new_pivots = []
+        new_best = []
+        if i_step:
+            # one parent pivot per element
+            at_elem = {nxt[p]: (p, b) for p, b in zip(parent_pivots, parent_best)}
+            for q in at:
+                hit = at_elem.get(nxt[q])
                 if hit is not None and hit[0] < q:
                     new_pivots.append(q)
                     new_best.append(hit[1] + u[q])
-        elif kind == S_STEP:
+        else:
             # running max of parent best over the pivots in elements strictly
-            # before eid[q]; best may be 0, so no pivot yet reads below 0
+            # before q's; best may be 0, so no pivot yet reads below 0
             run_max = -1
             ptr = 0
-            n_piv = len(pivots)
-            for q in positions:
-                eq = eid[q]
-                while ptr < n_piv and eid[pivots[ptr]] < eq:
-                    if best[ptr] > run_max:
-                        run_max = best[ptr]
+            n_piv = len(parent_pivots)
+            for q in at:
+                while ptr < n_piv and nxt[parent_pivots[ptr]] <= q:
+                    if parent_best[ptr] > run_max:
+                        run_max = parent_best[ptr]
                     ptr += 1
                 if run_max >= 0:
                     new_pivots.append(q)
                     new_best.append(run_max + u[q])
-        else:
-            raise ValueError(f"unknown concatenation kind: {kind!r}")
-        if new_pivots:
-            entries.append(new(ProjEntry, (si, new_pivots, new_best)))
-    return Projection(entries)
+        if len(new_pivots) == 1:
+            seqs.append(si)
+            pivots.append(new_pivots[0])
+            best.append(new_best[0])
+        elif new_pivots:
+            several.append(new(ProjEntry, (si, new_pivots, new_best)))
+    return Projection(seqs, pivots, best, several)
 
 
 class _ItemAccumulator:
@@ -253,32 +338,36 @@ class _ItemAccumulator:
     the candidate scan; the engine's only implementation of utility, PEU,
     SEU, SWU and the threshold pool of a pattern.
 
-    Each feed is one (match utility, remaining utility) pair of a child item
-    at flat position ``q`` of the current sequence.  ``seq`` maps every item
-    fed in the current sequence to ``[u, peu, aru, pool]``: the best match
-    utility, the best extension term (match + remaining), the remaining
-    utility at the anchor (the earliest ``q`` reaching the best term) and
-    the threshold pool after the first ``q`` fed.  One item's feeds within
-    a sequence come in increasing position order and the remaining utility
-    never rises along a sequence, so the earliest ``q`` of a tie already
-    has the largest remaining utility, and a later tie never replaces it.
-    ``end_sequence`` folds ``seq`` into ``node``, which maps every item fed
-    since the scan bound it to a fresh dict to ``[utility, peu, seu, swu,
-    pool]``: the sums of utility, PEU, SEU capped per sequence at the
-    sequence utility, and SWU, and the least pool.  The scan returns that
-    dict, so a later scan, binding another, leaves it alone.
+    Each feed is one (match utility, remaining utility, threshold pool)
+    triple of a child item at one position of the current sequence.  ``seq``
+    maps every item fed in the current sequence to ``[u, peu, aru, pool]``:
+    the best match utility, the best extension term (match + remaining), the
+    remaining utility at the anchor (the earliest position reaching the best
+    term) and the threshold pool after the first position fed.  One item's
+    feeds within a sequence come in increasing position order and the
+    remaining utility never rises along a sequence, so the earliest position
+    of a tie already has the largest remaining utility, and a later tie
+    never replaces it.  ``end_sequence`` folds ``seq`` into ``node``, which
+    maps every item fed since the scan bound it to a fresh dict to
+    ``[utility, peu, seu, swu, pool]``: the sums of utility, PEU, SEU capped
+    per sequence at the sequence utility, and SWU, and the least pool.  The
+    scan returns that dict, so a later scan, binding another, leaves it
+    alone.
 
     ``fold_matches`` is the one-match case of ``feed`` and ``end_sequence``:
     when each position it is given is its item's only match in the
     sequence, the per-sequence best and anchor are that match itself, so it
-    adds the position's terms to ``node`` directly, without ``seq``.
+    adds the position's terms to ``node`` directly, without ``seq``.  It
+    reads the item, utility, remaining-utility and threshold-pool lists of
+    the arrays the accumulator was made for.
     """
 
-    __slots__ = ("seq", "node")
+    __slots__ = ("seq", "node", "item", "u", "ru", "pool")
 
-    def __init__(self):
+    def __init__(self, arrays):
         self.seq: dict[int, list] = {}
         self.node: dict[int, list] = {}
+        self.item, self.u, self.ru, self.pool = arrays.item, arrays.u, arrays.ru, arrays.pool
 
     def feed(self, item: int, match: int, rest: int, pool: int) -> None:
         term = match + rest
@@ -310,22 +399,20 @@ class _ItemAccumulator:
                     sums[4] = pool
         self.seq = {}
 
-    def fold_matches(
-        self, item_: list, u_: list, ru_: list, pool_: list,
-        start: int, stop: int, b: int, useq: int,
-    ) -> None:
-        """Fold positions ``start`` to ``stop - 1`` of one sequence, given as
-        its item, utility, remaining-utility and threshold-pool arrays, into
-        ``node``.  Each position must be its item's only match in the
-        sequence, worth ``b`` plus its own utility: the same sums as one
-        ``feed`` per position followed by ``end_sequence(useq)``."""
+    def fold_matches(self, start: int, stop: int, b: int, useq: int) -> None:
+        """Fold positions ``start`` to ``stop - 1`` of one sequence of
+        utility ``useq`` into ``node``.  Each position must be its item's
+        only match in the sequence, worth ``b`` plus its own utility: the
+        same sums as one ``feed`` per position followed by
+        ``end_sequence(useq)``."""
+        item_, u_, ru_, pool_ = self.item, self.u, self.ru, self.pool
         node = self.node
         get = node.get
         for q in range(start, stop):
             match = b + u_[q]
             term = match + ru_[q]
             seu = term if term < useq else useq
-            pool = pool_[q + 1]
+            pool = pool_[q]
             sums = get(item_[q])
             if sums is None:
                 node[item_[q]] = [match, term, seu, useq, pool]

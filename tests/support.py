@@ -121,20 +121,27 @@ def zero_priced_instances(n):
     return out
 
 
-def paper_records(seq):
+def paper_records(arrays, si):
     """The paper's utility-array records ``(eid, item, u, ru, next_pos,
-    next_eid)`` of the ``SequenceArrays`` ``seq``, one per flat position,
-    with positions 1-based: ``next_pos`` is the item's next entry in
-    ``positions_of`` and ``next_eid`` the first position of the next element,
-    from ``elem_first``."""
+    next_eid)`` of sequence ``si``, read off the database-wide ``arrays``,
+    one per position of the sequence, with positions 1-based within it:
+    ``eid`` counts the element starts ``nxt`` marks, ``next_pos`` is the
+    item's next position in ``where`` and ``next_eid`` is ``nxt``, the first
+    position of the next element."""
+    a, z = arrays.start[si], arrays.stop[si]
     records = []
-    for p in range(seq.n):
-        item, e = seq.item[p], seq.eid[p]
-        at = seq.positions_of[item]
-        k = at.index(p) + 1
-        next_pos = at[k] + 1 if k < len(at) else None
-        next_eid = seq.elem_first[e] + 1 if e < len(seq.elem_first) else None
-        records.append((e, item, seq.u[p], seq.ru[p], next_pos, next_eid))
+    eid = 0
+    for g in range(a, z):
+        if g == a or arrays.nxt[g - 1] == g:
+            eid += 1
+        item = arrays.item[g]
+        at = arrays.where[item][si]
+        at = [at] if type(at) is int else at
+        k = at.index(g) + 1
+        next_pos = at[k] - a + 1 if k < len(at) else None
+        nxt = arrays.nxt[g]
+        next_eid = nxt - a + 1 if nxt < z else None
+        records.append((eid, item, arrays.u[g], arrays.ru[g], next_pos, next_eid))
     return records
 
 

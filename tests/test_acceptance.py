@@ -31,7 +31,7 @@ from huspmine import (
 from huspmine.formats import GenParams
 from huspmine.miner import USPT, USPT1, USPT2
 from huspmine.oracle import enumerate_occurring
-from huspmine.uarray import SequenceArrays
+from huspmine.uarray import build_database_arrays
 
 from support import (
     engine_bounds,
@@ -154,7 +154,7 @@ def test_c02_one_sequence_statistics(traced_run, example_db):
 
 
 def test_c03_utility_array_golden(example_db, example_utable, example_mtable, ids):
-    seq = SequenceArrays(example_db.sequences[2], example_utable, example_mtable)
+    arrays = build_database_arrays(example_db, example_utable, example_mtable)
     a, b, c, d, e = (ids[x] for x in "abcde")
     expected = [
         (1, a, 12, 82, 3, 3),  # ru forced to 82 by the suffix-sum identity
@@ -167,7 +167,7 @@ def test_c03_utility_array_golden(example_db, example_utable, example_mtable, id
         (3, e, 8, 3, None, 9),
         (4, d, 3, 0, None, None),
     ]
-    assert paper_records(seq) == expected
+    assert paper_records(arrays, 2) == expected
     ok(3, "nine records field-by-field, ru(1)=82 per the suffix-sum identity")
 
 

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -36,7 +37,6 @@ from huspmine.miner import BOUND_PEU, BOUND_SEU, USPT, USPT1, USPT2
 from huspmine.uarray import (
     I_STEP,
     S_STEP,
-    ProjEntry,
     Projection,
     _ItemAccumulator,
     initial_projection,
@@ -232,16 +232,15 @@ def _is_lone(proj):
 
 
 def _watch_scans(monkeypatch, record):
-    """Patch ``_Engine._scan_candidates`` to pass every projection it scans
-    but the empty pattern's, and the I- and S-sums the scan returns, to
-    ``record``.  The engine scans a lone pivot only to fill the rows cached
-    for it, worth zero."""
+    """Patch ``_Engine._scan_candidates`` to pass every projection it scans,
+    and the I- and S-sums the scan returns, to ``record``.  The engine scans
+    a lone pivot only to fill the rows cached for it, worth zero; the empty
+    pattern's sums come from ``_root_sums``, not from a scan."""
     real_scan = miner_module._Engine._scan_candidates
 
     def watched_scan(self, proj):
         sums = real_scan(self, proj)
-        if proj is not self.root_proj:
-            record(proj, sums)
+        record(proj, sums)
         return sums
 
     monkeypatch.setattr(miner_module._Engine, "_scan_candidates", watched_scan)
@@ -261,13 +260,14 @@ def _keep_engines(monkeypatch):
 
 
 def _capture_arrays(monkeypatch):
-    """Keep the utility arrays of the latest run; returns the list they go in."""
+    """Keep the utility arrays of the latest run as the one item of the list
+    it returns."""
     arrays = []
     real_build = miner_module.build_database_arrays
 
     def build(*args):
-        arrays[:] = real_build(*args)
-        return arrays
+        arrays[:] = [real_build(*args)]
+        return arrays[0]
 
     monkeypatch.setattr(miner_module, "build_database_arrays", build)
     return arrays
@@ -346,7 +346,7 @@ def test_only_expanded_children_are_projected(monkeypatch, example_db, example_u
         obs = Expanded()
         mine(db, utable, mtable, config, observer=obs)
         from_scans = [c for c in obs.children if _prefix_of(c) in obs.scanned]
-        want = [_pivots(_reference_projection(arrays, c)) for c in from_scans]
+        want = [_pivots(_reference_projection(arrays[0], c)) for c in from_scans]
         assert sorted(built) == sorted(want)
         total += len(obs.children)
         shared += len(obs.children) - len(from_scans)
@@ -372,7 +372,7 @@ def test_offsets_ride_only_with_one_entry_projections(monkeypatch, variant):
 
     class Offsets(MiningObserver):
         def on_candidates(self, prefix, i_items, s_items, kept_i, kept_s):
-            want = _reference_projection(arrays, prefix.itemsets)
+            want = _reference_projection(arrays[0], prefix.itemsets)
             if not pending:
                 assert _is_lone(want)
                 offsets["lone"] += 1
@@ -732,72 +732,77 @@ def test_scanned_and_cached_rows_agree(monkeypatch):
     assert scanned == cached
 
 
+def _seq_of(arrays, p):
+    """The index of the sequence holding global position ``p``."""
+    return next(si for si, (a, z) in enumerate(zip(arrays.start, arrays.stop)) if a <= p < z)
+
+
 def _fed_scan(arrays, proj):
     """The candidate scan built only from ``feed`` and ``end_sequence``, for
-    entries of every shape: the I- and S-children's node sums.  An entry
-    without pivots is the empty prefix, worth 0 before every position."""
-    acc_i, acc_s = _ItemAccumulator(), _ItemAccumulator()
-    for entry in proj.entries:
-        seq = arrays[entry.seq_index]
-        item_, eid_, u_, ru_, pool_ = seq.item, seq.eid, seq.u, seq.ru, seq.suffix_min_mu
-        n = seq.n
-        pivots, best = entry.pivots, entry.best
+    entries of every shape: the I- and S-children's node sums."""
+    acc_i, acc_s = _ItemAccumulator(arrays), _ItemAccumulator(arrays)
+    item_, u_, ru_, pool_, nxt_ = arrays.item, arrays.u, arrays.ru, arrays.pool, arrays.nxt
+    for si, pivots, best in proj.entries:
+        stop = arrays.stop[si]
         for p, b in zip(pivots, best):
-            q = p + 1
-            while q < n and eid_[q] == eid_[p]:
-                acc_i.feed(item_[q], b + u_[q], ru_[q], pool_[q + 1])
-                q += 1
-        start_e = eid_[pivots[0]] if pivots else 0
-        if start_e < len(seq.elem_first):
-            run_max = 0
-            ptr = 0
-            for q in range(seq.elem_first[start_e], n):
-                while ptr < len(pivots) and eid_[pivots[ptr]] < eid_[q]:
-                    run_max = max(run_max, best[ptr])
-                    ptr += 1
-                acc_s.feed(item_[q], run_max + u_[q], ru_[q], pool_[q + 1])
-        acc_i.end_sequence(seq.useq)
-        acc_s.end_sequence(seq.useq)
+            for q in range(p + 1, nxt_[p]):
+                acc_i.feed(item_[q], b + u_[q], ru_[q], pool_[q])
+        run_max = 0
+        ptr = 0
+        for q in range(nxt_[pivots[0]], stop):
+            while ptr < len(pivots) and nxt_[pivots[ptr]] <= q:
+                run_max = max(run_max, best[ptr])
+                ptr += 1
+            acc_s.feed(item_[q], run_max + u_[q], ru_[q], pool_[q])
+        acc_i.end_sequence(arrays.useq[si])
+        acc_s.end_sequence(arrays.useq[si])
     return acc_i.node, acc_s.node
 
 
 def _fed_root(arrays):
-    """The root scan built only from ``feed`` and ``end_sequence``."""
-    acc = _ItemAccumulator()
-    for seq in arrays:
-        for q in range(seq.n):
-            acc.feed(seq.item[q], seq.u[q], seq.ru[q], seq.suffix_min_mu[q + 1])
-        acc.end_sequence(seq.useq)
+    """The root scan built only from ``feed`` and ``end_sequence``: the
+    empty prefix, worth 0 before every position."""
+    acc = _ItemAccumulator(arrays)
+    for si, (a, z) in enumerate(zip(arrays.start, arrays.stop)):
+        for q in range(a, z):
+            acc.feed(arrays.item[q], arrays.u[q], arrays.ru[q], arrays.pool[q])
+        acc.end_sequence(arrays.useq[si])
     return acc.node
 
 
 def test_folded_scans_equal_the_fed_ones(monkeypatch):
-    """A one-pivot entry folds the positions it visits into the node sums
-    directly: always for its I-children, and for its S-children when its
-    sequence holds no item twice; an entry without pivots, the empty
-    pattern's, folds such a sequence too.  Every scan leaves the same sums
-    as feeding every position, and the root scan the same as feeding every
-    position worth its own utility."""
+    """A sequence of one pivot folds the positions it visits into the node
+    sums directly: always for its I-children, and for its S-children when it
+    holds no item twice; the pass of the empty pattern folds such a
+    sequence too.  Every scan leaves the same sums as feeding every
+    position, and the root pass the same as feeding every position worth
+    its own utility."""
     real_scan = miner_module._Engine._scan_candidates
+    real_roots = miner_module._Engine._root_sums
     shapes = set()
+
+    def twice(arrays, si):
+        return "no item twice" if arrays.distinct[si] else "an item twice"
 
     def scan(self, proj):
         sums = real_scan(self, proj)
         assert sums == _fed_scan(self.arrays, proj)
-        if proj is self.root_proj:
-            assert sums[1] == _fed_root(self.arrays)
         for entry in proj.entries:
-            seq = self.arrays[entry.seq_index]
-            twice = "no item twice" if len(seq.positions_of) == seq.n else "an item twice"
             if len(entry.pivots) > 1:
                 shapes.add("several pivots")
-            elif entry.pivots:
-                shapes.add("one pivot, " + twice)
             else:
-                shapes.add("no pivot, " + twice)
+                shapes.add("one pivot, " + twice(self.arrays, entry.seq_index))
+        return sums
+
+    def roots(self):
+        sums = real_roots(self)
+        assert sums == _fed_root(self.arrays)
+        for si in range(len(self.arrays.start)):
+            shapes.add("no pivot, " + twice(self.arrays, si))
         return sums
 
     monkeypatch.setattr(miner_module._Engine, "_scan_candidates", scan)
+    monkeypatch.setattr(miner_module._Engine, "_root_sums", roots)
     # a recurs after b's element worth more than before: b's S-child a is
     # worth its best match, not the sum of its matches
     db = parse_dataset(io.StringIO(
@@ -814,22 +819,27 @@ def test_folded_scans_equal_the_fed_ones(monkeypatch):
 
 
 def test_scan_sums_outlive_later_scans(example_db, example_utable, example_mtable):
-    """The sums a candidate scan returns belong to it: a later scan of another
-    projection, through the same scratch accumulators, over children the
-    first one also met, leaves them as they were."""
+    """The sums a candidate scan or the root pass returns belong to it: a
+    later scan of another projection, or the root pass, through the same
+    scratch accumulators, over children the first one also met, leaves them
+    as they were."""
     engine = miner_module._Engine(example_db, example_utable, example_mtable,
                                   MiningConfig(), None)
     arrays = engine.arrays
-    projs = [engine.root_proj] + [initial_projection(arrays, i) for i in sorted(engine.item_seqs)]
-    for first_proj in projs:
-        first = engine._scan_candidates(first_proj)
+    projs = [initial_projection(arrays, i) for i, where in enumerate(arrays.where) if where]
+    # the root pass and a scan of each 1-pattern, each with its sums fed by
+    # hand; the root pass has S-sums only
+    scans = [(lambda: ({}, engine._root_sums()), lambda: ({}, _fed_root(arrays)))]
+    scans += [(partial(engine._scan_candidates, proj), partial(_fed_scan, arrays, proj))
+              for proj in projs]
+    for first_scan, first_fed in scans:
+        first = first_scan()
         kept = [{i: list(row) for i, row in sums.items()} for sums in first]
-        assert first == _fed_scan(arrays, first_proj)
-        for second_proj in projs:
-            if second_proj is first_proj:
+        assert first == first_fed()
+        for second_scan, second_fed in scans:
+            if second_scan is first_scan:
                 continue
-            second = engine._scan_candidates(second_proj)
-            assert second == _fed_scan(arrays, second_proj)
+            assert second_scan() == second_fed()
             assert list(first) == kept
     assert any(_fed_scan(arrays, proj)[0] for proj in projs)
 
@@ -879,13 +889,14 @@ def test_cached_rows_extend_their_pivot_as_project_does(monkeypatch):
             mine(db, utable, mtable, config)
     kinds = set()
     for engine in engines:
-        for (si, p), rows in engine.rows_by_key.items():
-            lone = Projection([ProjEntry(si, [p], [0])])
+        for p, rows in engine.rows_by_key.items():
+            si = _seq_of(engine.arrays, p)
+            lone = Projection([si], [p], [0])
             for step, step_rows in zip((I_STEP, S_STEP), rows):
                 for row in step_rows:
                     plain = project(lone, engine.arrays, row[0], step)
                     entries = plain.entries
-                    if len(entries) == 1 and entries[0].pivots == [engine.arrays[si].n - 1]:
+                    if len(entries) == 1 and entries[0].pivots == [engine.arrays.stop[si] - 1]:
                         assert row[6] is miner_module.CHILDLESS, (si, p, step, row)
                         kinds.add((step, "childless"))
                     else:
@@ -1073,8 +1084,9 @@ def test_childless_lone_pivots_are_not_entered(monkeypatch):
             assert bare_stats.candidates_visited == seen_stats.candidates_visited
             assert bare_stats.depth_histogram == seen_stats.depth_histogram
             for engine in engines:
-                assert not [(s, p) for s, p in engine.rows_by_key
-                            if p == engine.arrays[s].n - 1]
+                arrays = engine.arrays
+                assert not [p for p in engine.rows_by_key
+                            if p == arrays.stop[_seq_of(arrays, p)] - 1]
                 entered += len(engine.rows_by_key)
     # lone pivots with children are still entered
     assert entered > 100

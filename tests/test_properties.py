@@ -21,25 +21,30 @@ from huspmine import (
     QSequence,
     SymbolTable,
     UtilityTable,
-    build_database_arrays,
     find_matches,
     generate_mtable,
-    initial_projection,
     mine,
     brute_force_mine,
     parse_dataset,
     parse_item_values,
     pattern_utility,
     pattern_utility_in_sequence,
-    project,
     qsequence_utility,
     serialize_dataset,
     write_results,
 )
 from huspmine import formats
+from huspmine.formats import GenParams, generate_synthetic
 from huspmine.miner import Husp, MiningStats
 from huspmine.model import match_utility
-from huspmine.uarray import I_STEP, S_STEP, SequenceArrays
+from huspmine.uarray import (
+    I_STEP,
+    S_STEP,
+    DatabaseArrays,
+    build_database_arrays,
+    initial_projection,
+    project,
+)
 from huspmine.miner import (
     BOUND_PEU,
     BOUND_SEU,
@@ -107,11 +112,13 @@ def test_match_enumeration_agrees_with_max_recursion(qseq, pattern):
 @given(qsequences())
 @settings(max_examples=200, deadline=None)
 def test_array_suffix_sums_and_reconstruction(qseq):
-    seq = SequenceArrays(qseq, UNIT, MTable((0,) * N_ITEMS))
-    assert seq.ru[seq.n - 1] == 0
-    for p in range(seq.n - 1):
-        assert seq.ru[p] == seq.ru[p + 1] + seq.u[p + 1]
-    assert sum(seq.u) == qsequence_utility(qseq, UNIT)
+    names = SymbolTable(tuple(chr(ord("a") + i) for i in range(N_ITEMS)))
+    arrays = DatabaseArrays(QSDatabase((qseq,), names), UNIT, MTable((0,) * N_ITEMS))
+    n = arrays.stop[0]
+    assert arrays.ru[n - 1] == 0
+    for p in range(n - 1):
+        assert arrays.ru[p] == arrays.ru[p + 1] + arrays.u[p + 1]
+    assert sum(arrays.u) == arrays.useq[0] == qsequence_utility(qseq, UNIT)
 
 
 @given(st.lists(qsequences(), max_size=6))
@@ -473,26 +480,20 @@ def test_projections_hold_at_most_one_pivot_per_element(monkeypatch):
     pattern's last item, which an element holds once."""
     import huspmine.miner as miner_module
 
-    arrays = []
     built = {}
-    real_build = miner_module.build_database_arrays
-
-    def build(*args):
-        arrays[:] = real_build(*args)
-        return arrays
 
     def checked(fn):
         def wrapper(*args):
             proj = fn(*args)
+            # two positions share an element exactly when they share ``nxt``
+            nxt = next(a for a in args if type(a) is DatabaseArrays).nxt
             for entry in proj.entries:
-                eid = arrays[entry.seq_index].eid
-                elements = [eid[p] for p in entry.pivots]
+                elements = [nxt[p] for p in entry.pivots]
                 assert len(set(elements)) == len(elements)
             built[fn.__name__] = built.get(fn.__name__, 0) + 1
             return proj
         return wrapper
 
-    monkeypatch.setattr(miner_module, "build_database_arrays", build)
     for name in ("initial_projection", "project"):
         monkeypatch.setattr(miner_module, name, checked(getattr(miner_module, name)))
     for db, utable, mtable in mixed_instances(30):
@@ -519,30 +520,105 @@ def _without_items(db, doomed):
     return QSDatabase(tuple(sequences), db.symbols)
 
 
+def _reference_arrays(sequences, utable, mtable):
+    """Every field of :class:`DatabaseArrays`, rebuilt sequence by sequence
+    from each sequence's ``(eid, item, quantity)`` triples by the fields'
+    definitions; a sequence may have none."""
+    unit, mu = utable.unit, mtable.mu
+    fields = {f: [] for f in ("item", "u", "ru", "pool", "nxt", "start", "stop",
+                              "useq", "distinct")}
+    where = [{} for _ in mu]
+    repeated = [[] for _ in mu]
+    for si, flat in enumerate(sequences):
+        base = len(fields["item"])
+        items = [i for _, i, _ in flat]
+        u = [q * unit[i] for _, i, q in flat]
+        n = len(flat)
+        for k, (eid, i, _) in enumerate(flat):
+            fields["item"].append(i)
+            fields["u"].append(u[k])
+            fields["ru"].append(sum(u[k + 1:]))
+            fields["pool"].append(min((mu[j] for j in items[k + 1:]), default=float("inf")))
+            fields["nxt"].append(base + next((k2 for k2 in range(k + 1, n)
+                                              if flat[k2][0] != eid), n))
+        fields["start"].append(base)
+        fields["stop"].append(base + n)
+        fields["useq"].append(sum(u))
+        fields["distinct"].append(len(set(items)) == n)
+        for i in sorted(set(items)):
+            at = [base + k for k in range(n) if items[k] == i]
+            where[i][si] = at[0] if len(at) == 1 else at
+            if len(at) > 1:
+                repeated[i].append(si)
+    fields["where"] = where
+    fields["repeated"] = repeated
+    return fields
+
+
+def _fields(arrays):
+    return {f: getattr(arrays, f) for f in DatabaseArrays.__slots__}
+
+
+def _repeating_instances():
+    """Generated databases where items recur within sequences, in later
+    elements and in several of them, with thresholds from the generator's
+    threshold function."""
+    out = []
+    for seed in range(6):
+        data, units = generate_synthetic(GenParams(
+            n_sequences=30, n_items=4, max_elements=8, max_element_size=2, seed=seed))
+        db = parse_dataset(io.StringIO(data))
+        utable = bind_unit_utilities(parse_item_values(io.StringIO(units)), db.symbols)
+        out.append((db, utable, generate_mtable(db, utable, Fraction(1, 2), Fraction(1, 20))))
+    return out
+
+
+def test_flat_arrays_equal_the_per_sequence_reference():
+    """The database-wide lists equal a reference rebuilt sequence by
+    sequence from the model's ``QSequence.flat()``, on the equivalence
+    corpus, with zero prices, and on databases that repeat items within
+    sequences, in the same and in other elements than their neighbours."""
+    instances = mixed_instances(30) + zero_priced_instances(30) + _repeating_instances()
+    repeats = 0
+    for db, utable, mtable in instances:
+        arrays = DatabaseArrays(db, utable, mtable)
+        want = _reference_arrays([list(qseq.flat()) for qseq in db.sequences], utable, mtable)
+        assert _fields(arrays) == want
+        repeats += sum(map(len, arrays.repeated))
+    assert repeats > 500
+
+
 def test_dropping_items_equals_building_without_them():
-    """``drop`` leaves arrays field-for-field equal to arrays built from the
-    sequence without the dropped items, also when whole elements or the
-    whole sequence lose every item."""
+    """``drop`` leaves arrays field for field equal to arrays built from the
+    database without the dropped items, also when whole elements or whole
+    sequences lose every item.  A sequence left without items keeps its
+    index, with no positions, so the sequence-indexed fields of the others
+    are those of the rebuilt database under its indices."""
     rng = random.Random(41)
-    fields = SequenceArrays.__slots__
     emptied_elements = emptied_sequences = 0
-    for db, utable, mtable in mixed_instances(30):
+    for db, utable, mtable in mixed_instances(30) + _repeating_instances():
         present = sorted(db.distinct_items())
         for _ in range(4):
             doomed = set(rng.sample(present, rng.randint(1, len(present))))
-            for qseq in db.sequences:
-                seq = SequenceArrays(qseq, utable, mtable)
-                assert seq.drop(doomed, mtable) == bool(qseq.distinct_items() & doomed)
-                rest = _without_items(QSDatabase((qseq,), db.symbols), doomed).sequences
-                if not rest:
-                    emptied_sequences += 1
-                    assert (seq.n, seq.useq) == (0, 0)
-                    continue
-                fresh = SequenceArrays(rest[0], utable, mtable)
-                assert {f: getattr(seq, f) for f in fields} == {
-                    f: getattr(fresh, f) for f in fields
-                }
-                emptied_elements += len(rest[0].elements) < len(qseq.elements)
+            arrays = DatabaseArrays(db, utable, mtable)
+            arrays.drop(doomed, mtable)
+            # the model's sequences without the doomed items, empty ones kept
+            rest = [[t for t in qseq.flat() if t[1] not in doomed] for qseq in db.sequences]
+            assert _fields(arrays) == _reference_arrays(rest, utable, mtable)
+            kept = [si for si, flat in enumerate(rest) if flat]
+            fresh = _fields(DatabaseArrays(_without_items(db, doomed), utable, mtable))
+            got = _fields(arrays)
+            for f in ("item", "u", "ru", "pool", "nxt"):
+                assert got[f] == fresh[f]
+            for f in ("start", "stop", "useq", "distinct"):
+                assert [got[f][si] for si in kept] == fresh[f]
+            assert got["where"] == [{kept[si]: at for si, at in w.items()}
+                                    for w in fresh["where"]]
+            assert got["repeated"] == [[kept[si] for si in r] for r in fresh["repeated"]]
+            emptied_sequences += len(rest) - len(kept)
+            emptied_elements += sum(
+                len({eid for eid, _, _ in flat}) < len(qseq.elements)
+                for flat, qseq in zip(rest, db.sequences) if flat)
     assert emptied_elements > 100 and emptied_sequences > 100
 
 

@@ -2,6 +2,7 @@
 computes from them."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,19 +15,18 @@ from huspmine import (
     SymbolTable,
     UnknownItem,
     UtilityTable,
-    build_database_arrays,
-    initial_projection,
     mine,
     pattern_utility,
-    project,
     qsequence_utility,
 )
 from huspmine.uarray import (
     I_STEP,
     S_STEP,
     Projection,
-    SequenceArrays,
     _ItemAccumulator,
+    build_database_arrays,
+    initial_projection,
+    project,
 )
 
 from support import engine_bounds, paper_records
@@ -61,14 +61,13 @@ def b_then_c(ids):
     return Pattern(((ids["b"],), (ids["c"],)))
 
 
-def test_third_sequence_records_match_reference(example_db, example_utable, example_mtable,
-                                                ids):
-    """Field-by-field golden check of the flat array of the third sequence.
+def test_third_sequence_records_match_reference(arrays, ids):
+    """Field-by-field golden check of the third sequence's stretch of the
+    database-wide arrays.
 
     Position 1 carries ru = 82: the suffix-sum identity with u(s) = 94 and
     u(position 1) = 12 admits no other value.
     """
-    seq = SequenceArrays(example_db.sequences[2], example_utable, example_mtable)
     a, b, c, d, e = (ids[x] for x in "abcde")
     expected = [
         (1, a, 12, 82, 3, 3),
@@ -81,24 +80,26 @@ def test_third_sequence_records_match_reference(example_db, example_utable, exam
         (3, e, 8, 3, None, 9),
         (4, d, 3, 0, None, None),
     ]
-    assert seq.n == 9
-    assert paper_records(seq) == expected
-    first_occurrence = {i: at[0] + 1 for i, at in seq.positions_of.items()}
+    start = arrays.start[2]
+    assert arrays.stop[2] - start == 9
+    assert paper_records(arrays, 2) == expected
+    first = {i: w[2] if type(w[2]) is int else w[2][0]
+             for i, w in enumerate(arrays.where) if 2 in w}
+    first_occurrence = {i: g - start + 1 for i, g in first.items()}
     assert first_occurrence == {a: 1, b: 2, c: 5, d: 9, e: 8}
 
 
-def test_suffix_sum_identity_and_reconstruction(example_db, example_utable, example_mtable):
-    for qseq in example_db.sequences:
-        seq = SequenceArrays(qseq, example_utable, example_mtable)
-        assert seq.ru[seq.n - 1] == 0
-        for p in range(seq.n - 1):
-            assert seq.ru[p] == seq.ru[p + 1] + seq.u[p + 1]
-        assert sum(seq.u) == qsequence_utility(qseq, example_utable)
+def test_suffix_sum_identity_and_reconstruction(arrays, example_db, example_utable):
+    for si, qseq in enumerate(example_db.sequences):
+        a, z = arrays.start[si], arrays.stop[si]
+        assert arrays.ru[z - 1] == 0
+        for p in range(a, z - 1):
+            assert arrays.ru[p] == arrays.ru[p + 1] + arrays.u[p + 1]
+        assert sum(arrays.u[a:z]) == arrays.useq[si] == qsequence_utility(qseq, example_utable)
 
 
-def test_next_pointers(example_db, example_utable, example_mtable, ids):
-    seq = SequenceArrays(example_db.sequences[2], example_utable, example_mtable)
-    records = paper_records(seq)
+def test_next_pointers(arrays):
+    records = paper_records(arrays, 2)
     for p, (eid, item, _, _, next_pos, next_eid) in enumerate(records, start=1):
         if next_pos is not None:
             assert next_pos > p
@@ -111,7 +112,7 @@ def test_project_i_step_pivots(arrays, ids):
     pb = initial_projection(arrays, ids["b"])
     pbc = project(pb, arrays, ids["c"], I_STEP)
     entry = next(e for e in pbc.entries if e.seq_index == 2)
-    assert [p + 1 for p in entry.pivots] == [5, 7]
+    assert [p - arrays.start[2] + 1 for p in entry.pivots] == [5, 7]
 
 
 def test_project_drops_noncontaining_sequences(arrays, ids):
@@ -135,7 +136,7 @@ def test_pattern_utility_from_projection(arrays, example_nodes, ids):
     assert projected_utility(pbc) == example_nodes[b_then_c(ids)].utility == 160
     pf = initial_projection(arrays, ids["f"])
     assert projected_utility(pf) == example_nodes[Pattern.single(ids["f"])].utility == 24
-    assert projected_utility(Projection([])) == 0
+    assert projected_utility(Projection()) == 0
 
 
 def test_peu_from_projection(example_nodes, second_sequence_nodes, ids):
@@ -185,17 +186,15 @@ def test_projection_utility_matches_model(arrays, example_db, example_utable, id
         )
 
 
-def test_tombstoned_items_leave_positions_valid(example_db, example_utable,
-                                                example_mtable, ids):
-    arrays = build_database_arrays(example_db, example_utable, example_mtable)
-    seq = arrays[2]
-    before = seq.useq
-    assert seq.drop({ids["e"]}, example_mtable)
-    assert seq.useq == before - 8  # one e occurrence worth 8
-    assert seq.n == 8  # the removed occurrence leaves the arrays
-    assert ids["e"] not in seq.positions_of
+def test_tombstoned_items_leave_positions_valid(arrays, example_mtable, ids):
+    before = arrays.useq[2]
+    arrays.drop({ids["e"]}, example_mtable)
+    assert arrays.useq[2] == before - 8  # one e occurrence worth 8
+    start = arrays.start[2]
+    assert arrays.stop[2] - start == 8  # the removed occurrence leaves the arrays
+    assert 2 not in arrays.where[ids["e"]]
     # remaining utilities skip the removed occurrence
-    assert seq.ru[4] == 46 - 8
+    assert arrays.ru[start + 4] == 46 - 8
 
 
 @pytest.mark.parametrize("bad", [-1, -2, 2])
@@ -218,21 +217,23 @@ def test_fold_matches_equals_feeding_each_position():
     that may push a term past the sequence utility."""
     r = random.Random(5)
     for _ in range(200):
-        folded, fed = _ItemAccumulator(), _ItemAccumulator()
-        for _ in range(r.randint(1, 4)):
-            n = r.randint(0, 8)
-            item_ = r.sample(range(12), n)
+        n = r.randint(0, 8)
+        arrays = SimpleNamespace(
+            item=r.sample(range(12), n),
             # about half of the positions are worth nothing
-            u_ = [r.choice((0, r.randint(1, 9))) for _ in range(n)]
-            ru_ = [sum(u_[q + 1:]) for q in range(n)]
-            pool_ = [r.choice((r.randint(1, 30), float("inf"))) for _ in range(n + 1)]
-            useq = sum(u_)
+            u=[r.choice((0, r.randint(1, 9))) for _ in range(n)],
+            pool=[r.choice((r.randint(1, 30), float("inf"))) for _ in range(n)],
+        )
+        arrays.ru = [sum(arrays.u[q + 1:]) for q in range(n)]
+        useq = sum(arrays.u)
+        folded, fed = _ItemAccumulator(arrays), _ItemAccumulator(arrays)
+        for _ in range(r.randint(1, 4)):
             start = r.randint(0, n)
             stop = r.randint(start, n)
             b = r.choice((0, r.randint(0, 20)))
-            folded.fold_matches(item_, u_, ru_, pool_, start, stop, b, useq)
+            folded.fold_matches(start, stop, b, useq)
             for q in range(start, stop):
-                fed.feed(item_[q], b + u_[q], ru_[q], pool_[q + 1])
+                fed.feed(arrays.item[q], b + arrays.u[q], arrays.ru[q], arrays.pool[q])
             fed.end_sequence(useq)
             assert folded.node == fed.node
             assert not folded.seq
