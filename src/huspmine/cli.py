@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import formats
@@ -72,6 +73,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# built once: in-process callers of ``main`` would rebuild it on every call
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="huspmine",

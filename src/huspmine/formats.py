@@ -591,14 +591,18 @@ def parse_results(source: Source, symbols: SymbolTable) -> list:
 
     TSV and JSON are auto-detected.  Raises ValueError unless ``husps`` is
     a list of objects, each with a string ``pattern`` and non-negative
-    integer (not boolean) ``utility`` and ``miu``.
+    integer (not boolean) ``utility`` and ``miu``, also for JSON nested
+    deeper than the decoder's recursion limit.
     """
     with _collector_paused():
         text = _read_text(source)
         rows = []
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            husps = json.loads(text).get("husps")
+            try:
+                husps = json.loads(text).get("husps")
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
             if not isinstance(husps, list):
                 raise ValueError("'husps' must be a list of results")
             for entry in husps:

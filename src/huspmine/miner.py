@@ -73,10 +73,10 @@ their rows are cached per key, filled by one candidate scan of ``p`` worth
 zero the first time the key is met and kept for the rest of the run.  The
 fill finds ``p``'s sequence by bisecting the sequences' starts.  A cached
 row's ``ext`` is its child's projection from ``p`` worth zero, read off the
-arrays without ``project``: a child that is itself a lone pivot ``q`` is
-kept as ``(q, best)``, or as ``CHILDLESS`` when ``q`` is the sequence's
-last position, and any other as its :class:`Projection`, scanned when the
-child is expanded.
+arrays by ``project``'s pivot-extension rule but without ``project``: a
+child that is itself a lone pivot ``q`` is kept as ``(q, best)``, or as
+``CHILDLESS`` when ``q`` is the sequence's last position, and any other as
+its :class:`Projection`, scanned when the child is expanded.
 Descending adds ``best``, or nothing, to the offset.  Every other node is
 scanned with its offset, and its rows' ``ext`` is None: an expanded child's
 projection is built by ``project`` when the walk descends into it.  An
@@ -117,7 +117,7 @@ from __future__ import annotations
 import gc
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import inf
@@ -139,9 +139,9 @@ from .uarray import (
     I_STEP,
     S_STEP,
     DatabaseArrays,
-    ProjEntry,
     Projection,
     _ItemAccumulator,
+    _extend_pivots,
     build_database_arrays,
     initial_projection,
     project,
@@ -504,33 +504,33 @@ class _Engine:
         projection from the pivot, is read off the arrays.
 
         An I-child's item occurs once after the pivot in the pivot's
-        element, and that is its one pivot.  An S-child's pivots are its
-        item's positions from the next element on.  Every pivot is worth its
-        own utility.  A child that is one pivot at its sequence's last
-        position has no children, and its ``ext`` is ``CHILDLESS``.  The
-        pivot's sequence is the last one starting at or before it.
+        element, and that is its one pivot.  An S-child's item that occurs
+        once in the sequence has that one position as its pivot; any other's
+        pivots are its positions from the next element on, extended from
+        ``key`` worth zero by :func:`~huspmine.uarray._extend_pivots`, the
+        rule ``project`` applies, so every pivot is worth its own utility.
+        A child that is one pivot at its sequence's last position has no
+        children, and its ``ext`` is ``CHILDLESS``.  The pivot's sequence is
+        the last one starting at or before it.
         """
         arrays = self.arrays
         si = bisect_right(arrays.start, key) - 1
         i_node, s_node = self._scan_candidates(Projection([si], [key], [0]))
-        item_, u, stop = arrays.item, arrays.u, arrays.stop[si]
-        nxt = arrays.nxt[key]
+        item_, u, nxt, stop = arrays.item, arrays.u, arrays.nxt, arrays.stop[si]
         # an element's items increase, so its positions after the pivot list
         # the I-children in item order
         i_rows = [(item_[q], *i_node[item_[q]], _lone_pivot(q, u[q], stop))
-                  for q in range(key + 1, nxt)]
+                  for q in range(key + 1, nxt[key])]
         s_rows = []
         where = arrays.where
-        new = tuple.__new__
         for i in sorted(s_node):
             at = where[i][si]
-            pivots = [at] if type(at) is int else at[bisect_left(at, nxt):]
-            if len(pivots) == 1:
-                q = pivots[0]
-                ext = _lone_pivot(q, u[q], stop)
+            if type(at) is int:
+                ext = _lone_pivot(at, u[at], stop)
             else:
-                entry = new(ProjEntry, (si, pivots, [u[q] for q in pivots]))
-                ext = Projection(several=[entry])
+                pivots, best = _extend_pivots(at, [key], [0], nxt, u, False)
+                ext = (_lone_pivot(pivots[0], best[0], stop) if len(pivots) == 1
+                       else Projection(several=[(si, pivots, best)]))
             s_rows.append((i, *s_node[i], ext))
         return i_rows, s_rows
 

@@ -19,34 +19,35 @@ Beside them, every sequence, by its 0-based index, keeps its bounds
 utility ``useq`` and whether it holds no item twice (``distinct``).  The
 positions index ``where[item]`` maps every sequence holding the item to its
 one position there, an ``int``, or to the ascending list of its positions
-when it holds the item more than once; ``repeated[item]`` lists the latter
-sequences in order.  Two positions of one sequence lie in one element
-exactly when they share ``nxt``, and position ``p`` lies in an element
-strictly before position ``q``'s exactly when ``nxt[p] <= q``, so no
-element ids are kept.  The arrays let the search compute pattern utilities
-and extension bounds without rescanning the database.
+when it holds the item more than once.  Two positions of one sequence lie
+in one element exactly when they share ``nxt``, and position ``p`` lies in
+an element strictly before position ``q``'s exactly when ``nxt[p] <= q``,
+so no element ids are kept.  The arrays let the search compute pattern
+utilities and extension bounds without rescanning the database.
 
 A pattern's projection stores, per containing sequence, the pivot positions
 (the global positions of the pattern's last item across matches) together
 with the best achievable match utility ending at each.  The sequences
 holding one pivot, nearly all of them, are three parallel lists of the
 sequence, the pivot and its best utility, with no object per sequence; a
-sequence holding more pivots is one :class:`ProjEntry`.  A pivot's element
-ends at ``nxt[pivot]`` and its sequence at ``stop[seq]``.  A 1-pattern's
-projection is read off ``where[item]``, with the best utilities taken from
-``u`` by one ``map``.  Projections share the arrays read-only; child
-projections are derived from parent projections, never from the raw
-database.  The candidate scan gathers the bounds of a node's children by
-item, in one dict per sequence and one per node, which it returns; a
-position that is its item's only match in the sequence goes to the node's
-dict directly.
+sequence holding more pivots is one plain ``(seq, pivots, best)`` tuple.
+A pivot's element ends at ``nxt[pivot]`` and its sequence at
+``stop[seq]``.  A 1-pattern's projection is read off ``where[item]``, with
+the best utilities taken from ``u``.  Projections share the arrays
+read-only; child projections are derived from parent projections, never
+from the raw database, by one rule, :func:`_extend_pivots`: an I-step keeps
+the item's positions after a parent pivot in that pivot's element, an
+S-step its positions in elements after a parent pivot's, each worth the
+best such parent pivot plus its own utility.  The candidate scan gathers
+the bounds of a node's children by item, in one dict per sequence and one
+per node, which it returns; a position that is its item's only match in
+the sequence goes to the node's dict directly.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import mul
 from typing import NamedTuple
 
@@ -82,7 +83,6 @@ class DatabaseArrays:
         "useq",
         "distinct",
         "where",
-        "repeated",
     )
 
     def __init__(self, db: QSDatabase, utable: UtilityTable, mtable: MTable):
@@ -124,7 +124,6 @@ class DatabaseArrays:
         useq: list[int] = []
         distinct = [True] * len(start)
         where: list[dict] = [{} for _ in mu]
-        repeated: list[list[int]] = [[] for _ in mu]
         for si, (a, z) in enumerate(zip(start, stop)):
             rest = 0
             least = _INF
@@ -142,7 +141,6 @@ class DatabaseArrays:
                 if later is not g:
                     if type(later) is int:
                         w[si] = [g, later]
-                        repeated[i].append(si)
                         distinct[si] = False
                     else:
                         later.insert(0, g)
@@ -152,7 +150,6 @@ class DatabaseArrays:
         self.useq = useq
         self.distinct = distinct
         self.where = where
-        self.repeated = repeated
 
     def drop(self, items: set, mtable: MTable) -> None:
         """Remove every occurrence of ``items`` and re-derive all fields.
@@ -182,14 +179,10 @@ def build_database_arrays(
 
 
 class ProjEntry(NamedTuple):
-    """Pivots of one sequence holding two or more: positions of the
-    pattern's last item across matches (ascending, global) and the best
-    match utility ending at each.
-
-    The engine builds entries with ``tuple.__new__(ProjEntry, (seq_index,
-    pivots, best))``, which runs in C, rather than through the class's
-    generated ``__new__``, and reads them by unpacking:
-    ``for si, pivots, best in proj.several``."""
+    """Pivots of one sequence: positions of the pattern's last item across
+    matches (ascending, global) and the best match utility ending at each.
+    Only :attr:`Projection.entries` builds entries, a named view of the
+    parallel lists and plain tuples that the engine keeps."""
 
     seq_index: int
     pivots: list[int]
@@ -202,12 +195,13 @@ class Projection:
 
     ``seqs``, ``pivots`` and ``best`` list, in parallel, every sequence
     holding one pivot, that pivot and its best match utility; ``several``
-    holds an entry for every sequence holding more."""
+    holds a plain ``(seq_index, pivots, best)`` tuple for every sequence
+    holding more."""
 
     seqs: list[int] = field(default_factory=list)
     pivots: list[int] = field(default_factory=list)
     best: list[int] = field(default_factory=list)
-    several: list[ProjEntry] = field(default_factory=list)
+    several: list[tuple[int, list[int], list[int]]] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return bool(self.seqs) or bool(self.several)
@@ -216,31 +210,61 @@ class Projection:
     def entries(self) -> list[ProjEntry]:
         """Every sequence's pivots as an entry: the one-pivot sequences
         first, then the others."""
-        new = tuple.__new__
-        lone = [new(ProjEntry, (si, [p], [b]))
+        lone = [ProjEntry(si, [p], [b])
                 for si, p, b in zip(self.seqs, self.pivots, self.best)]
-        return lone + self.several
+        return lone + list(map(ProjEntry._make, self.several))
 
 
 def initial_projection(arrays: DatabaseArrays, item: Item) -> Projection:
     """Projection of the 1-pattern of ``item``: every occurrence is a pivot
     and its own best prefix."""
     u = arrays.u
-    where = arrays.where[item]
-    repeated = arrays.repeated[item]
-    if repeated:
-        seqs = [si for si, at in where.items() if type(at) is int]
-        pivots = [where[si] for si in seqs]
-    else:
-        seqs = list(where)
-        pivots = list(where.values())
-    new = tuple.__new__
-    several = [new(ProjEntry, (si, where[si], [u[p] for p in where[si]])) for si in repeated]
+    seqs, pivots, several = [], [], []
+    for si, at in arrays.where[item].items():
+        if type(at) is int:
+            seqs.append(si)
+            pivots.append(at)
+        else:
+            several.append((si, at, [u[p] for p in at]))
     return Projection(seqs, pivots, list(map(u.__getitem__, pivots)), several)
 
 
 I_STEP = "I"
 S_STEP = "S"
+
+
+def _extend_pivots(at: list, parent_pivots: list, parent_best: list, nxt: list,
+                   u: list, i_step: bool) -> tuple[list, list]:
+    """The item's positions ``at`` in one sequence that extend the sequence's
+    ascending parent pivots, and the best utility of each: for an I-step
+    those after a parent pivot in its element, for an S-step those in an
+    element after a parent pivot's, each worth the best such parent pivot
+    plus its own utility ``u``."""
+    new_pivots = []
+    new_best = []
+    if i_step:
+        # one parent pivot per element
+        at_elem = {nxt[p]: (p, b) for p, b in zip(parent_pivots, parent_best)}
+        for q in at:
+            hit = at_elem.get(nxt[q])
+            if hit is not None and hit[0] < q:
+                new_pivots.append(q)
+                new_best.append(hit[1] + u[q])
+    else:
+        # running max of parent best over the pivots in elements strictly
+        # before q's; best may be 0, so no pivot yet reads below 0
+        run_max = -1
+        ptr = 0
+        n_piv = len(parent_pivots)
+        for q in at:
+            while ptr < n_piv and nxt[parent_pivots[ptr]] <= q:
+                if parent_best[ptr] > run_max:
+                    run_max = parent_best[ptr]
+                ptr += 1
+            if run_max >= 0:
+                new_pivots.append(q)
+                new_best.append(run_max + u[q])
+    return new_pivots, new_best
 
 
 def project(
@@ -251,85 +275,45 @@ def project(
 ) -> Projection:
     """Project a parent pattern's pivot sets onto an extension item.
 
-    For an I-step the new pivots are occurrences of ``item`` inside the same
-    element as a parent pivot and strictly after it; for an S-step they are
-    occurrences in elements strictly after a parent pivot's element.  Each new
-    pivot's best utility is the best compatible parent pivot plus the item's
-    utility there; sequences with no surviving pivot drop out.  A sequence
-    holding the item once is read off ``where`` as that one position.
+    Each sequence's new pivots and their best utilities come from
+    :func:`_extend_pivots`; sequences with no surviving pivot drop out.  A
+    one-pivot parent sequence that holds the item once, nearly every
+    sequence, is decided inline: the item's one position is a new pivot
+    when it lies after the parent pivot in its element (I-step) or in a
+    later element (S-step).
     """
     nxt, u, where = arrays.nxt, arrays.u, arrays.where[item]
     seqs: list[int] = []
     pivots: list[int] = []
     best: list[int] = []
-    several: list[ProjEntry] = []
-    new = tuple.__new__
+    several = []
     i_step = kind == I_STEP
+    # one-pivot parents whose sequence repeats the item, as entries
+    repeats = []
     for si, p, b in zip(parent.seqs, parent.pivots, parent.best):
         at = where.get(si)
         if at is None:
             continue
-        e = nxt[p]
         if type(at) is int:
+            e = nxt[p]
             if (p < at < e) if i_step else at >= e:
                 seqs.append(si)
                 pivots.append(at)
                 best.append(b + u[at])
-        elif i_step:
-            # a pivot is an occurrence of the pattern's last item, which an
-            # element holds at most once: at most one new pivot after it
-            for q in at:
-                if q > p:
-                    if q < e:
-                        seqs.append(si)
-                        pivots.append(q)
-                        best.append(b + u[q])
-                    break
         else:
-            # every position from the pivot's next element on
-            new_pivots = at[bisect_left(at, e):]
-            if len(new_pivots) == 1:
-                seqs.append(si)
-                pivots.append(new_pivots[0])
-                best.append(b + u[new_pivots[0]])
-            elif new_pivots:
-                several.append(new(ProjEntry, (si, new_pivots, [b + u[q] for q in new_pivots])))
-    for si, parent_pivots, parent_best in parent.several:
+            repeats.append((si, [p], [b]))
+    for si, parent_pivots, parent_best in chain(repeats, parent.several):
         at = where.get(si)
         if at is None:
             continue
-        if type(at) is int:
-            at = [at]
-        new_pivots = []
-        new_best = []
-        if i_step:
-            # one parent pivot per element
-            at_elem = {nxt[p]: (p, b) for p, b in zip(parent_pivots, parent_best)}
-            for q in at:
-                hit = at_elem.get(nxt[q])
-                if hit is not None and hit[0] < q:
-                    new_pivots.append(q)
-                    new_best.append(hit[1] + u[q])
-        else:
-            # running max of parent best over the pivots in elements strictly
-            # before q's; best may be 0, so no pivot yet reads below 0
-            run_max = -1
-            ptr = 0
-            n_piv = len(parent_pivots)
-            for q in at:
-                while ptr < n_piv and nxt[parent_pivots[ptr]] <= q:
-                    if parent_best[ptr] > run_max:
-                        run_max = parent_best[ptr]
-                    ptr += 1
-                if run_max >= 0:
-                    new_pivots.append(q)
-                    new_best.append(run_max + u[q])
+        new_pivots, new_best = _extend_pivots(
+            [at] if type(at) is int else at, parent_pivots, parent_best, nxt, u, i_step)
         if len(new_pivots) == 1:
             seqs.append(si)
             pivots.append(new_pivots[0])
             best.append(new_best[0])
         elif new_pivots:
-            several.append(new(ProjEntry, (si, new_pivots, new_best)))
+            several.append((si, new_pivots, new_best))
     return Projection(seqs, pivots, best, several)
 
 

@@ -353,6 +353,25 @@ def test_check_against_malformed_file_exits_3(tmp_path, fixture_files, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"x": ', "}")],
+                         ids=["arrays", "objects"])
+def test_check_file_nested_past_the_recursion_limit_exits_3(tmp_path, fixture_files, capsys,
+                                                            opening, closing):
+    """JSON nested deeper than the decoder's recursion limit is a parse
+    error of the check file, not a traceback that exits 1 like a mismatch."""
+    data, utility, mtable = fixture_files
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"husps": ' + opening * 200_000 + "0" + closing * 200_000 + "}")
+    code, _, err = run_main(
+        ["oracle", "--data", str(data), "--utility-table", str(utility),
+         "--mtable", str(mtable), "--max-len", "3", "--out", str(tmp_path / "o.tsv"),
+         "--check", str(deep)],
+        capsys,
+    )
+    assert code == 3
+    assert err == "parse error in check file: JSON nested too deeply\n"
+
+
 def test_bench_rejects_mtable(tmp_path, fixture_files, capsys):
     data, utility, mtable = fixture_files
     with pytest.raises(SystemExit) as err:
@@ -438,6 +457,34 @@ def test_oracle_check_detects_mutation(tmp_path, fixture_files, capsys, fmt,
     )
     assert code == 1
     assert named in err
+
+
+def test_check_file_strictness(tmp_path, fixture_files, capsys):
+    """A TSV check file is read leniently: a leading zero, a blank inside
+    an itemset's brackets and an itemset's items out of order leave its
+    values as they were, so the check passes.  A JSON number with a leading
+    zero is invalid JSON, a parse error."""
+    data, utility, mtable = fixture_files
+    inputs = ["--data", str(data), "--utility-table", str(utility), "--mtable", str(mtable)]
+    checked = {}
+    for fmt in ("tsv", "json"):
+        result = tmp_path / f"mined.{fmt}"
+        code, _, _ = run_main(["mine", *inputs, "--format", fmt, "--out", str(result)],
+                              capsys)
+        assert code == 0
+        checked[fmt] = result
+    tsv = checked["tsv"].read_text()
+    assert "\n[b],[c e]\t200\t200\n" in tsv
+    checked["tsv"].write_text(tsv.replace("[b],[c e]\t200\t200", "[ b],[e c]\t0200\t00200"))
+    raw = checked["json"].read_text()
+    assert '"utility": 200,' in raw
+    checked["json"].write_text(raw.replace('"utility": 200,', '"utility": 0200,', 1))
+    oracle = ["oracle", *inputs, "--max-len", "9", "--out", str(tmp_path / "o.tsv")]
+    code, _, err = run_main(oracle + ["--check", str(checked["tsv"])], capsys)
+    assert code == 0, err
+    code, _, err = run_main(oracle + ["--check", str(checked["json"])], capsys)
+    assert code == 3
+    assert err.startswith("parse error in check file: ")
 
 
 def test_oracle_budget_exits_5(fixture_files, capsys):

@@ -372,14 +372,41 @@ def test_json_results_are_the_library_encoders_bytes(case):
     assert write_results(husps, stats, "json", symbols).encode("utf-8") == want
 
 
+def _reference_pivots(pattern, db, starts, units):
+    """The pattern's projection by its definition, from the model's match
+    list: per sequence with a match, the global position of every match's
+    last item, ascending, and the highest utility of the matches ending
+    there.  A sequence's positions begin at ``starts[si]``, and
+    ``units[si]`` lists its items' utilities in order."""
+    entries = []
+    for si, qseq in enumerate(db.sequences):
+        best = {}
+        for match in find_matches(pattern, qseq):
+            # match positions are 1-based within the sequence
+            pivot = starts[si] + match.positions[-1] - 1
+            worth = sum(units[si][p - 1] for p in match.positions)
+            best[pivot] = max(best.get(pivot, 0), worth)
+        if best:
+            pivots = sorted(best)
+            entries.append((si, pivots, [best[p] for p in pivots]))
+    return entries
+
+
 def test_projection_utilities_match_model_on_random_instances():
     """Every occurring pattern's projection, derived from its parent's by
-    the step that appends its last item, is non-empty and gives the model's
-    utility."""
+    the step that appends its last item, gives the model's utility, and its
+    pivots and their best utilities are those of the model's match list;
+    also on databases where items recur within sequences."""
     checked = 0
-    for db, utable, mtable in mixed_instances(20):
+    several = 0
+    # items recur so often in the latter that their patterns are capped
+    # shorter, to keep the model's match lists small
+    cases = ([(inst, 5) for inst in mixed_instances(20)]
+             + [(inst, 3) for inst in _repeating_instances()])
+    for (db, utable, mtable), longest in cases:
         arrays = build_database_arrays(db, utable, mtable)
-        cap = min(5, max_sequence_length(db))
+        cap = min(longest, max_sequence_length(db))
+        units = [[q * utable.of(i) for _, i, q in qseq.flat()] for qseq in db.sequences]
         projection_of = {}
         # pre-order: every pattern comes after its parent
         for pattern, utility in enumerate_occurring(db, utable, cap):
@@ -392,10 +419,14 @@ def test_projection_utilities_match_model_on_random_instances():
                 proj = project(projection_of[parent], arrays, last[-1], kind)
             projection_of[pattern] = proj
             assert proj.entries
+            got = sorted((e.seq_index, e.pivots, e.best) for e in proj.entries)
+            assert got == _reference_pivots(pattern, db, arrays.start, units)
             assert sum(max(e.best) for e in proj.entries) == utility
             assert utility == pattern_utility(pattern, db, utable)
+            several += len(proj.several)
             checked += 1
     assert checked > 200
+    assert several > 1000
 
 
 def test_bound_chain_and_monotonicity_on_random_instances():
@@ -528,7 +559,6 @@ def _reference_arrays(sequences, utable, mtable):
     fields = {f: [] for f in ("item", "u", "ru", "pool", "nxt", "start", "stop",
                               "useq", "distinct")}
     where = [{} for _ in mu]
-    repeated = [[] for _ in mu]
     for si, flat in enumerate(sequences):
         base = len(fields["item"])
         items = [i for _, i, _ in flat]
@@ -548,10 +578,7 @@ def _reference_arrays(sequences, utable, mtable):
         for i in sorted(set(items)):
             at = [base + k for k in range(n) if items[k] == i]
             where[i][si] = at[0] if len(at) == 1 else at
-            if len(at) > 1:
-                repeated[i].append(si)
     fields["where"] = where
-    fields["repeated"] = repeated
     return fields
 
 
@@ -584,7 +611,7 @@ def test_flat_arrays_equal_the_per_sequence_reference():
         arrays = DatabaseArrays(db, utable, mtable)
         want = _reference_arrays([list(qseq.flat()) for qseq in db.sequences], utable, mtable)
         assert _fields(arrays) == want
-        repeats += sum(map(len, arrays.repeated))
+        repeats += sum(type(at) is list for w in arrays.where for at in w.values())
     assert repeats > 500
 
 
@@ -614,7 +641,6 @@ def test_dropping_items_equals_building_without_them():
                 assert [got[f][si] for si in kept] == fresh[f]
             assert got["where"] == [{kept[si]: at for si, at in w.items()}
                                     for w in fresh["where"]]
-            assert got["repeated"] == [[kept[si] for si in r] for r in fresh["repeated"]]
             emptied_sequences += len(rest) - len(kept)
             emptied_elements += sum(
                 len({eid for eid, _, _ in flat}) < len(qseq.elements)
